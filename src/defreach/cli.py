@@ -170,7 +170,9 @@ def cmd_train(args) -> int:
     vocab_path = args.vocab_out or args.output + ".vocab.json"
     with open(vocab_path, "w") as f:
         f.write(vocab.to_json())
-    model.save_checkpoint(args.output, params, config, os.path.abspath(vocab_path), best_epoch)
+    # relative to the checkpoint, so the run directory can be moved as a whole
+    vocab_rel = os.path.relpath(vocab_path, os.path.dirname(os.path.abspath(args.output)))
+    model.save_checkpoint(args.output, params, config, vocab_rel, best_epoch)
     for h in history:
         print(f"epoch {h.epoch}: loss {h.train_loss:.4f} valid_f1 {h.valid_f1:.4f}")
     print(f"saved checkpoint {args.output} (best epoch {best_epoch})")
@@ -182,18 +184,17 @@ def cmd_eval(args) -> int:
     dataset = harness.load_dataset(args.data)
     if args.split:
         _, _, dataset = _apply_split(dataset, args.split, 0)
-    probs = [model.predict(ckpt, e.cfg) for e in dataset]
-    metrics = harness.compute_metrics(probs, [e.label for e in dataset])
+    mask = ckpt.config.mask_dict()
+    start = time.perf_counter()
+    graphs = [(embedding.encode(e.cfg, ckpt.vocab, mask), e.cfg) for e in dataset]
+    probs = model.infer(ckpt.params, graphs, ckpt.config)
+    elapsed = time.perf_counter() - start
+    metrics = harness.compute_metrics(probs.tolist(), [e.label for e in dataset])
     report = metrics.to_dict()
     if metrics.degenerate:
         report["degenerate"] = True
     if args.timing:
-        mask = ckpt.config.mask_dict()
-        start = time.perf_counter()
-        for e in dataset:
-            features = embedding.encode(e.cfg, ckpt.vocab, mask)
-            model.forward(ckpt.params, features, e.cfg, ckpt.config)
-        report["ms_per_example"] = (time.perf_counter() - start) * 1000.0 / len(dataset)
+        report["ms_per_example"] = elapsed * 1000.0 / len(dataset)
     _write(json.dumps(report, indent=2) + "\n", args.output)
     return 0
 
@@ -293,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, CfgError, ValueError, harness.GenerationError, FileNotFoundError) as e:
+    except (ParseError, CfgError, ValueError, harness.GenerationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

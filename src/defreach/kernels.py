@@ -1,50 +1,19 @@
 """Scatter/gather sum kernels used by message passing and graph readout.
 
-The hot inner loops (per-edge accumulation, per-graph segment reduction)
-are compiled with numba when available. Set DEFREACH_NO_NUMBA=1 to force
-the pure-numpy path; both paths accumulate in index order, so results are
-bit-identical. See benchmarks/bench_kernels.py for the comparison.
+Both accumulate with ``np.add.at``, which adds repeated indices one at a
+time in index order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("DEFREACH_NO_NUMBA", "") not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _edge_sum(h, src, dst, out):
-        for e in range(src.shape[0]):
-            out[dst[e]] += h[src[e]]
-
-    @njit(cache=True)
-    def _segment_sum(x, seg, out):
-        for i in range(x.shape[0]):
-            out[seg[i]] += x[i]
-
-else:
-
-    def _edge_sum(h, src, dst, out):
-        np.add.at(out, dst, h[src])
-
-    def _segment_sum(x, seg, out):
-        np.add.at(out, seg, x)
 
 
 def edge_sum(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """out[v] = sum of h[u] over edges (u, v)."""
     out = np.zeros_like(h)
     if src.shape[0]:
-        _edge_sum(h, src, dst, out)
+        np.add.at(out, dst, h[src])
     return out
 
 
@@ -52,9 +21,9 @@ def segment_sum(x: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray
     """out[g] = sum of x rows with segment id g."""
     out = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
     if x.shape[0]:
-        _segment_sum(x, seg, out)
+        np.add.at(out, seg, x)
     return out
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

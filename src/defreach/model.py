@@ -46,14 +46,6 @@ class ModelConfig:
         return {p: p in self.mask for p in PROPERTIES}
 
 
-@dataclass
-class NodeStates:
-    """Per-round hidden states and aggregate buffers, round 0 first."""
-
-    h_steps: list[np.ndarray]
-    a_steps: list[np.ndarray]
-
-
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Weights ~ uniform(-s, s), s = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
@@ -77,10 +69,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
         out = 1 if i == config.output_layers - 1 else h
         dense(f"cls{i}", h, out)
     return params
-
-
-def weight_names(params: dict[str, np.ndarray]) -> list[str]:
-    return [n for n in params if n.endswith("_w")]
 
 
 def _as_tensors(params: dict[str, np.ndarray], tape: T.Tape | None) -> dict[str, T.Tensor]:
@@ -122,18 +110,11 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
     )
 
 
-def forward_batch(
-    pt: dict[str, T.Tensor],
-    batch: GraphBatch,
-    config: ModelConfig,
-    states: NodeStates | None = None,
-) -> T.Tensor:
+def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     """Graph-level logits, shape (num_graphs, 1)."""
     tape = next(iter(pt.values())).tape
     x = T.Tensor(batch.features, tape=None) if tape is None else tape.tensor(batch.features)
     h = T.relu(T.add(T.matmul(x, pt["proj_w"]), pt["proj_b"]))
-    if states is not None:
-        states.h_steps.append(h.data.copy())
     for _ in range(config.steps):
         summed = T.edge_gather_sum(h, batch.src, batch.dst)
         a = T.relu(T.add(T.matmul(summed, pt["agg_w"]), pt["agg_b"]))
@@ -147,9 +128,6 @@ def forward_batch(
         )
         keep = T.add_const(T.scale(z, -1.0), 1.0)
         h = T.add(T.hadamard(keep, h), T.hadamard(z, cand))
-        if states is not None:
-            states.a_steps.append(a.data.copy())
-            states.h_steps.append(h.data.copy())
     gate = T.sigmoid(T.add(T.matmul(h, pt["att_gate_w"]), pt["att_gate_b"]))
     feat = T.tanh(T.add(T.matmul(h, pt["att_feat_w"]), pt["att_feat_b"]))
     pooled = T.segment_sum(T.scale_rows(feat, gate), batch.seg, batch.num_graphs)
@@ -161,13 +139,8 @@ def forward_batch(
     return y
 
 
-def forward_probs(
-    pt: dict[str, T.Tensor],
-    batch: GraphBatch,
-    config: ModelConfig,
-    states: NodeStates | None = None,
-) -> T.Tensor:
-    return T.sigmoid(forward_batch(pt, batch, config, states=states))
+def forward_probs(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
+    return T.sigmoid(forward_batch(pt, batch, config))
 
 
 def _gru_pre(pt: dict[str, T.Tensor], gate: str, a: T.Tensor, h: T.Tensor) -> T.Tensor:
@@ -177,35 +150,22 @@ def _gru_pre(pt: dict[str, T.Tensor], gate: str, a: T.Tensor, h: T.Tensor) -> T.
     )
 
 
-def forward(
+def infer(
     params: dict[str, np.ndarray],
-    features: np.ndarray,
-    cfg: Cfg,
+    graphs: list[tuple[np.ndarray, Cfg]],
     config: ModelConfig,
-) -> tuple[float, NodeStates]:
-    """Single-graph inference probability plus per-round node states."""
-    if features.shape[1] != params["proj_w"].shape[0]:
-        raise ValueError(
-            f"feature width {features.shape[1]} != model input {params['proj_w'].shape[0]}"
-        )
-    states = NodeStates(h_steps=[], a_steps=[])
-    batch = batch_graphs([(features, cfg)])
-    prob = forward_probs(_as_tensors(params, None), batch, config, states=states)
-    return prob.item(), states
-
-
-def bce(prob: T.Tensor, labels: np.ndarray) -> T.Tensor:
-    """Mean binary cross-entropy; labels is a (n, 1) array of 0/1."""
-    tape = prob.tape
-    y = T.Tensor(labels.reshape(prob.shape)) if tape is None else tape.tensor(
-        labels.reshape(prob.shape)
-    )
-    one_minus_y = T.add_const(T.scale(y, -1.0), 1.0)
-    ll = T.add(
-        T.hadamard(y, T.log(prob)),
-        T.hadamard(one_minus_y, T.log(T.add_const(T.scale(prob, -1.0), 1.0))),
-    )
-    return T.scale(T.sum_all(ll), -1.0 / prob.shape[0])
+) -> np.ndarray:
+    """Inference probability per (features, cfg) graph, config.batch_size graphs per forward."""
+    width = params["proj_w"].shape[0]
+    for features, _ in graphs:
+        if features.shape[1] != width:
+            raise ValueError(f"feature width {features.shape[1]} != model input {width}")
+    pt = _as_tensors(params, None)
+    probs = [
+        forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
+        for lo in range(0, len(graphs), config.batch_size)
+    ]
+    return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
@@ -217,20 +177,6 @@ def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
     one_minus_y = T.add_const(T.scale(y, -1.0), 1.0)
     per = T.add(T.softplus(T.scale(logits, -1.0)), T.hadamard(one_minus_y, logits))
     return T.scale(T.sum_all(per), 1.0 / logits.shape[0])
-
-
-def loss(
-    prob: T.Tensor,
-    labels: np.ndarray,
-    pt: dict[str, T.Tensor],
-    l2_weight: float,
-) -> T.Tensor:
-    """BCE plus l2_weight * sum of squared weight-matrix entries (biases excluded)."""
-    total = bce(prob, labels)
-    for name in pt:
-        if name.endswith("_w"):
-            total = T.add(total, T.scale(T.sum_all(T.hadamard(pt[name], pt[name])), l2_weight))
-    return total
 
 
 class Adam:
@@ -307,11 +253,8 @@ def train_model(
             epoch_loss += obj.item()
             nbatch += 1
 
-        probs = [
-            forward_probs(_as_tensors(params, None), batch_graphs([g]), config).item()
-            for g in valid_graphs
-        ]
-        f1 = compute_metrics(probs, valid_labels).f1 if valid_labels else 0.0
+        probs = infer(params, valid_graphs, config)
+        f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
         history.append(EpochStats(epoch, epoch_loss / max(nbatch, 1), f1))
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
@@ -360,6 +303,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    for name in ("config", "vocab_path", "params", "best_epoch"):
+        if name not in doc:
+            raise ValueError(f"checkpoint {path} has no {name!r} field")
     config = ModelConfig(**doc["config"])
     params = {
         n: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
@@ -375,8 +321,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:
     features = encode(cfg, ckpt.vocab, ckpt.config.mask_dict())
-    prob, _ = forward(ckpt.params, features, cfg, ckpt.config)
-    return prob
+    return float(infer(ckpt.params, [(features, cfg)], ckpt.config)[0])
 
 
 def classify(prob: float, threshold: float = 0.5) -> int:

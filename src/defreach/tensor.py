@@ -188,10 +188,6 @@ def relu(a: Tensor) -> Tensor:
     return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64), "relu")
 
 
-def log(a: Tensor) -> Tensor:
-    return _unary(a, np.log, lambda x, y: 1.0 / x, "log")
-
-
 def softplus(a: Tensor) -> Tensor:
     def fwd(x):
         return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -218,17 +214,6 @@ def sum_all(a: Tensor) -> Tensor:
     if tape:
         def backward():
             _accum(a, np.full_like(a.data, out.grad[0, 0]))
-        tape.record(backward, a, out)
-    return out
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Column-wise total: (n, m) -> (1, m)."""
-    tape = a.tape
-    out = _out(a.data.sum(axis=0, keepdims=True), tape, "sum_rows")
-    if tape:
-        def backward():
-            _accum(a, np.broadcast_to(out.grad, a.shape).copy())
         tape.record(backward, a, out)
     return out
 

@@ -234,7 +234,7 @@ def test_criterion_6_invariant_battery():
                 assert not rows[node].any(), f"{e.id} node {node}"
 
         x = nrng.random((len(e.cfg.nodes), c.feature_width))
-        p0, _ = M.forward(params, x, e.cfg, c)
+        (p0,) = M.infer(params, [(x, e.cfg)], c)
         perm = nrng.permutation(len(e.cfg.nodes))
         inv = np.argsort(perm)
         relabeled = type(e.cfg)(
@@ -244,7 +244,7 @@ def test_criterion_6_invariant_battery():
             entry=int(inv[e.cfg.entry]),
             exit=int(inv[e.cfg.exit]),
         )
-        p1, _ = M.forward(params, x[perm], relabeled, c)
+        (p1,) = M.infer(params, [(x[perm], relabeled)], c)
         assert abs(p0 - p1) <= 1e-9, f"{e.id}: relabeling changed output"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"{elapsed:.1f}s"

@@ -95,6 +95,21 @@ class TestPipeline:
         assert 0.0 < verdict["probability"] < 1.0
         assert verdict["classification"] in ("safe", "vulnerable")
 
+    def test_predict_after_moving_run_directory(self, tmp_path, fig1_file, capsys):
+        run_dir = tmp_path / "a"
+        data_dir = run_dir / "data"
+        run(capsys, "synth", "--n", "20", "--seed", "3", "-o", data_dir)
+        code, _, _ = run(
+            capsys, "train", "--data", data_dir, "--epochs", "1", "--batch-size", "8",
+            "--k", "5", "--steps", "1", "--hidden", "4", "-o", run_dir / "model.json",
+        )
+        assert code == 0
+        moved = tmp_path / "b"
+        run_dir.rename(moved)
+        code, out, err = run(capsys, "predict", fig1_file, "--ckpt", moved / "model.json")
+        assert code == 0, err
+        assert 0.0 < json.loads(out)["probability"] < 1.0
+
     def test_vocab_build_and_encode(self, tmp_path, fig1_file, capsys):
         data_dir = tmp_path / "data"
         run(capsys, "synth", "--n", "10", "--seed", "1", "-o", data_dir)
@@ -134,4 +149,14 @@ class TestErrors:
         run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
         code, _, err = run(capsys, "split", "--data", data_dir,
                            "--fractions", "0.5,0.1")
+        assert code == 2 and "error:" in err
+
+    def test_checkpoint_missing_field_exits_2(self, tmp_path, fig1_file, capsys):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text('{"version": 1}')
+        code, _, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+        assert code == 2 and "error:" in err and "'config'" in err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "parse", tmp_path)
         assert code == 2 and "error:" in err
