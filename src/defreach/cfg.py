@@ -1,7 +1,8 @@
 """Statement-level control-flow graphs and the JSON interchange format.
 
 A Cfg holds one function: an ordered list of Statement nodes with dense
-integer ids, a set of directed edges, and synthetic entry/exit nop nodes.
+integer ids, a frozen set of directed edges with sorted successor and
+predecessor lists built from it once, and synthetic entry/exit nop nodes.
 """
 
 from __future__ import annotations
@@ -46,66 +47,82 @@ class Statement:
 
 @dataclass
 class Cfg:
+    """One function's graph; neither ``nodes`` nor ``edges`` changes after construction."""
+
     function: str
     nodes: list[Statement]
-    edges: set[tuple[int, int]]
+    edges: frozenset[tuple[int, int]]
     entry: int
     exit: int
+
+    def __post_init__(self) -> None:
+        self.edges = frozenset(self.edges)
+        n = len(self.nodes)
+        # successors()/predecessors() hand out these lists: callers must not change them
+        self._succ: list[list[int]] = [[] for _ in range(n)]
+        self._pred: list[list[int]] = [[] for _ in range(n)]
+        for a, b in sorted(self.edges):
+            if not (0 <= a < n and 0 <= b < n):
+                raise CfgError(f"dangling edge ({a}, {b}) with {n} nodes")
+            self._succ[a].append(b)
+            self._pred[b].append(a)
 
     def validate(self) -> None:
         n = len(self.nodes)
         for stmt in self.nodes:
             stmt.validate()
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise CfgError(f"dangling edge ({a}, {b}) with {n} nodes")
         if not (0 <= self.entry < n and 0 <= self.exit < n):
             raise CfgError(f"entry/exit id out of range for {n} nodes")
-        reach = self._closure(self.entry, self.successors)
+        reach = _closure(self.entry, self._succ)
         if len(reach) != n:
             missing = sorted(set(range(n)) - reach)
             raise CfgError(f"nodes unreachable from entry: {missing}")
-        co_reach = self._closure(self.exit, self.predecessors)
+        co_reach = _closure(self.exit, self._pred)
         if len(co_reach) != n:
             stuck = sorted(set(range(n)) - co_reach)
             raise CfgError(f"exit unreachable from nodes: {stuck}")
 
-    def _closure(self, start: int, step) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for m in step(stack.pop()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
     def successors(self, v: int) -> list[int]:
-        return sorted(b for a, b in self.edges if a == v)
+        return self._succ[v]
 
     def predecessors(self, v: int) -> list[int]:
-        return sorted(a for a, b in self.edges if b == v)
+        return self._pred[v]
 
     def reverse_postorder(self) -> list[int]:
+        """Depth-first from the entry, then each unvisited id; successors in ascending order."""
+        seen = [False] * len(self.nodes)
         order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(v: int) -> None:
-            seen.add(v)
-            for s in self.successors(v):
-                if s not in seen:
-                    visit(s)
-            order.append(v)
-
-        visit(self.entry)
-        for v in range(len(self.nodes)):
-            if v not in seen:
-                visit(v)
+        for root in (self.entry, *range(len(self.nodes))):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack = [(root, iter(self._succ[root]))]
+            while stack:
+                v, pending = stack[-1]
+                for s in pending:
+                    if not seen[s]:
+                        seen[s] = True
+                        stack.append((s, iter(self._succ[s])))
+                        break
+                else:
+                    stack.pop()
+                    order.append(v)
         order.reverse()
         return order
 
     def structurally_equal(self, other: "Cfg") -> bool:
         return dump_cfg(self) == dump_cfg(other)
+
+
+def _closure(start: int, adjacency: list[list[int]]) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for m in adjacency[stack.pop()]:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 def dump_cfg(cfg: Cfg) -> str:
@@ -144,6 +161,8 @@ def load_cfg(document: str) -> Cfg:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise CfgError(f"not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise CfgError("not valid JSON: arrays or objects nested too deeply") from e
     _require(isinstance(doc, dict), "$", "document must be an object")
     for key in ("function", "nodes", "edges", "entry", "exit"):
         _require(key in doc, "$", f"missing field {key!r}")

@@ -8,6 +8,7 @@ unsupported constructs) exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -51,15 +52,16 @@ def cmd_dfa(args) -> int:
             {"id": d.def_id, "node": d.node, "variable": d.variable} for d in table.entries
         ],
     }
+    bits = functools.partial(dataflow.bit_string, width=table.width)
     if args.trace is not None:
         snapshots = dataflow.trace(cfg, state, args.trace)
         report["trace"] = [
-            {str(v): str(snap[v]) for v in range(len(cfg.nodes))} for snap in snapshots
+            {str(v): bits(snap[v]) for v in range(len(cfg.nodes))} for snap in snapshots
         ]
     else:
         dataflow.solve(cfg, state)
         report["nodes"] = [
-            {"id": v, "in": str(state.inb[v]), "out": str(state.out[v])}
+            {"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
             for v in range(len(cfg.nodes))
         ]
     _write(json.dumps(report, indent=2) + "\n", args.output)
@@ -136,8 +138,14 @@ def _apply_split(dataset, split_path: str | None, seed: int):
     if split_path:
         with open(split_path) as f:
             doc = json.load(f)
+        parts = [doc.get(p) if isinstance(doc, dict) else None for p in ("train", "valid", "test")]
+        if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in parts):
+            raise ValueError(f"split file {split_path} must map train, valid and test to lists of ids")
         by_id = {e.id: e for e in dataset}
-        return tuple([by_id[i] for i in doc[part]] for part in ("train", "valid", "test"))
+        unknown = [i for ids in parts for i in ids if i not in by_id]
+        if unknown:
+            raise ValueError(f"split file {split_path} names an id not in the dataset: {unknown[0]!r}")
+        return tuple([by_id[i] for i in ids] for ids in parts)
     return harness.split(dataset, "mixed", (0.8, 0.1, 0.1), seed)
 
 

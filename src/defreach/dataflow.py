@@ -1,10 +1,14 @@
-"""Reaching-definitions analysis over a Cfg using bit vectors.
+"""Reaching-definitions analysis over a Cfg, with definition sets as int masks.
 
-Two solvers over the same GEN/KILL sets:
-  * ``solve`` -- worklist fixpoint (production path), and
-  * ``trace`` -- synchronous full sweeps in node-id order, where every IN
-    of round r is computed from the round r-1 OUTs before any OUT updates
-    (Jacobi style), so each round's snapshot is reproducible exactly.
+Bit i of a mask is definition i of the DefinitionTable. Both solvers repeat
+one sweep, OUT[v] = GEN[v] | (OR of OUT[pred] & ~KILL[v]):
+  * ``solve`` -- round-robin sweeps in reverse postorder that update OUT in
+    place (Gauss-Seidel) until a sweep changes nothing; on a reducible graph
+    that takes at most d+2 sweeps, d the most back edges on any acyclic path
+    (production path);
+  * ``trace`` -- synchronous sweeps in node-id order, where every OUT of
+    round r is computed from the round r-1 OUTs (Jacobi style), so each
+    round's snapshot is reproducible exactly.
 
 Dereference statements may optionally be treated as introducing an
 anonymous definition (``deref_defines=True``); off by default.
@@ -12,53 +16,10 @@ anonymous definition (``deref_defines=True``); off by default.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .cfg import Cfg
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Fixed-width definition set stored as an int bitmask, bit i = definition i."""
-
-    width: int
-    mask: int = 0
-
-    def _check(self, other: "BitVec") -> None:
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
-    def union(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.width, self.mask | other.mask)
-
-    def minus(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.width, self.mask & ~other.mask)
-
-    def intersect(self, other: "BitVec") -> "BitVec":
-        self._check(other)
-        return BitVec(self.width, self.mask & other.mask)
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def is_subset(self, other: "BitVec") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def bits(self) -> list[int]:
-        return [self.mask >> i & 1 for i in range(self.width)]
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits())
-
-    @staticmethod
-    def of(width: int, members: list[int] | set[int] = ()) -> "BitVec":
-        mask = 0
-        for i in members:
-            mask |= 1 << i
-        return BitVec(width, mask)
 
 
 @dataclass(frozen=True)
@@ -76,20 +37,24 @@ class DefinitionTable:
     def width(self) -> int:
         return len(self.entries)
 
-    def by_variable(self, var: str) -> list[Definition]:
-        return [d for d in self.entries if d.variable == var]
-
 
 @dataclass
 class DataflowState:
-    gen: dict[int, BitVec]
-    kill: dict[int, BitVec]
-    inb: dict[int, BitVec] = field(default_factory=dict)
-    out: dict[int, BitVec] = field(default_factory=dict)
+    """Per-node definition masks, indexed by node id."""
+
+    gen: list[int]
+    kill: list[int]
+    inb: list[int] = field(default_factory=list)
+    out: list[int] = field(default_factory=list)
+
+
+def bit_string(mask: int, width: int) -> str:
+    """A definition set as ``width`` characters, definition 0 first: {0, 2} of 3 is "101"."""
+    return format(mask, f"0{width}b")[::-1] if width else ""
 
 
 def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionTable, DataflowState]:
-    """Build the definition table and per-node GEN/KILL bit vectors.
+    """Build the definition table and per-node GEN/KILL masks.
 
     GEN[v] is the definition made at v (if any); KILL[v] is every *other*
     definition of the same variable (self-kill excluded -- equivalent under
@@ -99,75 +64,70 @@ def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionT
     variable, so they kill nothing.
     """
     table = DefinitionTable()
-    for node in range(len(cfg.nodes)):
-        stmt = cfg.nodes[node]
+    gen = [0] * len(cfg.nodes)
+    kill = [0] * len(cfg.nodes)
+    by_variable: dict[str, int] = {}  # variable -> mask of all its definitions
+    for node, stmt in enumerate(cfg.nodes):
         if stmt.is_definition():
-            table.entries.append(Definition(len(table.entries), node, stmt.target))
+            variable = stmt.target
         elif deref_defines and stmt.kind == "deref-use":
-            table.entries.append(Definition(len(table.entries), node, f"<deref@{node}>"))
-
-    width = table.width
-    empty = BitVec(width)
-    gen = {v: empty for v in range(len(cfg.nodes))}
-    kill = {v: empty for v in range(len(cfg.nodes))}
+            variable = f"<deref@{node}>"
+        else:
+            continue
+        gen[node] = 1 << table.width
+        by_variable[variable] = by_variable.get(variable, 0) | gen[node]
+        table.entries.append(Definition(table.width, node, variable))
     for d in table.entries:
-        gen[d.node] = BitVec.of(width, [d.def_id])
-        others = [e.def_id for e in table.by_variable(d.variable) if e.def_id != d.def_id]
-        kill[d.node] = BitVec.of(width, others)
+        kill[d.node] = by_variable[d.variable] & ~gen[d.node]
     return table, DataflowState(gen=gen, kill=kill)
 
 
-def _transfer(state: DataflowState, v: int, inb: BitVec) -> BitVec:
-    return state.gen[v].union(inb.minus(state.kill[v]))
+def _meet(cfg: Cfg, out: list[int], v: int) -> int:
+    inb = 0
+    for u in cfg.predecessors(v):
+        inb |= out[u]
+    return inb
+
+
+def _sweep(cfg: Cfg, state: DataflowState, order: Iterable[int], src: list[int], dst: list[int]) -> bool:
+    """dst[v] = GEN[v] | (OR of src[pred] & ~KILL[v]) for each v in order;
+    returns whether any dst[v] changed. With ``src is dst`` a node sees the
+    OUTs its predecessors got earlier in the same sweep."""
+    gen, kill = state.gen, state.kill
+    changed = False
+    for v in order:
+        out = gen[v] | (_meet(cfg, src, v) & ~kill[v])
+        if out != dst[v]:
+            dst[v] = out
+            changed = True
+    return changed
 
 
 def solve(cfg: Cfg, state: DataflowState) -> DataflowState:
-    """Worklist fixpoint of IN[v] = U OUT[pred], OUT[v] = GEN u (IN - KILL)."""
-    width = next(iter(state.gen.values())).width if state.gen else 0
-    zero = BitVec(width)
-    state.inb = {v: zero for v in range(len(cfg.nodes))}
-    state.out = {v: zero for v in range(len(cfg.nodes))}
-
-    worklist = cfg.reverse_postorder()
-    queued = set(worklist)
-    while worklist:
-        v = worklist.pop(0)
-        queued.discard(v)
-        inb = zero
-        for u in cfg.predecessors(v):
-            inb = inb.union(state.out[u])
-        out = _transfer(state, v, inb)
-        state.inb[v] = inb
-        if out != state.out[v]:
-            state.out[v] = out
-            for s in cfg.successors(v):
-                if s not in queued:
-                    worklist.append(s)
-                    queued.add(s)
+    """Least fixpoint of IN[v] = U OUT[pred], OUT[v] = GEN u (IN - KILL)."""
+    out = [0] * len(cfg.nodes)
+    order = cfg.reverse_postorder()
+    while _sweep(cfg, state, order, out, out):
+        pass
+    state.out = out
+    state.inb = [_meet(cfg, out, v) for v in range(len(cfg.nodes))]
     return state
 
 
-def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[dict[int, BitVec]]:
+def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[list[int]]:
     """Per-round OUT snapshots of synchronous full sweeps; snapshot 0 is all zeros."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    width = next(iter(state.gen.values())).width if state.gen else 0
     nodes = range(len(cfg.nodes))
-    out = {v: BitVec(width) for v in nodes}
-    snapshots = [dict(out)]
+    snapshots = [[0] * len(cfg.nodes)]
     for _ in range(rounds):
-        prev = out
-        out = {}
-        for v in nodes:
-            inb = BitVec(width)
-            for u in cfg.predecessors(v):
-                inb = inb.union(prev[u])
-            out[v] = _transfer(state, v, inb)
-        snapshots.append(dict(out))
+        out = snapshots[-1].copy()
+        _sweep(cfg, state, nodes, snapshots[-1], out)
+        snapshots.append(out)
     return snapshots
 
 
 def analyze(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionTable, DataflowState]:
-    """Convenience: GEN/KILL plus the worklist fixpoint in one call."""
+    """Convenience: GEN/KILL plus the round-robin fixpoint in one call."""
     table, state = compute_gen_kill(cfg, deref_defines=deref_defines)
     return table, solve(cfg, state)

@@ -99,7 +99,7 @@ def oracle_label(cfg: Cfg) -> int:
         if stmt.kind != "deref-use":
             continue
         for d in null_defs:
-            if d.variable in stmt.uses and state.inb[node].contains(d.def_id):
+            if d.variable in stmt.uses and state.inb[node] >> d.def_id & 1:
                 return 1
     return 0
 

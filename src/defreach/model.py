@@ -301,16 +301,21 @@ class Checkpoint:
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} must hold a JSON object")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     for name in ("config", "vocab_path", "params", "best_epoch"):
         if name not in doc:
             raise ValueError(f"checkpoint {path} has no {name!r} field")
-    config = ModelConfig(**doc["config"])
-    params = {
-        n: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        for n, rec in doc["params"].items()
-    }
+    try:
+        config = ModelConfig(**doc["config"])
+        params = {
+            n: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+            for n, rec in doc["params"].items()
+        }
+    except (TypeError, KeyError, AttributeError) as e:  # unknown, missing or ill-typed fields
+        raise ValueError(f"checkpoint {path} has a malformed config or params: {e!r}") from e
     vocab_path = doc["vocab_path"]
     if not os.path.isabs(vocab_path):
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)

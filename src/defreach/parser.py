@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .cfg import Cfg, CfgError, Statement
 
 
+# Blocks and nested expressions share one depth counter, kept well below the
+# interpreter's recursion limit (a block level costs three parser frames).
+MAX_NESTING = 200
+
 TYPE_KEYWORDS = {"int", "char", "float", "double", "void", "long"}
 KEYWORDS = TYPE_KEYWORDS | {"if", "else", "while", "return", "NULL"}
 
@@ -89,6 +93,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _lex(source)
         self.i = 0
+        self.depth = 0  # open blocks and nested expressions
         self.types: dict[str, str] = {}  # in-scope declarations
 
     # -- token helpers -------------------------------------------------
@@ -118,6 +123,12 @@ class _Parser:
                 self.cur.col,
             )
         return self.advance()
+
+    def open_level(self, tok: Token) -> None:
+        """Enter a nesting level opened by ``tok``; the caller decrements ``depth`` on leaving."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     def at_type(self) -> bool:
         return self.cur.kind == "keyword" and self.cur.text in TYPE_KEYWORDS
@@ -156,26 +167,26 @@ class _Parser:
         self.expect(")")
 
         builder = _CfgBuilder(name)
-        dangling = self.parse_block(builder, [builder.entry_id])
-        builder.finish(dangling)
+        dangling = self.parse_block(builder, [0])  # the entry node
         if self.cur.kind != "eof":
             raise ParseError(
                 f"trailing input after function body: {self.cur.text!r}",
                 self.cur.line,
                 self.cur.col,
             )
-        cfg = builder.cfg
+        cfg = builder.finish(dangling)
         cfg.validate()
         return cfg
 
     # -- statements ----------------------------------------------------
     def parse_block(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        self.expect("{")
+        self.open_level(self.expect("{"))
         while self.cur.text != "}":
             if self.cur.kind == "eof":
                 raise ParseError("unexpected end of input in block", self.cur.line, self.cur.col)
             preds = self.parse_statement(builder, preds)
         self.expect("}")
+        self.depth -= 1
         return preds
 
     def parse_statement(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
@@ -212,7 +223,7 @@ class _Parser:
         cond_id = builder.add(cond, preds)
         body_out = self.parse_block(builder, [cond_id])
         for v in body_out:  # back edge(s) to the loop header
-            builder.edge(v, cond_id)
+            builder.edges.add((v, cond_id))
         return [cond_id]
 
     def parse_condition(self) -> Statement:
@@ -347,11 +358,12 @@ class _Parser:
     def parse_atom(self, info: _ExprInfo) -> None:
         tok = self.cur
         if tok.text == "(":
-            self.advance()
+            self.open_level(self.advance())
             info.text_parts.append("(")
             self.parse_expr(info)
             self.expect(")")
             info.text_parts.append(")")
+            self.depth -= 1
         elif tok.text == "*":
             self.advance()
             name = self.expect_ident().text
@@ -359,10 +371,11 @@ class _Parser:
             info.has_deref = True
             info.text_parts.append(f"*{name}")
         elif tok.text == "!":
-            self.advance()
+            self.open_level(self.advance())
             info.operators.append("!")
             info.text_parts.append("!")
             self.parse_atom(info)
+            self.depth -= 1
         elif tok.kind == "num":
             self.advance()
             info.constants.append(tok.text)
@@ -376,12 +389,13 @@ class _Parser:
             info.uses.add(name)
             info.text_parts.append(name)
             if self.cur.text == "[":
-                self.advance()
+                self.open_level(self.advance())
                 info.has_deref = True
                 info.text_parts.append("[")
                 self.parse_expr(info)
                 self.expect("]")
                 info.text_parts.append("]")
+                self.depth -= 1
             elif self.cur.text == "(":
                 raise UnsupportedError(
                     f"call to {name!r} nested inside an expression", tok.line, tok.col
@@ -395,35 +409,23 @@ class _Parser:
 
 
 class _CfgBuilder:
-    """Appends statement nodes in source order and wires edges."""
+    """Collects statement nodes in source order and their edges; ``finish`` builds the Cfg."""
 
     def __init__(self, function: str):
-        self.cfg = Cfg(
-            function=function,
-            nodes=[Statement(kind="nop", code="<entry>")],
-            edges=set(),
-            entry=0,
-            exit=-1,
-        )
-        self.entry_id = 0
+        self.function = function
+        self.nodes = [Statement(kind="nop", code="<entry>")]
+        self.edges: set[tuple[int, int]] = set()
         self.returns: list[int] = []
 
     def add(self, stmt: Statement, preds: list[int]) -> int:
-        node = len(self.cfg.nodes)
-        self.cfg.nodes.append(stmt)
-        for p in preds:
-            self.edge(p, node)
+        node = len(self.nodes)
+        self.nodes.append(stmt)
+        self.edges.update((p, node) for p in preds)
         return node
 
-    def edge(self, a: int, b: int) -> None:
-        self.cfg.edges.add((a, b))
-
-    def finish(self, dangling: list[int]) -> None:
-        exit_id = len(self.cfg.nodes)
-        self.cfg.nodes.append(Statement(kind="nop", code="<exit>"))
-        self.cfg.exit = exit_id
-        for p in dangling + self.returns:
-            self.edge(p, exit_id)
+    def finish(self, dangling: list[int]) -> Cfg:
+        exit_id = self.add(Statement(kind="nop", code="<exit>"), dangling + self.returns)
+        return Cfg(self.function, self.nodes, self.edges, 0, exit_id)
 
 
 def parse_function(source: str) -> Cfg:

@@ -59,6 +59,34 @@ class TestParseAndDfa:
         ]
 
 
+class TestLargeInputs:
+    """Sizes past the depth where a recursive depth-first search overflows."""
+
+    def test_1200_statement_straight_line(self, tmp_path, capsys):
+        src = tmp_path / "long.c"
+        src.write_text("void f(int n) {\n" + "".join(f"  n = n + {i};\n" for i in range(1200)) + "}\n")
+        code, out, err = run(capsys, "dfa", src)
+        assert code == 0, err
+        nodes = json.loads(out)["nodes"]
+        assert nodes[-1]["in"] == "0" * 1199 + "1"  # each definition of n kills the one before
+
+    def test_5000_statement_straight_line(self, tmp_path, capsys):
+        src = tmp_path / "longer.c"
+        src.write_text("void f(int n) {\n  char *p = NULL;\n" + "  p[n];\n" * 4999 + "}\n")
+        code, out, err = run(capsys, "dfa", src)
+        assert code == 0, err
+        nodes = json.loads(out)["nodes"]
+        assert len(nodes) == 5002 and nodes[-1]["in"] == "1"
+
+    def test_900_sequential_ifs(self, tmp_path, capsys):
+        src = tmp_path / "ifs.c"
+        body = "".join(f"  if (n > {i}) {{ n = n - 1; }}\n" for i in range(900))
+        src.write_text("void f(int n) {\n" + body + "}\n")
+        code, out, err = run(capsys, "dfa", src)
+        assert code == 0, err
+        assert json.loads(out)["nodes"][-1]["in"] == "1" * 900  # every if may be skipped
+
+
 class TestPipeline:
     def test_synth_split_train_eval_predict(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -160,3 +188,53 @@ class TestErrors:
     def test_directory_input_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "parse", tmp_path)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("ifs.c", "void f(int n) {" + "if (n > 0) {" * 600 + "n = 1;" + "}" * 600 + "}"),
+            ("parens.c", "void f(int n) { n = " + "(" * 2000 + "n" + ")" * 2000 + "; }"),
+            ("nots.c", "void f(int n) { n = " + "!" * 2000 + "n; }"),
+            ("arrays.json", "[" * 100000 + "]" * 100000),
+        ],
+        ids=["600-ifs", "2000-parens", "2000-nots", "nested-json"],
+    )
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "dfa", path)
+        assert code == 2 and "error:" in err and "nest" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            '{"version": 1, "config": {"bogus": 1}, "vocab_path": "v.json", "params": {}, '
+            '"best_epoch": 0}',
+            '{"version": 1, "config": {}, "vocab_path": "v.json", "params": [1], "best_epoch": 0}',
+        ],
+        ids=["non-object", "unknown-config-key", "params-not-object"],
+    )
+    def test_malformed_checkpoint_exits_2(self, tmp_path, fig1_file, capsys, text):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(text)
+        code, _, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+        assert code == 2 and "error:" in err and "checkpoint" in err
+
+    @pytest.mark.parametrize(
+        "doc,problem",
+        [
+            ([], "lists of ids"),
+            ({"train": [], "valid": []}, "lists of ids"),
+            ({"train": ["nope"], "valid": [], "test": []}, "'nope'"),
+        ],
+        ids=["not-object", "missing-part", "unknown-id"],
+    )
+    def test_bad_split_file_exits_2(self, tmp_path, capsys, doc, problem):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--data", data_dir, "--split", split_path,
+                           "-o", tmp_path / "model.json")
+        assert code == 2 and "error:" in err and problem in err

@@ -1,7 +1,7 @@
 import pytest
 
 from defreach.cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg
-from defreach.parser import ParseError, UnsupportedError, parse_function
+from defreach.parser import MAX_NESTING, ParseError, UnsupportedError, parse_function
 
 from conftest import FIG1_SRC
 
@@ -116,6 +116,16 @@ class TestErrors:
     def test_unsupported_constructs_are_named(self, source, construct):
         with pytest.raises(UnsupportedError, match=construct):
             parse_function(source)
+
+    def test_nesting_limit_counts_blocks_and_expressions_together(self):
+        # the function body is the first level
+        inner = MAX_NESTING - 2
+        ok = "void f(int n) { if (n) { n = " + "(" * inner + "n" + ")" * inner + "; } }"
+        parse_function(ok)
+        prefix = "void f(int n) { if (n) { n = "
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse_function(prefix + "(" * (inner + 1) + "n" + ")" * (inner + 1) + "; } }")
+        assert exc.value.col == len(prefix) + inner + 1  # the '(' that opened the extra level
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):

@@ -85,7 +85,7 @@ class TestOracle:
                 for dfn in table.entries:
                     if (
                         dfn.variable in stmt.uses
-                        and state.inb[node].contains(dfn.def_id)
+                        and state.inb[node] >> dfn.def_id & 1
                         and "NULL" in e.cfg.nodes[dfn.node].constants
                         and e.cfg.nodes[dfn.node].callee is None
                     ):
