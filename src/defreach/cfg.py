@@ -155,14 +155,23 @@ def _require(cond: bool, path: str, msg: str) -> None:
         raise CfgError(f"{path}: {msg}")
 
 
+def parse_json(document: str, source: str):
+    """``json.loads`` that reports invalid or too deeply nested JSON as a
+    ``ValueError`` naming ``source`` (a file path or a description)."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{source}: not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ValueError(f"{source}: not valid JSON: arrays or objects nested too deeply") from e
+
+
 def load_cfg(document: str) -> Cfg:
     """Parse an interchange document, checking the schema field by field."""
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise CfgError(f"not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise CfgError("not valid JSON: arrays or objects nested too deeply") from e
+        doc = parse_json(document, "graph document")
+    except ValueError as e:
+        raise CfgError(str(e)) from e
     _require(isinstance(doc, dict), "$", "document must be an object")
     for key in ("function", "nodes", "edges", "entry", "exit"):
         _require(key in doc, "$", f"missing field {key!r}")

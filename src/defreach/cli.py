@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import dataflow, embedding, harness, model
-from .cfg import Cfg, CfgError, dump_cfg, load_cfg
+from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
 from .parser import ParseError, parse_function
 
 
@@ -91,9 +91,9 @@ def cmd_vocab_build(args) -> int:
 
 def cmd_encode(args) -> int:
     with open(args.vocab) as f:
-        vocab = embedding.Vocabulary.from_json(f.read())
+        vocab = embedding.Vocabulary.from_json(f.read(), args.vocab)
     mask = embedding.parse_mask(args.mask)
-    rows = embedding.encode(_read_cfg(args.file), vocab, mask)
+    rows = embedding.one_hot(embedding.encode(_read_cfg(args.file), vocab, mask), vocab.row_width)
     text = "\n".join(" ".join(str(int(x)) for x in row) for row in rows) + "\n"
     _write(text, args.output)
     return 0
@@ -137,7 +137,7 @@ def cmd_split(args) -> int:
 def _apply_split(dataset, split_path: str | None, seed: int):
     if split_path:
         with open(split_path) as f:
-            doc = json.load(f)
+            doc = parse_json(f.read(), f"split file {split_path}")
         parts = [doc.get(p) if isinstance(doc, dict) else None for p in ("train", "valid", "test")]
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in parts):
             raise ValueError(f"split file {split_path} must map train, valid and test to lists of ids")

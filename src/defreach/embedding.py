@@ -3,9 +3,12 @@
 Each definition contributes four properties: the API called, the declared
 datatype, the first constant, and the first operator of the defining
 expression. A vocabulary ranks the k most frequent values per property
-over a training corpus; encoding one-hots each property into a block of
-k + 2 slots (slot 0 = NONE, slot 1 = UNKNOWN, slots 2..k+1 = ranked
-values). Non-definition nodes encode as all-zero rows.
+over a training corpus; each property owns a block of k + 2 one-hot
+columns (slot 0 = NONE, slot 1 = UNKNOWN, slots 2..k+1 = ranked values).
+``encode`` returns each node's hot column per property, its slot index
+``j * (k + 2) + slot``, rather than the dense row: -1 marks a masked
+property and every column of a non-definition node. ``one_hot`` renders
+the dense 0/1 rows.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfg import Cfg
+from .cfg import Cfg, parse_json
 
 PROPERTIES = ("api", "datatype", "constant", "operator")
 SLOT_NONE = 0
@@ -83,9 +86,14 @@ class Vocabulary:
         return json.dumps(doc, indent=2) + "\n"
 
     @staticmethod
-    def from_json(document: str) -> "Vocabulary":
-        doc = json.loads(document)
-        return Vocabulary(k=doc["k"], ranks={p: list(doc.get(p, [])) for p in PROPERTIES})
+    def from_json(document: str, source: str = "vocabulary") -> "Vocabulary":
+        doc = parse_json(document, source)
+        ranks = {p: doc.get(p, []) for p in PROPERTIES} if isinstance(doc, dict) else None
+        if ranks is None or not isinstance(doc.get("k"), int) or not all(
+            isinstance(vs, list) and all(isinstance(v, str) for v in vs) for vs in ranks.values()
+        ):
+            raise ValueError(f"{source} must be a JSON object with an integer 'k' and a list of strings per property")
+        return Vocabulary(k=doc["k"], ranks=ranks)
 
 
 def build_vocabulary(corpus: list[Cfg], k: int) -> Vocabulary:
@@ -134,15 +142,23 @@ FULL_MASK = {p: True for p in PROPERTIES}
 
 
 def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> np.ndarray:
-    """One row per CFG node; dtype uint8; masked-off blocks stay zero."""
+    """(nodes, 4) int64 hot columns, property j in column j; -1 where masked or no definition."""
     if mask is None:
         mask = FULL_MASK
     if not any(mask.get(p) for p in PROPERTIES):
         raise ValueError("mask must enable at least one property")
     block = vocab.k + RESERVED_SLOTS
-    rows = np.zeros((len(cfg.nodes), vocab.row_width), dtype=np.uint8)
+    slots = np.full((len(cfg.nodes), len(PROPERTIES)), -1, dtype=np.int64)
     for node, profile in extract_profiles(cfg).items():
         for j, prop in enumerate(PROPERTIES):
             if mask.get(prop):
-                rows[node, j * block + vocab.slot(prop, profile.get(prop))] = 1
+                slots[node, j] = j * block + vocab.slot(prop, profile.get(prop))
+    return slots
+
+
+def one_hot(slots: np.ndarray, width: int) -> np.ndarray:
+    """Dense uint8 rows of the given width with a 1 at every slot >= 0."""
+    rows = np.zeros((slots.shape[0], width), dtype=np.uint8)
+    node, j = np.nonzero(slots >= 0)
+    rows[node, slots[node, j]] = 1
     return rows

@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .cfg import Cfg, dump_cfg, load_cfg
+from .cfg import Cfg, dump_cfg, load_cfg, parse_json
 from .dataflow import analyze
 from .parser import parse_function
 
@@ -368,6 +368,9 @@ def undersample(train: list[Example], seed: int) -> list[Example]:
 
 # -- dataset directory format -----------------------------------------
 
+MANIFEST_FIELDS = ("id", "path", "label", "project")
+
+
 def save_dataset(examples: list[Example], directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     manifest = {"examples": []}
@@ -386,10 +389,17 @@ def save_dataset(examples: list[Example], directory: str) -> None:
 
 
 def load_dataset(directory: str, revalidate: bool = True) -> list[Example]:
-    with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = json.load(f)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = parse_json(f.read(), manifest_path)
+    records = manifest.get("examples") if isinstance(manifest, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"{manifest_path} must be a JSON object with an 'examples' list")
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in MANIFEST_FIELDS)):
+            raise ValueError(f"{manifest_path}: examples[{i}] needs string fields {', '.join(MANIFEST_FIELDS)}")
     examples = []
-    for rec in manifest["examples"]:
+    for rec in records:
         with open(os.path.join(directory, rec["path"])) as f:
             cfg = load_cfg(f.read())
         label = LABELS.index(rec["label"])

@@ -1,7 +1,9 @@
 """Scatter/gather sum kernels used by message passing and graph readout.
 
-Both accumulate with ``np.add.at``, which adds repeated indices one at a
-time in index order, so results are deterministic.
+Both scatter with one ``np.bincount`` over the flattened positions
+``index * m + column`` of an (n, m) output. bincount adds its weights in
+input order, so every output entry sums its rows in index order and the
+results are deterministic (and equal to an ``np.add.at`` scatter).
 """
 
 from __future__ import annotations
@@ -9,20 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def _scatter_rows(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of x[r] over rows r with index[r] == i, shape (n, m)."""
+    m = x.shape[1]
+    flat = (index[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=n * m).reshape(n, m)
+
+
 def edge_sum(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """out[v] = sum of h[u] over edges (u, v)."""
-    out = np.zeros_like(h)
-    if src.shape[0]:
-        np.add.at(out, dst, h[src])
-    return out
+    return _scatter_rows(h[src], dst, h.shape[0])
 
 
 def segment_sum(x: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
     """out[g] = sum of x rows with segment id g."""
-    out = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
-    if x.shape[0]:
-        np.add.at(out, seg, x)
-    return out
+    return _scatter_rows(x, seg, num_segments)
 
 
 def backend_name() -> str:

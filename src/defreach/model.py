@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .cfg import Cfg
+from .cfg import Cfg, parse_json
 from .embedding import PROPERTIES, RESERVED_SLOTS, Vocabulary, encode
 
 
@@ -79,7 +79,7 @@ def _as_tensors(params: dict[str, np.ndarray], tape: T.Tape | None) -> dict[str,
 
 @dataclass
 class GraphBatch:
-    """Disjoint union of CFGs: stacked features, offset edges, segment ids."""
+    """Disjoint union of CFGs: stacked slot features, offset edges, segment ids."""
 
     features: np.ndarray
     src: np.ndarray
@@ -95,7 +95,7 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
         n = len(cfg.nodes)
         if features.shape[0] != n:
             raise ValueError(f"feature rows {features.shape[0]} != nodes {n}")
-        feats.append(features.astype(np.float64))
+        feats.append(features)
         for a, b in sorted(cfg.edges):
             srcs.append(a + offset)
             dsts.append(b + offset)
@@ -112,9 +112,7 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
 
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     """Graph-level logits, shape (num_graphs, 1)."""
-    tape = next(iter(pt.values())).tape
-    x = T.Tensor(batch.features, tape=None) if tape is None else tape.tensor(batch.features)
-    h = T.relu(T.add(T.matmul(x, pt["proj_w"]), pt["proj_b"]))
+    h = T.relu(T.add(T.embed_sum(batch.features, pt["proj_w"]), pt["proj_b"]))
     for _ in range(config.steps):
         summed = T.edge_gather_sum(h, batch.src, batch.dst)
         a = T.relu(T.add(T.matmul(summed, pt["agg_w"]), pt["agg_b"]))
@@ -155,11 +153,15 @@ def infer(
     graphs: list[tuple[np.ndarray, Cfg]],
     config: ModelConfig,
 ) -> np.ndarray:
-    """Inference probability per (features, cfg) graph, config.batch_size graphs per forward."""
+    """Inference probability per (slots, cfg) graph, config.batch_size graphs per forward."""
     width = params["proj_w"].shape[0]
     for features, _ in graphs:
-        if features.shape[1] != width:
-            raise ValueError(f"feature width {features.shape[1]} != model input {width}")
+        if features.ndim != 2 or features.shape[1] != len(PROPERTIES) or features.dtype.kind not in "iu":
+            raise ValueError(
+                f"feature width: need {len(PROPERTIES)} integer slot columns, got {features.dtype} {features.shape}"
+            )
+        if features.size and (features.min() < -1 or features.max() >= width):
+            raise ValueError(f"feature width: slot outside [-1, {width}) of the model input")
     pt = _as_tensors(params, None)
     probs = [
         forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
@@ -300,7 +302,7 @@ class Checkpoint:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path) as f:
-        doc = json.load(f)
+        doc = parse_json(f.read(), f"checkpoint {path}")
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path} must hold a JSON object")
     if doc.get("version") != 1:
@@ -320,7 +322,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not os.path.isabs(vocab_path):
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)
     with open(vocab_path) as f:
-        vocab = Vocabulary.from_json(f.read())
+        vocab = Vocabulary.from_json(f.read(), vocab_path)
     return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=doc["best_epoch"])
 
 

@@ -102,15 +102,50 @@ def _out(data: np.ndarray, tape: "Tape | None", op: str) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.copy()  # a copy: ``add`` hands the same array to both operands
+    else:
+        t.grad += g
+
+
+def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
+    """out[i] = sum of w[slots[i, j]] over the columns j with slots[i, j] >= 0.
+
+    The product of one-hot rows with ``w``, taken without the rows: the
+    slots are the hot columns, -1 marks none. Columns are added in order
+    j = 0, 1, ..., the order of the hot columns in a one-hot row. The
+    slots are constant input, so only ``w`` gets a gradient.
+    """
+    if slots.ndim != 2 or slots.dtype.kind not in "iu":
+        raise TensorError(f"embed_sum needs a 2-D integer slot array, got {slots.dtype} {slots.shape}")
+    if slots.size and (slots.min() < -1 or slots.max() >= w.shape[0]):
+        raise TensorError(f"embed_sum slot outside [-1, {w.shape[0]})")
+    padded = np.vstack([w.data, np.zeros((1, w.shape[1]))])  # slot -1 reads the zero last row
+    data = np.zeros((slots.shape[0], w.shape[1]))
+    for j in range(slots.shape[1]):
+        data += padded[slots[:, j]]
+    tape = w.tape
+    out = _out(data, tape, "embed_sum")
+    if tape:
+        rows, cols = np.nonzero(slots >= 0)
+
+        def backward():
+            _accum(w, kernels.segment_sum(out.grad[rows], slots[rows, cols], w.shape[0]))
+        tape.record(backward, w, out)
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     tape = _tape_of(a, b)
-    out = _out(a.data @ b.data, tape, "matmul")
+    if b.shape[1] == 1:
+        # BLAS computes a one-column product (gemv) with rounding that depends
+        # on the row's position in ``a``; a row-wise dot gives every row the
+        # same result wherever it sits in the batch.
+        data = (a.data * b.data.T).sum(axis=1, keepdims=True)
+    else:
+        data = a.data @ b.data
+    out = _out(data, tape, "matmul")
     if tape:
         def backward():
             _accum(a, out.grad @ b.data.T)
@@ -172,12 +207,7 @@ def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    def fwd(x):
-        pos = x >= 0
-        ex = np.exp(np.where(pos, -x, x))
-        return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-    return _unary(a, fwd, lambda x, y: y * (1.0 - y), "sigmoid")
+    return _unary(a, lambda x: 0.5 * np.tanh(0.5 * x) + 0.5, lambda x, y: y * (1.0 - y), "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:

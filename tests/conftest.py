@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from defreach.cfg import Cfg, Statement
@@ -46,6 +47,13 @@ def random_cfg(rng: random.Random, max_nodes: int = 20, max_vars: int = 8) -> Cf
     cfg = Cfg(function="rand", nodes=nodes, edges=edges, entry=0, exit=exit_id)
     cfg.validate()
     return cfg
+
+
+def random_slots(nrng: np.random.Generator, n_nodes: int, k: int) -> np.ndarray:
+    """Random slot features: one hot column per property block of k + 2
+    columns, about a third of them -1 (masked or no definition)."""
+    hot = np.arange(4) * (k + 2) + nrng.integers(0, k + 2, (n_nodes, 4))
+    return np.where(nrng.random((n_nodes, 4)) < 0.3, -1, hot)
 
 
 def brute_gen_kill(cfg: Cfg, deref_defines: bool = False):

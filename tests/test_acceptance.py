@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg
+from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg, random_slots
 from defreach import model as M
 from defreach import tensor as T
 from defreach.cli import main
 from defreach.dataflow import compute_gen_kill, solve, trace
-from defreach.embedding import build_vocabulary, encode
+from defreach.embedding import build_vocabulary, encode, one_hot
 from defreach.harness import (
     compute_metrics,
     f1_from_pr,
@@ -148,7 +148,7 @@ def test_criterion_4_gradient_checks():
     for name in params:  # keep relu inputs away from the kink
         params[name] = params[name] + 0.05 * rng.standard_normal(params[name].shape)
     cfg = random_cfg(random.Random(22), max_nodes=4, max_vars=2)
-    x = rng.random((len(cfg.nodes), c.feature_width))
+    x = random_slots(rng, len(cfg.nodes), c.k)
     batch = M.batch_graphs([(x, cfg)])
     labels = np.array([[1.0]])
     tape = T.Tape()
@@ -225,7 +225,7 @@ def test_criterion_6_invariant_battery():
     for e in data:
         assert parse_function(e.source).structurally_equal(e.cfg)
         assert oracle_label(e.cfg) == e.label
-        rows = encode(e.cfg, vocab)
+        rows = one_hot(encode(e.cfg, vocab), vocab.row_width)
         for node, stmt in enumerate(e.cfg.nodes):
             blocks = rows[node].reshape(4, block)
             if stmt.kind in ("decl-init", "assign", "call-assign"):
@@ -233,7 +233,7 @@ def test_criterion_6_invariant_battery():
             else:
                 assert not rows[node].any(), f"{e.id} node {node}"
 
-        x = nrng.random((len(e.cfg.nodes), c.feature_width))
+        x = random_slots(nrng, len(e.cfg.nodes), c.k)
         (p0,) = M.infer(params, [(x, e.cfg)], c)
         perm = nrng.permutation(len(e.cfg.nodes))
         inv = np.argsort(perm)

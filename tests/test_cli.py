@@ -238,3 +238,51 @@ class TestErrors:
         code, _, err = run(capsys, "train", "--data", data_dir, "--split", split_path,
                            "-o", tmp_path / "model.json")
         assert code == 2 and "error:" in err and problem in err
+
+    DEEP_JSON = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize("target", ["checkpoint", "vocabulary", "manifest", "split"])
+    def test_deeply_nested_json_input_exits_2(self, tmp_path, fig1_file, capsys, target):
+        deep = tmp_path / "deep.json"
+        deep.write_text(self.DEEP_JSON)
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        if target == "checkpoint":
+            argv = ["predict", fig1_file, "--ckpt", deep]
+        elif target == "vocabulary":
+            argv = ["encode", fig1_file, "--vocab", deep]
+        elif target == "manifest":
+            (data_dir / "manifest.json").write_text(self.DEEP_JSON)
+            argv = ["split", "--data", data_dir]
+            deep = data_dir / "manifest.json"
+        else:
+            argv = ["train", "--data", data_dir, "--split", deep, "-o", tmp_path / "m.json"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and "nested too deeply" in err and str(deep) in err
+
+    @pytest.mark.parametrize(
+        "manifest,problem",
+        [
+            ([1], "'examples' list"),
+            ({}, "'examples' list"),
+            ({"examples": [{"id": "a", "path": "a.json", "label": "safe"}]}, "examples[0]"),
+        ],
+        ids=["not-object", "no-examples", "record-missing-field"],
+    )
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, problem):
+        data_dir = tmp_path / "d"
+        data_dir.mkdir()
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "split", "--data", data_dir)
+        assert code == 2 and "error:" in err and problem in err
+
+    @pytest.mark.parametrize(
+        "vocab",
+        [[1], {"k": "3"}, {"k": 3, "api": 5}, {"k": 3, "api": [["malloc"]]}],
+        ids=["not-object", "k-not-int", "ranks-not-list", "rank-not-string"],
+    )
+    def test_malformed_vocabulary_exits_2(self, tmp_path, fig1_file, capsys, vocab):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(vocab))
+        code, _, err = run(capsys, "encode", fig1_file, "--vocab", path)
+        assert code == 2 and "error:" in err and str(path) in err

@@ -9,6 +9,7 @@ from defreach.embedding import (
     coverage,
     encode,
     extract_profiles,
+    one_hot,
     parse_mask,
 )
 from defreach.parser import parse_function
@@ -124,25 +125,45 @@ class TestEncode:
     def test_stated_layout_example(self):
         vocab = self.make_vocab()
         cfg = parse_function(FIG1_SRC)
-        rows = encode(cfg, vocab)
+        rows = one_hot(encode(cfg, vocab), vocab.row_width)
         block = vocab.k + 2
         row = rows[3]  # str = malloc(10 * argc)
         hot = np.flatnonzero(row)
         # block-local hot slots: api=2, datatype=3, constant=2, operator=4
         assert list(hot) == [0 * block + 2, 1 * block + 3, 2 * block + 2, 3 * block + 4]
 
+    def test_slot_indices(self):
+        vocab = self.make_vocab()
+        block = vocab.k + 2
+        slots = encode(parse_function(FIG1_SRC), vocab, parse_mask("api,datatype,operator"))
+        assert slots.dtype == np.int64 and slots.shape == (6, 4)
+        assert list(slots[3]) == [2, block + 3, -1, 3 * block + 4]  # constant masked off
+        assert (slots[[0, 2, 4, 5]] == -1).all()  # not definitions
+
+    def test_one_hot_renders_slots(self):
+        slots = np.array([[0, 6, -1], [-1, -1, -1], [2, 4, 7]])
+        rows = one_hot(slots, 8)
+        assert rows.dtype == np.uint8
+        assert rows.tolist() == [
+            [1, 0, 0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 1, 0, 0, 1],
+        ]
+
     def test_condition_row_all_zero(self):
-        rows = encode(parse_function(FIG1_SRC), self.make_vocab())
+        vocab = self.make_vocab()
+        rows = one_hot(encode(parse_function(FIG1_SRC), vocab), vocab.row_width)
         assert not rows[2].any()
         assert not rows[4].any()  # deref-use is not a definition either
 
     def test_unranked_api_hits_unknown_slot(self):
-        rows = encode(fn("char *y = user_fn();"), self.make_vocab())
+        vocab = self.make_vocab()
+        rows = one_hot(encode(fn("char *y = user_fn();"), vocab), vocab.row_width)
         assert rows[1][1] == 1  # api block, slot 1 = UNKNOWN
 
     def test_absent_property_hits_none_slot(self):
         vocab = self.make_vocab()
-        rows = encode(fn("char *p = NULL;"), vocab)
+        rows = one_hot(encode(fn("char *p = NULL;"), vocab), vocab.row_width)
         block = vocab.k + 2
         assert rows[1][0 * block + 0] == 1  # api absent -> NONE
         assert rows[1][3 * block + 0] == 1  # operator absent -> NONE
@@ -150,7 +171,7 @@ class TestEncode:
     def test_mask_zeroes_blocks(self):
         vocab = self.make_vocab()
         mask = parse_mask("datatype,operator")
-        rows = encode(parse_function(FIG1_SRC), vocab, mask)
+        rows = one_hot(encode(parse_function(FIG1_SRC), vocab, mask), vocab.row_width)
         block = vocab.k + 2
         assert not rows[:, 0:block].any()  # api block off
         assert not rows[:, 2 * block : 3 * block].any()  # constant block off
@@ -164,8 +185,8 @@ class TestEncode:
 
     def test_row_width_constant_across_functions(self):
         vocab = self.make_vocab()
-        a = encode(fn("int x = 1;"), vocab)
-        b = encode(parse_function(FIG1_SRC), vocab)
+        a = one_hot(encode(fn("int x = 1;"), vocab), vocab.row_width)
+        b = one_hot(encode(parse_function(FIG1_SRC), vocab), vocab.row_width)
         assert a.shape[1] == b.shape[1] == vocab.row_width == 4 * (vocab.k + 2)
 
     def test_exactly_one_hot_per_unmasked_block(self):
@@ -174,7 +195,7 @@ class TestEncode:
         vocab = self.make_vocab()
         block = vocab.k + 2
         for e in synth_generate(30, seed=21):
-            rows = encode(e.cfg, vocab)
+            rows = one_hot(encode(e.cfg, vocab), vocab.row_width)
             for node, stmt in enumerate(e.cfg.nodes):
                 sums = [rows[node, j * block : (j + 1) * block].sum() for j in range(4)]
                 assert sums == ([1, 1, 1, 1] if stmt.is_definition() else [0, 0, 0, 0])

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_cfg
+from conftest import random_cfg, random_slots
 from defreach import model as M
 from defreach import tensor as T
 from defreach.embedding import build_vocabulary, encode
@@ -22,7 +22,7 @@ def random_graphs(config, seed, n_graphs=3):
     graphs = []
     for _ in range(n_graphs):
         cfg = random_cfg(rng, max_nodes=7, max_vars=3)
-        x = nrng.random((len(cfg.nodes), config.feature_width))
+        x = random_slots(nrng, len(cfg.nodes), config.k)
         graphs.append((x, cfg))
     return graphs
 
@@ -110,6 +110,17 @@ class TestForward:
         assert p_full == p_pruned
 
 
+class TestBatch:
+    def test_features_stay_slot_indices_at_k1000(self):
+        # 4 int64 slots per node, not a 4008-column float64 one-hot row
+        data = synth_generate(40, seed=3)
+        vocab = build_vocabulary([e.cfg for e in data], k=1000)
+        batch = M.batch_graphs([(encode(e.cfg, vocab), e.cfg) for e in data])
+        nodes = sum(len(e.cfg.nodes) for e in data)
+        assert batch.features.shape == (nodes, 4)
+        assert batch.features.nbytes <= 32 * nodes
+
+
 class TestLoss:
     def test_half_probability_gives_ln2(self):
         logits = T.Tensor([[0.0], [0.0]])
@@ -157,7 +168,7 @@ class TestEndToEndGradient:
             params[name] = params[name] + 0.05 * jitter.standard_normal(params[name].shape)
         rng = random.Random(12)
         cfg = random_cfg(rng, max_nodes=4, max_vars=2)
-        x = np.random.default_rng(12).random((len(cfg.nodes), c.feature_width))
+        x = random_slots(np.random.default_rng(12), len(cfg.nodes), c.k)
         batch = M.batch_graphs([(x, cfg)])
         labels = np.array([[1.0]])
 
@@ -227,9 +238,26 @@ class TestTraining:
         c = tiny_config(k=3)
         params = M.init_params(c, seed=0)
         (_, cfg), = random_graphs(c, seed=10, n_graphs=1)
-        x = np.zeros((len(cfg.nodes), c.feature_width + 4))
+        x = np.zeros((len(cfg.nodes), 4), dtype=np.int64)
+        x[0, 0] = c.feature_width
         with pytest.raises(ValueError, match="feature width"):
             M.infer(params, [(x, cfg)], c)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros((n, 5), dtype=np.int64),
+            lambda n: np.zeros((n, 4)),
+            lambda n: np.full((n, 4), -2, dtype=np.int64),
+        ],
+        ids=["five-columns", "float", "below-minus-one"],
+    )
+    def test_malformed_slot_features_rejected(self, make):
+        c = tiny_config(k=3)
+        params = M.init_params(c, seed=0)
+        (_, cfg), = random_graphs(c, seed=10, n_graphs=1)
+        with pytest.raises(ValueError, match="feature width"):
+            M.infer(params, [(make(len(cfg.nodes)), cfg)], c)
 
     def test_adam_converges_on_quadratic(self):
         params = {"w_w": np.array([[4.0]])}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from defreach import kernels
 from defreach import tensor as T
 
 
@@ -170,3 +171,105 @@ class TestFiniteDifferenceChecks:
             return T.sum_all(T.tanh(out))
 
         check_scalar_fn(gru, [h0, a, *mats, *biases], tol=1e-6)
+
+
+def loop_scatter(x, index, n):
+    """Reference scatter: out[index[r]] += x[r], one row at a time."""
+    out = np.zeros((n, x.shape[1]))
+    for r in range(x.shape[0]):
+        out[index[r]] += x[r]
+    return out
+
+
+class TestKernels:
+    EDGE_CASES = {
+        "duplicates-and-isolated": (
+            np.array([0, 1, 1, 0, 3, 0], dtype=np.int64),
+            np.array([1, 2, 2, 1, 0, 3], dtype=np.int64),
+        ),  # node 4 has no edges at all
+        "no-edges": (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_sum_matches_loop(self, case):
+        src, dst = self.EDGE_CASES[case]
+        h = np.random.default_rng(30).standard_normal((5, 3))
+        got = kernels.edge_sum(h, src, dst)
+        np.testing.assert_array_equal(got, loop_scatter(h[src], dst, 5))
+        assert not got[4].any()
+
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_segment_sum_matches_loop(self, rows):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((rows, 4))
+        seg = np.sort(rng.integers(0, 3, rows))
+        got = kernels.segment_sum(x, seg, 4)  # segment 3 stays empty
+        np.testing.assert_array_equal(got, loop_scatter(x, seg, 4))
+        assert got.shape == (4, 4) and not got[3].any()
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(32)
+        h = rng.standard_normal((300, 32))
+        src = rng.integers(0, 300, 900)
+        dst = rng.integers(0, 300, 900)
+        first = kernels.edge_sum(h, src, dst)
+        for _ in range(3):
+            assert np.array_equal(kernels.edge_sum(h, src, dst), first)
+        seg = np.sort(rng.integers(0, 10, 300))
+        first = kernels.segment_sum(h, seg, 10)
+        assert np.array_equal(kernels.segment_sum(h, seg, 10), first)
+
+
+class TestEmbedSum:
+    SLOTS = np.array([[0, 3, -1], [2, 2, 5], [-1, -1, -1], [5, 0, 3]], dtype=np.int64)
+
+    def test_equals_one_hot_product(self):
+        w = np.random.default_rng(33).standard_normal((6, 3))
+        dense = np.zeros((4, 6))
+        for i, row in enumerate(self.SLOTS):
+            for s in row[row >= 0]:
+                dense[i, s] += 1.0
+        got = T.embed_sum(self.SLOTS, T.Tensor(w)).data
+        np.testing.assert_allclose(got, dense @ w, rtol=1e-15, atol=1e-15)
+        assert not got[2].any()
+
+    def test_gradient_check_with_empty_and_repeated_slots(self):
+        w = np.random.default_rng(34).standard_normal((6, 3))
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.embed_sum(self.SLOTS, t[0]))), [w])
+
+    def test_non_finite_weight_rejected(self):
+        w = np.ones((6, 3))
+        w[5, 1] = np.inf
+        with pytest.raises(T.TensorError, match="non-finite output of embed_sum"):
+            T.embed_sum(self.SLOTS, T.Tensor(w))
+
+    @pytest.mark.parametrize("bad", [-2, 6])
+    def test_slot_out_of_range_rejected(self, bad):
+        slots = self.SLOTS.copy()
+        slots[1, 1] = bad
+        with pytest.raises(T.TensorError, match="embed_sum slot"):
+            T.embed_sum(slots, T.Tensor(np.ones((6, 3))))
+
+
+class TestSigmoid:
+    def test_tanh_form_matches_two_branch_formula(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        ex = np.exp(-np.abs(x))
+        old = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        got = T.sigmoid(T.Tensor(x.reshape(1, -1))).data[0]
+        assert np.max(np.abs(got - old)) <= 1e-15
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
+class TestMatmulRows:
+    @pytest.mark.parametrize("cols", [1, 8])
+    def test_row_result_independent_of_position(self, cols):
+        # a graph's rows must give the same bits wherever it sits in a batch
+        rng = np.random.default_rng(35)
+        w = T.Tensor(rng.standard_normal((32, cols)))
+        for n in range(1, 12):
+            a = rng.standard_normal((n, 32))
+            for pad in range(1, 6):
+                stacked = np.vstack([a, rng.standard_normal((pad, 32)), a])
+                out = T.matmul(T.Tensor(stacked), w).data
+                assert np.array_equal(out[:n], out[n + pad:]), (n, pad)
