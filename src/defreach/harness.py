@@ -395,11 +395,10 @@ def load_dataset(directory: str, revalidate: bool = True) -> list[Example]:
     records = manifest.get("examples") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"{manifest_path} must be a JSON object with an 'examples' list")
+    examples = []
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in MANIFEST_FIELDS)):
             raise ValueError(f"{manifest_path}: examples[{i}] needs string fields {', '.join(MANIFEST_FIELDS)}")
-    examples = []
-    for rec in records:
         with open(os.path.join(directory, rec["path"])) as f:
             cfg = load_cfg(f.read())
         label = LABELS.index(rec["label"])
