@@ -154,14 +154,13 @@ def infer(
     config: ModelConfig,
 ) -> np.ndarray:
     """Inference probability per (slots, cfg) graph, config.batch_size graphs per forward."""
-    width = params["proj_w"].shape[0]
     for features, _ in graphs:
-        if features.ndim != 2 or features.shape[1] != len(PROPERTIES) or features.dtype.kind not in "iu":
-            raise ValueError(
-                f"feature width: need {len(PROPERTIES)} integer slot columns, got {features.dtype} {features.shape}"
-            )
-        if features.size and (features.min() < -1 or features.max() >= width):
-            raise ValueError(f"feature width: slot outside [-1, {width}) of the model input")
+        try:
+            T.check_slots(features, params["proj_w"].shape[0])
+        except T.TensorError as e:
+            raise ValueError(f"feature width: {e}") from e
+        if features.shape[1] != len(PROPERTIES):
+            raise ValueError(f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
     pt = _as_tensors(params, None)
     probs = [
         forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
@@ -323,6 +322,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)
     with open(vocab_path) as f:
         vocab = Vocabulary.from_json(f.read(), vocab_path)
+    proj_w = params.get("proj_w")
+    width = proj_w.shape[0] if proj_w is not None and proj_w.ndim == 2 else None
+    if vocab.k != config.k or width != vocab.row_width:
+        raise ValueError(
+            f"vocabulary {vocab_path} (k={vocab.k}, input width {vocab.row_width}) does not match "
+            f"checkpoint {path} (k={config.k}, input width {width})"
+        )
     return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=doc["best_epoch"])
 
 

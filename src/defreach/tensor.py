@@ -107,6 +107,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def check_slots(slots: np.ndarray, rows: int) -> None:
+    """Raise TensorError unless ``slots`` is a 2-D integer array of values in [-1, rows)."""
+    if slots.ndim != 2 or slots.dtype.kind not in "iu":
+        raise TensorError(f"slots must be a 2-D integer array, got {slots.dtype} {slots.shape}")
+    if slots.size and (slots.min() < -1 or slots.max() >= rows):
+        raise TensorError(f"slot outside [-1, {rows})")
+
+
 def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
     """out[i] = sum of w[slots[i, j]] over the columns j with slots[i, j] >= 0.
 
@@ -115,10 +123,7 @@ def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
     j = 0, 1, ..., the order of the hot columns in a one-hot row. The
     slots are constant input, so only ``w`` gets a gradient.
     """
-    if slots.ndim != 2 or slots.dtype.kind not in "iu":
-        raise TensorError(f"embed_sum needs a 2-D integer slot array, got {slots.dtype} {slots.shape}")
-    if slots.size and (slots.min() < -1 or slots.max() >= w.shape[0]):
-        raise TensorError(f"embed_sum slot outside [-1, {w.shape[0]})")
+    check_slots(slots, w.shape[0])
     padded = np.vstack([w.data, np.zeros((1, w.shape[1]))])  # slot -1 reads the zero last row
     data = np.zeros((slots.shape[0], w.shape[1]))
     for j in range(slots.shape[1]):

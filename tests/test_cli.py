@@ -221,6 +221,21 @@ class TestErrors:
         code, _, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
         assert code == 2 and "error:" in err and "checkpoint" in err
 
+    def test_vocabulary_k_mismatch_exits_2(self, tmp_path, fig1_file, capsys):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "10", "--seed", "2", "-o", data_dir)
+        ckpt = tmp_path / "model.json"
+        code, _, _ = run(capsys, "train", "--data", data_dir, "--epochs", "1", "--k", "3",
+                         "--steps", "1", "--hidden", "4", "-o", ckpt)
+        assert code == 0
+        vocab_path = tmp_path / "model.json.vocab.json"
+        code, _, _ = run(capsys, "vocab", "build", "--corpus", data_dir, "--k", "2",
+                         "-o", vocab_path)
+        assert code == 0
+        code, out, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+        assert code == 2 and out == "" and "error:" in err
+        assert str(vocab_path) in err and str(ckpt) in err
+
     @pytest.mark.parametrize(
         "doc,problem",
         [

@@ -247,7 +247,7 @@ class TestEmbedSum:
     def test_slot_out_of_range_rejected(self, bad):
         slots = self.SLOTS.copy()
         slots[1, 1] = bad
-        with pytest.raises(T.TensorError, match="embed_sum slot"):
+        with pytest.raises(T.TensorError, match="slot outside"):
             T.embed_sum(slots, T.Tensor(np.ones((6, 3))))
 
 
