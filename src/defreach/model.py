@@ -6,6 +6,7 @@ mini-batches built as disjoint-union graphs.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -223,6 +224,13 @@ def train_model(
 
     if not train_set:
         raise ValueError("empty training split")
+    # Each step's tape is a reference cycle (a backward closure holds its
+    # output tensor, whose ``tape`` holds the closure), so an earlier run's
+    # activations stay in the heap until the collector's oldest generation
+    # happens to run. Collecting them here lets this run reuse that memory
+    # instead of faulting in fresh pages by an amount that varied from run
+    # to run.
+    gc.collect()
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
     train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
