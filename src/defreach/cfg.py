@@ -2,13 +2,16 @@
 
 A Cfg holds one function: an ordered list of Statement nodes with dense
 integer ids, a frozen set of directed edges with sorted successor and
-predecessor lists built from it once, and synthetic entry/exit nop nodes.
+predecessor lists and a sorted edge array built from it once, and
+synthetic entry/exit nop nodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 DEFINITION_KINDS = frozenset({"decl-init", "assign", "call-assign"})
@@ -61,11 +64,15 @@ class Cfg:
         # successors()/predecessors() hand out these lists: callers must not change them
         self._succ: list[list[int]] = [[] for _ in range(n)]
         self._pred: list[list[int]] = [[] for _ in range(n)]
-        for a, b in sorted(self.edges):
+        ordered = sorted(self.edges)
+        for a, b in ordered:
             if not (0 <= a < n and 0 <= b < n):
                 raise CfgError(f"dangling edge ({a}, {b}) with {n} nodes")
             self._succ[a].append(b)
             self._pred[b].append(a)
+        # the same sorted edges as an (E, 2) int64 array, for batching
+        self.edge_array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+        self.edge_array.flags.writeable = False
 
     def validate(self) -> None:
         n = len(self.nodes)

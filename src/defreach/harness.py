@@ -78,7 +78,7 @@ def compute_metrics(probs: list[float], labels: list[int], threshold: float = 0.
             tn += 1
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    f1 = f1_from_pr(precision, recall)
     degenerate = tp + fp == 0 or tp + fn == 0 or precision + recall == 0
     return Metrics(tp, fp, tn, fn, precision, recall, f1, degenerate)
 
@@ -252,7 +252,7 @@ def _core_loop(w: _Writer, vulnerable: bool) -> None:
 _CORE_SHAPES = (_core_straight, _core_renull, _core_guard, _core_loop)
 
 
-def _render(project: str, w: _Writer, name: str) -> str:
+def _render(w: _Writer, name: str) -> str:
     body = "\n".join(f"    {line}" for line in w.lines)
     return f"void {name}(int n, int c) {{\n{body}\n    return;\n}}\n"
 
@@ -280,7 +280,7 @@ def synth_generate(
         w = _Writer(rng, TEMPLATES[project], branch_depth, loop_depth)
         shape = _CORE_SHAPES[rng.randrange(len(_CORE_SHAPES))]
         shape(w, bool(label))
-        source = _render(project, w, f"fn_{i}")
+        source = _render(w, f"fn_{i}")
         cfg = parse_function(source)
         actual = oracle_label(cfg)
         if actual != label:
@@ -399,6 +399,10 @@ def load_dataset(directory: str, revalidate: bool = True) -> list[Example]:
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in MANIFEST_FIELDS)):
             raise ValueError(f"{manifest_path}: examples[{i}] needs string fields {', '.join(MANIFEST_FIELDS)}")
+        if rec["label"] not in LABELS:
+            raise ValueError(
+                f"{manifest_path}: examples[{i}] has label {rec['label']!r}, not one of {', '.join(LABELS)}"
+            )
         with open(os.path.join(directory, rec["path"])) as f:
             cfg = load_cfg(f.read())
         label = LABELS.index(rec["label"])

@@ -35,6 +35,8 @@ class ModelConfig:
             raise ValueError("hidden and output_layers must be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         bad = set(self.mask) - set(PROPERTIES)
         if bad or not self.mask:
             raise ValueError(f"invalid feature mask {self.mask}")
@@ -73,9 +75,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
 
 
 def _as_tensors(params: dict[str, np.ndarray], tape: T.Tape | None) -> dict[str, T.Tensor]:
-    if tape is None:
-        return {n: T.Tensor(v) for n, v in params.items()}
-    return {n: tape.tensor(v) for n, v in params.items()}
+    return {n: T.Tensor(v, tape) for n, v in params.items()}
 
 
 @dataclass
@@ -90,23 +90,17 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
-    feats, srcs, dsts, segs = [], [], [], []
-    offset = 0
-    for g, (features, cfg) in enumerate(graphs):
-        n = len(cfg.nodes)
+    sizes = [len(cfg.nodes) for _, cfg in graphs]
+    for (features, _), n in zip(graphs, sizes):
         if features.shape[0] != n:
             raise ValueError(f"feature rows {features.shape[0]} != nodes {n}")
-        feats.append(features)
-        for a, b in sorted(cfg.edges):
-            srcs.append(a + offset)
-            dsts.append(b + offset)
-        segs.append(np.full(n, g, dtype=np.int64))
-        offset += n
+    offsets = np.cumsum([0] + sizes[:-1])
+    edges = np.concatenate([cfg.edge_array + off for (_, cfg), off in zip(graphs, offsets)])
     return GraphBatch(
-        features=np.concatenate(feats, axis=0),
-        src=np.asarray(srcs, dtype=np.int64),
-        dst=np.asarray(dsts, dtype=np.int64),
-        seg=np.concatenate(segs),
+        features=np.concatenate([features for features, _ in graphs], axis=0),
+        src=edges[:, 0],
+        dst=edges[:, 1],
+        seg=np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
         num_graphs=len(graphs),
     )
 
@@ -173,9 +167,7 @@ def infer(
 def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
     """Saturation-safe mean cross-entropy from logits:
     softplus(-x) + (1 - y) * x, averaged over the batch."""
-    tape = logits.tape
-    arr = labels.reshape(logits.shape)
-    y = T.Tensor(arr) if tape is None else tape.tensor(arr)
+    y = T.Tensor(labels.reshape(logits.shape))  # off the tape: labels get no gradient
     one_minus_y = T.add_const(T.scale(y, -1.0), 1.0)
     per = T.add(T.softplus(T.scale(logits, -1.0)), T.hadamard(one_minus_y, logits))
     return T.scale(T.sum_all(per), 1.0 / logits.shape[0])
@@ -224,8 +216,8 @@ def train_model(
 
     if not train_set:
         raise ValueError("empty training split")
-    # Each step's tape is a reference cycle (a backward closure holds its
-    # output tensor, whose ``tape`` holds the closure), so an earlier run's
+    # Each step's tape is a reference cycle (a record holds its output
+    # tensor, whose ``tape`` holds the record), so an earlier run's
     # activations stay in the heap until the collector's oldest generation
     # happens to run. Collecting them here lets this run reuse that memory
     # instead of faulting in fresh pages by an amount that varied from run
@@ -257,7 +249,7 @@ def train_model(
             pt = _as_tensors(params, tape)
             logits = forward_batch(pt, batch, config)
             obj = bce_logits(logits, labels)
-            grads, _ = T.gradients(obj, list(pt.values()))
+            grads = T.gradients(obj, list(pt.values()))
             opt.step(params, dict(zip(pt.keys(), grads)))
             epoch_loss += obj.item()
             nbatch += 1
@@ -323,7 +315,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             n: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
             for n, rec in doc["params"].items()
         }
-    except (TypeError, KeyError, AttributeError) as e:  # unknown, missing or ill-typed fields
+    except (TypeError, KeyError, AttributeError, ValueError) as e:  # any malformed field
         raise ValueError(f"checkpoint {path} has a malformed config or params: {e!r}") from e
     vocab_path = doc["vocab_path"]
     if not os.path.isabs(vocab_path):

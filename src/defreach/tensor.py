@@ -2,9 +2,11 @@
 
 Every primitive checks shapes explicitly and rejects non-finite outputs;
 the only broadcast allowed is a 1-row bias in ``add`` and the per-row
-gate in ``scale_rows``. Ops executed while any operand carries a Tape are
-recorded; ``gradients`` replays the tape in exact reverse order with
-additive accumulation.
+gate in ``scale_rows``. An op with an operand on a Tape appends one
+record to it: the output, the inputs, and a rule that maps the output's
+gradient to one gradient per input. ``gradients`` replays the records in
+exact reverse order, adding each rule's gradients into the inputs that
+are on the tape.
 """
 
 from __future__ import annotations
@@ -40,64 +42,51 @@ class Tensor:
 
 
 class Tape:
-    """Recorded primitives, replayed in reverse for gradients."""
+    """(output, inputs, rule) per recorded op, replayed in reverse for gradients."""
 
     def __init__(self):
         self._ops: list = []
-        self._seen: set[int] = set()
 
     def tensor(self, data) -> Tensor:
-        t = Tensor(data, tape=self)
-        self._seen.add(id(t))
-        return t
-
-    def record(self, backward, *inputs: Tensor) -> None:
-        self._ops.append(backward)
-        for t in inputs:
-            self._seen.add(id(t))
-
-    def saw(self, t: Tensor) -> bool:
-        return id(t) in self._seen
+        return Tensor(data, tape=self)
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise TensorError(f"backward from non-scalar shape {loss.shape}")
         _accum(loss, np.ones((1, 1)))
-        for op in reversed(self._ops):
-            op()
+        for out, inputs, rule in reversed(self._ops):
+            if out.grad is None:  # the loss does not depend on this output
+                continue
+            for t, g in zip(inputs, rule(out.grad)):
+                if t.tape is not None:
+                    _accum(t, g)
 
 
-def gradients(loss: Tensor, params: list[Tensor]) -> tuple[list[np.ndarray], list[int]]:
-    """d loss / d param per param; indices of params never seen on the tape."""
-    tape = loss.tape
-    if tape is None:
+def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
+    """d loss / d param per param; zeros where the loss does not depend on it."""
+    if loss.tape is None:
         raise TensorError("loss was not recorded on a tape")
-    tape.backward(loss)
-    grads, off_tape = [], []
-    for i, p in enumerate(params):
-        if p.grad is None:
-            grads.append(np.zeros_like(p.data))
-            if not tape.saw(p):
-                off_tape.append(i)
-        else:
-            grads.append(p.grad.copy())
-    return grads, off_tape
+    loss.tape.backward(loss)
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
 
-def _tape_of(*ts: Tensor) -> "Tape | None":
+def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
+    """The output of ``op``, recorded on its inputs' tape if they have one.
+
+    ``rule(g)`` maps the output's gradient ``g`` to one gradient per input.
+    """
     tape = None
-    for t in ts:
+    for t in inputs:
         if t.tape is not None:
             if tape is not None and tape is not t.tape:
                 raise TensorError("operands recorded on different tapes")
             tape = t.tape
-    return tape
-
-
-def _out(data: np.ndarray, tape: "Tape | None", op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise TensorError(f"non-finite output of {op}")
-    return Tensor(data, tape=tape)
+    out = Tensor(data, tape=tape)
+    if tape is not None:
+        tape._ops.append((out, inputs, rule))
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -124,25 +113,15 @@ def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
     slots are constant input, so only ``w`` gets a gradient.
     """
     check_slots(slots, w.shape[0])
-    padded = np.vstack([w.data, np.zeros((1, w.shape[1]))])  # slot -1 reads the zero last row
-    data = np.zeros((slots.shape[0], w.shape[1]))
-    for j in range(slots.shape[1]):
-        data += padded[slots[:, j]]
-    tape = w.tape
-    out = _out(data, tape, "embed_sum")
-    if tape:
-        rows, cols = np.nonzero(slots >= 0)
-
-        def backward():
-            _accum(w, kernels.segment_sum(out.grad[rows], slots[rows, cols], w.shape[0]))
-        tape.record(backward, w, out)
-    return out
+    rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
+    hot = slots[rows, cols]
+    return _op(kernels.segment_sum(w.data[hot], rows, slots.shape[0]), "embed_sum", (w,),
+               lambda g: (kernels.segment_sum(g[rows], hot, w.shape[0]),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    tape = _tape_of(a, b)
     if b.shape[1] == 1:
         # BLAS computes a one-column product (gemv) with rounding that depends
         # on the row's position in ``a``; a row-wise dot gives every row the
@@ -150,65 +129,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = (a.data * b.data.T).sum(axis=1, keepdims=True)
     else:
         data = a.data @ b.data
-    out = _out(data, tape, "matmul")
-    if tape:
-        def backward():
-            _accum(a, out.grad @ b.data.T)
-            _accum(b, a.data.T @ out.grad)
-        tape.record(backward, a, b, out)
-    return out
+    return _op(data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     bias = b.shape == (1, a.shape[1]) and a.shape[0] != 1
     if not bias and a.shape != b.shape:
         raise TensorError(f"add shape mismatch: {a.shape} + {b.shape}")
-    tape = _tape_of(a, b)
-    out = _out(a.data + b.data, tape, "add")
-    if tape:
-        def backward():
-            _accum(a, out.grad)
-            _accum(b, out.grad.sum(axis=0, keepdims=True) if bias else out.grad)
-        tape.record(backward, a, b, out)
-    return out
+    return _op(a.data + b.data, "add", (a, b),
+               lambda g: (g, g.sum(axis=0, keepdims=True) if bias else g))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise TensorError(f"hadamard shape mismatch: {a.shape} * {b.shape}")
-    tape = _tape_of(a, b)
-    out = _out(a.data * b.data, tape, "hadamard")
-    if tape:
-        def backward():
-            _accum(a, out.grad * b.data)
-            _accum(b, out.grad * a.data)
-        tape.record(backward, a, b, out)
-    return out
+    return _op(a.data * b.data, "hadamard", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Scale row i of ``a`` by the scalar s[i, 0]."""
     if s.shape != (a.shape[0], 1):
         raise TensorError(f"scale_rows needs gate shape {(a.shape[0], 1)}, got {s.shape}")
-    tape = _tape_of(a, s)
-    out = _out(a.data * s.data, tape, "scale_rows")
-    if tape:
-        def backward():
-            _accum(a, out.grad * s.data)
-            _accum(s, (out.grad * a.data).sum(axis=1, keepdims=True))
-        tape.record(backward, a, s, out)
-    return out
+    return _op(a.data * s.data, "scale_rows", (a, s),
+               lambda g: (g * s.data, (g * a.data).sum(axis=1, keepdims=True)))
 
 
 def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
-    tape = a.tape
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _out(fwd(a.data), tape, op)
-    if tape:
-        def backward():
-            _accum(a, out.grad * dfdy(a.data, out.data))
-        tape.record(backward, a, out)
-    return out
+        y = fwd(a.data)
+    return _op(y, op, (a,), lambda g: (g * dfdy(a.data, y),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -244,35 +193,20 @@ def add_const(a: Tensor, c: float) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    tape = a.tape
-    out = _out(a.data.sum(keepdims=True).reshape(1, 1), tape, "sum_all")
-    if tape:
-        def backward():
-            _accum(a, np.full_like(a.data, out.grad[0, 0]))
-        tape.record(backward, a, out)
-    return out
+    return _op(a.data.sum(keepdims=True).reshape(1, 1), "sum_all", (a,),
+               lambda g: (np.full_like(a.data, g[0, 0]),))
 
 
 def edge_gather_sum(h: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
     """out[v] = sum over edges (u, v) of h[u]; gradient gathers along reversed edges."""
-    tape = h.tape
-    out = _out(kernels.edge_sum(h.data, src, dst), tape, "edge_gather_sum")
-    if tape:
-        def backward():
-            _accum(h, kernels.edge_sum(out.grad, dst, src))
-        tape.record(backward, h, out)
-    return out
+    return _op(kernels.edge_sum(h.data, src, dst), "edge_gather_sum", (h,),
+               lambda g: (kernels.edge_sum(g, dst, src),))
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     """Per-segment row sums: (n, m) -> (num_segments, m)."""
-    tape = x.tape
-    out = _out(kernels.segment_sum(x.data, seg, num_segments), tape, "segment_sum")
-    if tape:
-        def backward():
-            _accum(x, out.grad[seg])
-        tape.record(backward, x, out)
-    return out
+    return _op(kernels.segment_sum(x.data, seg, num_segments), "segment_sum", (x,),
+               lambda g: (g[seg],))
 
 
 def numeric_gradient(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -212,14 +212,24 @@ class TestErrors:
             '{"version": 1, "config": {"bogus": 1}, "vocab_path": "v.json", "params": {}, '
             '"best_epoch": 0}',
             '{"version": 1, "config": {}, "vocab_path": "v.json", "params": [1], "best_epoch": 0}',
+            '{"version": 1, "config": {"batch_size": 0}, "vocab_path": "v.json", "params": {}, '
+            '"best_epoch": 0}',
         ],
-        ids=["non-object", "unknown-config-key", "params-not-object"],
+        ids=["non-object", "unknown-config-key", "params-not-object", "batch-size-zero"],
     )
     def test_malformed_checkpoint_exits_2(self, tmp_path, fig1_file, capsys, text):
         ckpt = tmp_path / "model.json"
         ckpt.write_text(text)
         code, _, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
         assert code == 2 and "error:" in err and "checkpoint" in err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_batch_size_below_one_exits_2(self, tmp_path, capsys, size):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        code, _, err = run(capsys, "train", "--data", data_dir, "--batch-size", size,
+                           "-o", tmp_path / "model.json")
+        assert code == 2 and "error:" in err and f"batch_size must be >= 1, got {size}" in err
 
     def test_vocabulary_k_mismatch_exits_2(self, tmp_path, fig1_file, capsys):
         data_dir = tmp_path / "d"
@@ -281,8 +291,10 @@ class TestErrors:
             ([1], "'examples' list"),
             ({}, "'examples' list"),
             ({"examples": [{"id": "a", "path": "a.json", "label": "safe"}]}, "examples[0]"),
+            ({"examples": [{"id": "a", "path": "a.json", "label": "buggy", "project": "p"}]},
+             "examples[0] has label 'buggy', not one of safe, vulnerable"),
         ],
-        ids=["not-object", "no-examples", "record-missing-field"],
+        ids=["not-object", "no-examples", "record-missing-field", "unknown-label"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, problem):
         data_dir = tmp_path / "d"

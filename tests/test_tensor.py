@@ -15,7 +15,7 @@ def check_scalar_fn(build, arrays, tol=1e-6, h=1e-6):
     tape = T.Tape()
     tensors = [tape.tensor(a) for a in arrays]
     loss = build(tensors)
-    grads, _ = T.gradients(loss, tensors)
+    grads = T.gradients(loss, tensors)
     for i, a in enumerate(arrays):
         def f(x, i=i):
             inputs = [T.Tensor(v) for v in arrays]
@@ -69,7 +69,7 @@ class TestGradients:
         tape = T.Tape()
         x = tape.tensor([[0.0]])
         loss = T.sum_all(T.sigmoid(x))
-        grads, _ = T.gradients(loss, [x])
+        grads = T.gradients(loss, [x])
         assert grads[0][0, 0] == pytest.approx(0.25)
 
     def test_linear_loss_gradient_is_input_broadcast(self):
@@ -79,7 +79,7 @@ class TestGradients:
         tape = T.Tape()
         wt = tape.tensor(w)
         loss = T.sum_all(T.matmul(tape.tensor(x), wt))
-        grads, _ = T.gradients(loss, [wt])
+        grads = T.gradients(loss, [wt])
         np.testing.assert_allclose(grads[0], x.T @ np.ones((4, 2)), rtol=1e-12)
 
     def test_param_off_tape_gets_zero_grad_and_flag(self):
@@ -87,9 +87,38 @@ class TestGradients:
         x = tape.tensor([[1.0]])
         stray = T.Tensor([[5.0]])
         loss = T.sum_all(x)
-        grads, off = T.gradients(loss, [x, stray])
-        assert off == [1]
+        grads = T.gradients(loss, [x, stray])
         np.testing.assert_array_equal(grads[1], [[0.0]])
+
+    def test_operands_on_different_tapes_rejected(self):
+        a, b = T.Tape().tensor([[1.0]]), T.Tape().tensor([[2.0]])
+        with pytest.raises(T.TensorError, match="operands recorded on different tapes"):
+            T.add(a, b)
+
+    def test_loss_off_tape_rejected(self):
+        x = T.Tensor([[1.0]])
+        with pytest.raises(T.TensorError, match="loss was not recorded on a tape"):
+            T.gradients(T.sum_all(x), [x])
+
+    def test_backward_from_non_scalar_rejected(self):
+        x = T.Tape().tensor(np.ones((2, 2)))
+        with pytest.raises(T.TensorError, match=r"backward from non-scalar shape \(2, 2\)"):
+            T.gradients(T.tanh(x), [x])
+
+    def test_constant_operand_gets_no_grad(self):
+        tape = T.Tape()
+        w = tape.tensor([[2.0]])
+        c = T.Tensor([[3.0]])
+        grads = T.gradients(T.sum_all(T.hadamard(c, w)), [w])
+        assert c.grad is None
+        np.testing.assert_array_equal(grads[0], [[3.0]])
+
+    def test_op_off_the_loss_path_is_skipped(self):
+        tape = T.Tape()
+        x = tape.tensor([[0.5]])
+        T.tanh(x)  # recorded, but the loss does not depend on it
+        grads = T.gradients(T.sum_all(x), [x])
+        np.testing.assert_array_equal(grads[0], [[1.0]])
 
     def test_gradient_linearity(self):
         rng = np.random.default_rng(3)
@@ -98,7 +127,7 @@ class TestGradients:
         def grad_of(build):
             tape = T.Tape()
             x = tape.tensor(a)
-            g, _ = T.gradients(build(x), [x])
+            g = T.gradients(build(x), [x])
             return g[0]
 
         g_sum = grad_of(lambda x: T.sum_all(T.add(T.sigmoid(x), T.tanh(x))))
@@ -115,7 +144,7 @@ class TestGradients:
             tape = T.Tape()
             a, b = (tape.tensor(x) for x in arrs)
             loss = T.sum_all(T.relu(T.matmul(a, b)))
-            g, _ = T.gradients(loss, [a, b])
+            g = T.gradients(loss, [a, b])
             return loss.item(), g
 
         l1, g1 = run()
