@@ -2,7 +2,8 @@
 
 Subcommands: parse, dfa, vocab, encode, synth, split, train, eval,
 predict. Validation failures (bad input files, schema violations,
-unsupported constructs) exit with status 2.
+unsupported constructs) exit with status 2, and so does a request for
+more memory than can be allocated (say, an enormous ``--k``).
 """
 
 from __future__ import annotations
@@ -118,18 +119,12 @@ def cmd_split(args) -> int:
     fractions = tuple(float(x) for x in args.fractions.split(","))
     if len(fractions) != 3:
         raise ValueError("--fractions needs three comma-separated values")
-    if args.folds:
-        folds = harness.cross_folds(dataset, args.folds, args.seed)
-        doc = [
-            {"train": [e.id for e in tr], "test": [e.id for e in te]} for tr, te in folds
-        ]
-    else:
-        train, valid, test = harness.split(dataset, args.regime, fractions, args.seed)
-        doc = {
-            "train": [e.id for e in train],
-            "valid": [e.id for e in valid],
-            "test": [e.id for e in test],
-        }
+    train, valid, test = harness.split(dataset, args.regime, fractions, args.seed)
+    doc = {
+        "train": [e.id for e in train],
+        "valid": [e.id for e in valid],
+        "test": [e.id for e in test],
+    }
     _write(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -260,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="produce train/valid/test id lists")
     p.add_argument("--data", required=True)
     p.add_argument("--regime", choices=("mixed", "cross"), default="mixed")
-    p.add_argument("--folds", type=int, default=None)
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
@@ -304,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ParseError, CfgError, ValueError, harness.GenerationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -112,21 +112,6 @@ def build_vocabulary(corpus: list[Cfg], k: int) -> Vocabulary:
     return Vocabulary(k=k, ranks=ranks)
 
 
-def coverage(vocab: Vocabulary, corpus: list[Cfg]) -> float:
-    """Fraction of present (definition, property) pairs whose value is ranked."""
-    present = 0
-    hit = 0
-    for cfg in corpus:
-        for profile in extract_profiles(cfg).values():
-            for prop in PROPERTIES:
-                value = profile.get(prop)
-                if value is not None:
-                    present += 1
-                    if value in vocab.ranks[prop]:
-                        hit += 1
-    return hit / present if present else 1.0
-
-
 def parse_mask(spec: str) -> dict[str, bool]:
     """Parse a comma-separated property list into an on/off mask."""
     wanted = {p.strip() for p in spec.split(",") if p.strip()}

@@ -333,23 +333,6 @@ def split(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def cross_folds(dataset: list[Example], folds: int, seed: int):
-    """Project-level k-fold: each project is held out exactly once."""
-    projects = sorted({e.project for e in dataset})
-    if len(projects) < folds:
-        raise ValueError(f"{folds}-fold cross regime needs >= {folds} projects, found {len(projects)}")
-    rng = random.Random(seed)
-    rng.shuffle(projects)
-    groups = [projects[i::folds] for i in range(folds)]
-    out = []
-    for held in groups:
-        held_set = set(held)
-        train = [e for e in dataset if e.project not in held_set]
-        test = [e for e in dataset if e.project in held_set]
-        out.append((train, test))
-    return out
-
-
 def undersample(train: list[Example], seed: int) -> list[Example]:
     """Randomly drop majority-class examples down to the minority count."""
     pos = [e for e in train if e.label == 1]

@@ -216,12 +216,14 @@ def train_model(
 
     if not train_set:
         raise ValueError("empty training split")
-    # Each step's tape is a reference cycle (a record holds its output
-    # tensor, whose ``tape`` holds the record), so an earlier run's
-    # activations stay in the heap until the collector's oldest generation
-    # happens to run. Collecting them here lets this run reuse that memory
-    # instead of faulting in fresh pages by an amount that varied from run
-    # to run.
+    # A tape that a caller recorded and never cleared is a reference cycle
+    # (a record holds its output tensor, whose ``tape`` holds the record),
+    # so its activations stay in the heap until the collector's oldest
+    # generation happens to run. Collecting them here lets this run reuse
+    # that memory instead of faulting in fresh pages by an amount that
+    # varied from run to run. This run's own tapes never wait for the
+    # collector: each step clears the previous step's tape, so at most two
+    # steps' tapes are live.
     gc.collect()
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
@@ -237,6 +239,7 @@ def train_model(
     best_f1, best_epoch, best_params = -1.0, 0, {n: v.copy() for n, v in params.items()}
     history: list[EpochStats] = []
     since_best = 0
+    last_tape = T.Tape()
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
@@ -249,11 +252,19 @@ def train_model(
             pt = _as_tensors(params, tape)
             logits = forward_batch(pt, batch, config)
             obj = bce_logits(logits, labels)
+            # Cleared here, before this step's backward: the freed blocks
+            # then lie below this step's live tape and are reused. Clearing
+            # a tape right after its own backward frees the top of the heap,
+            # which glibc hands back to the OS and faults in again every
+            # step (about 12% slower training at k=20).
+            last_tape.clear()
+            last_tape = tape
             grads = T.gradients(obj, list(pt.values()))
             opt.step(params, dict(zip(pt.keys(), grads)))
             epoch_loss += obj.item()
             nbatch += 1
 
+        last_tape.clear()
         probs = infer(params, valid_graphs, config)
         f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
         history.append(EpochStats(epoch, epoch_loss / max(nbatch, 1), f1))

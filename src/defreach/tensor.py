@@ -7,6 +7,12 @@ record to it: the output, the inputs, and a rule that maps the output's
 gradient to one gradient per input. ``gradients`` replays the records in
 exact reverse order, adding each rule's gradients into the inputs that
 are on the tape.
+
+A tape with records is a reference cycle (a record holds its output,
+whose ``tape`` holds the record), so its activations outlive the last
+name bound to them until the cyclic collector runs. ``Tape.clear`` drops
+the records and breaks the cycle: the training loop clears each step's
+tape one step late, so at most two steps' tapes are live at once.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ class Tape:
 
     def tensor(self, data) -> Tensor:
         return Tensor(data, tape=self)
+
+    def clear(self) -> None:
+        """Drop every record, so the tape's activations are freed by reference count."""
+        self._ops.clear()
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:

@@ -231,6 +231,15 @@ class TestErrors:
                            "-o", tmp_path / "model.json")
         assert code == 2 and "error:" in err and f"batch_size must be >= 1, got {size}" in err
 
+    def test_unallocatable_model_exits_2(self, tmp_path, capsys):
+        # proj_w would take 931 TiB, beyond a 47-bit address space, so the
+        # allocation fails at once without touching any memory.
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "40", "--seed", "0", "-o", data_dir)
+        code, _, err = run(capsys, "train", "--data", data_dir, "--k", "1000000000000",
+                           "-o", tmp_path / "model.json")
+        assert code == 2 and err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_vocabulary_k_mismatch_exits_2(self, tmp_path, fig1_file, capsys):
         data_dir = tmp_path / "d"
         run(capsys, "synth", "--n", "10", "--seed", "2", "-o", data_dir)

@@ -6,7 +6,6 @@ from defreach.embedding import (
     DefinitionProfile,
     Vocabulary,
     build_vocabulary,
-    coverage,
     encode,
     extract_profiles,
     one_hot,
@@ -73,41 +72,6 @@ class TestVocabulary:
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
             Vocabulary(k=3, ranks={"api": ["a", "a"]})
-
-
-class TestCoverage:
-    def test_self_coverage_is_total(self):
-        corpus = [parse_function(FIG1_SRC), fn("int x = 1; x = x * 2;")]
-        vocab = build_vocabulary(corpus, k=50)
-        assert coverage(vocab, corpus) == 1.0
-
-    def test_hand_counted_three_quarters(self):
-        train = [fn("char *p = malloc(8 * n);")]
-        vocab = build_vocabulary(train, k=5)
-        # test definition: one unseen API among four present property pairs
-        test = [fn("char *p = my_new_api(8 * n);")]
-        assert coverage(vocab, test) == pytest.approx(0.75)
-
-    def test_empty_presence_defined_as_one(self):
-        vocab = build_vocabulary([], k=2)
-        assert coverage(vocab, [fn("return;")]) == 1.0
-
-    def test_matches_counting_oracle_on_random_corpora(self):
-        from defreach.harness import synth_generate
-
-        examples = synth_generate(40, seed=9)
-        train = [e.cfg for e in examples[:25]]
-        rest = [e.cfg for e in examples[25:]]
-        vocab = build_vocabulary(train, k=5)
-        present = hit = 0
-        for cfg in rest:
-            for profile in extract_profiles(cfg).values():
-                for prop in PROPERTIES:
-                    v = profile.get(prop)
-                    if v is not None:
-                        present += 1
-                        hit += v in vocab.ranks[prop]
-        assert coverage(vocab, rest) == pytest.approx(hit / present)
 
 
 class TestEncode:

@@ -7,7 +7,6 @@ from defreach.dataflow import analyze
 from defreach.harness import (
     TEMPLATES,
     compute_metrics,
-    cross_folds,
     f1_from_pr,
     load_dataset,
     oracle_label,
@@ -132,17 +131,6 @@ class TestSplits:
             split(data, "stratified", (0.8, 0.1, 0.1), seed=0)
         with pytest.raises(ValueError, match="sum to 1"):
             split(data, "mixed", (0.5, 0.1, 0.1), seed=0)
-
-    def test_five_folds_hold_out_each_project_once(self):
-        data = synth_generate(300, seed=11)
-        folds = cross_folds(data, folds=5, seed=0)
-        assert len(folds) == 5
-        held_total = []
-        for train, test in folds:
-            assert not {e.project for e in train} & {e.project for e in test}
-            assert len(train) + len(test) == len(data)
-            held_total.extend({e.project for e in test})
-        assert sorted(held_total) == sorted({e.project for e in data})
 
 
 class TestUndersample:

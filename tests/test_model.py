@@ -227,6 +227,38 @@ class TestTraining:
             if enabled:
                 gc.enable()
 
+    def test_at_most_two_step_tapes_hold_records(self, monkeypatch):
+        # With the collector off, a tape that still holds records stays live
+        # until train_model clears it; count those at every backward.
+        train, valid, vocab = small_training_setup()
+        c = tiny_config(k=5, batch_size=8)
+        expected, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
+        tapes, live_counts = [], []
+
+        def holding():
+            return sum(1 for ref in tapes if ref() is not None and ref()._ops)
+
+        def counting_gradients(loss, params, original=T.gradients):
+            tapes.append(weakref.ref(loss.tape))
+            live_counts.append(holding())
+            grads = original(loss, params)
+            live_counts.append(holding())
+            return grads
+
+        monkeypatch.setattr(T, "gradients", counting_gradients)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            params, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
+            assert len(tapes) > 2
+            assert max(live_counts) <= 2
+            assert holding() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        for name in expected:
+            assert np.array_equal(params[name], expected[name])
+
     def test_checkpoint_roundtrip(self, tmp_path):
         train, valid, vocab = small_training_setup()
         c = tiny_config(k=5, hidden=8, steps=2, batch_size=8)
