@@ -4,14 +4,18 @@ Grammar (EBNF in docs/grammar.ebnf): one function per source text;
 declarations with initializers, assignments, call assignments, if/else,
 while, pointer-dereference expression statements, and return. Condition
 expressions become their own CFG nodes; entry/exit are synthetic nops.
+
+The lexer makes one regex pass over the source and yields two parallel
+lists, token texts and token kinds; the parser walks them by index. A
+token's line and column are worked out only when an error is raised at it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import islice
 
-from .cfg import Cfg, CfgError, Statement
+from .cfg import Cfg, Statement
 
 
 # Blocks and nested expressions share one depth counter, kept well below the
@@ -20,17 +24,35 @@ MAX_NESTING = 200
 
 TYPE_KEYWORDS = {"int", "char", "float", "double", "void", "long"}
 KEYWORDS = TYPE_KEYWORDS | {"if", "else", "while", "return", "NULL"}
+_OPERATORS = ("<=", ">=", "==", "!=", "&&", "||", *"-+*/%<>!=")
 
+# Group 1 is a token; a comment matches with no group and whitespace is never
+# matched, so findall skips both. The catch-all \S is an unexpected character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<op><=|>=|==|!=|&&|\|\||[-+*/%<>!=])
-  | (?P<punct>[()\[\]{};,])
+    //[^\n]*
+  | ( \d+
+    | [A-Za-z_]\w*
+    | <=|>=|==|!=|&&|\|\||[-+*/%<>!=]
+    | [()\[\]{};,]
+    | \S
+    )
     """,
     re.VERBOSE,
 )
+
+# Kinds: num | ident | keyword | op | punct | eof. Keywords, operators and
+# punctuation are known by their text, numbers and identifiers by their
+# first character.
+_KIND_OF_TEXT = {
+    **{k: "keyword" for k in KEYWORDS},
+    **{o: "op" for o in _OPERATORS},
+    **{p: "punct" for p in "()[]{};,"},
+}
+_KIND_OF_FIRST = {
+    **{c: "ident" for c in "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"},
+    **{c: "num" for c in "0123456789"},
+}
 
 
 class ParseError(Exception):
@@ -46,36 +68,26 @@ class UnsupportedError(ParseError):
         self.construct = construct
 
 
-@dataclass
-class Token:
-    kind: str  # num | ident | keyword | op | punct | eof
-    text: str
-    line: int
-    col: int
+def _lex(source: str) -> tuple[list[str], list[str]]:
+    """Token texts and kinds, each list ending with the eof sentinel ("", "eof")."""
+    texts = [t for t in _TOKEN_RE.findall(source) if t]  # a comment matches as ""
+    kinds = [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "?") for t in texts]
+    if "?" in kinds:
+        for i, text in enumerate(texts):
+            if kinds[i] == "?":
+                if not text[0].isdecimal():  # \d also matches non-ASCII digits
+                    raise ParseError(f"unexpected character {text!r}", *_position(source, i))
+                kinds[i] = "num"
+    texts.append("")
+    kinds.append("eof")
+    return texts, kinds
 
 
-def _lex(source: str) -> list[Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            if kind == "ident" and text in KEYWORDS:
-                kind = "keyword"
-            tokens.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _position(source: str, i: int) -> tuple[int, int]:
+    """1-based line and column of token ``i`` of ``_lex(source)``; the eof token is at the end."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(source) if m.lastindex)
+    start = next(islice(starts, i, None), len(source))
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
 
 
 class _ExprInfo:
@@ -85,58 +97,50 @@ class _ExprInfo:
         self.constants: list[str] = []
         self.operators: list[str] = []
         self.uses: set[str] = set()
-        self.has_deref = False
         self.text_parts: list[str] = []
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = _lex(source)
+        self.source = source
+        self.texts, self.kinds = _lex(source)
         self.i = 0
         self.depth = 0  # open blocks and nested expressions
         self.types: dict[str, str] = {}  # in-scope declarations
 
     # -- token helpers -------------------------------------------------
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
+    def pos(self, i: int) -> tuple[int, int]:
+        return _position(self.source, i)
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def advance(self) -> int:
         self.i += 1
-        return tok
+        return self.i - 1
 
-    def expect(self, text: str) -> Token:
-        if self.cur.text != text or self.cur.kind == "eof":
-            raise ParseError(
-                f"expected {text!r}, found {self.cur.text or 'end of input'!r}",
-                self.cur.line,
-                self.cur.col,
-            )
+    def expect(self, text: str) -> int:
+        if self.texts[self.i] != text:
+            found = self.texts[self.i] or "end of input"
+            raise ParseError(f"expected {text!r}, found {found!r}", *self.pos(self.i))
         return self.advance()
 
-    def expect_ident(self) -> Token:
-        if self.cur.kind != "ident":
-            raise ParseError(
-                f"expected identifier, found {self.cur.text or 'end of input'!r}",
-                self.cur.line,
-                self.cur.col,
-            )
+    def expect_ident(self) -> int:
+        if self.kinds[self.i] != "ident":
+            found = self.texts[self.i] or "end of input"
+            raise ParseError(f"expected identifier, found {found!r}", *self.pos(self.i))
         return self.advance()
 
-    def open_level(self, tok: Token) -> None:
-        """Enter a nesting level opened by ``tok``; the caller decrements ``depth`` on leaving."""
+    def open_level(self, i: int) -> None:
+        """Enter a nesting level opened by token ``i``; the caller decrements ``depth`` on leaving."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.pos(i))
 
     def at_type(self) -> bool:
-        return self.cur.kind == "keyword" and self.cur.text in TYPE_KEYWORDS
+        return self.kinds[self.i] == "keyword" and self.texts[self.i] in TYPE_KEYWORDS
 
     def parse_type(self) -> str:
-        base = self.advance().text
+        base = self.texts[self.advance()]
         stars = ""
-        while self.cur.text == "*":
+        while self.texts[self.i] == "*":
             self.advance()
             stars += "*"
         return base + stars
@@ -145,34 +149,32 @@ class _Parser:
     def parse_function(self) -> Cfg:
         if not self.at_type():
             raise ParseError(
-                f"expected return type, found {self.cur.text!r}", self.cur.line, self.cur.col
+                f"expected return type, found {self.texts[self.i]!r}", *self.pos(self.i)
             )
         self.parse_type()
-        name = self.expect_ident().text
+        name = self.texts[self.expect_ident()]
         self.expect("(")
-        if self.cur.text != ")":
+        if self.texts[self.i] != ")":
             while True:
                 if not self.at_type():
                     raise ParseError(
-                        f"expected parameter type, found {self.cur.text!r}",
-                        self.cur.line,
-                        self.cur.col,
+                        f"expected parameter type, found {self.texts[self.i]!r}",
+                        *self.pos(self.i),
                     )
                 ptype = self.parse_type()
-                pname = self.expect_ident().text
+                pname = self.texts[self.expect_ident()]
                 self.types[pname] = ptype
-                if self.cur.text != ",":
+                if self.texts[self.i] != ",":
                     break
                 self.advance()
         self.expect(")")
 
         builder = _CfgBuilder(name)
         dangling = self.parse_block(builder, [0])  # the entry node
-        if self.cur.kind != "eof":
+        if self.kinds[self.i] != "eof":
             raise ParseError(
-                f"trailing input after function body: {self.cur.text!r}",
-                self.cur.line,
-                self.cur.col,
+                f"trailing input after function body: {self.texts[self.i]!r}",
+                *self.pos(self.i),
             )
         cfg = builder.finish(dangling)
         cfg.validate()
@@ -181,21 +183,23 @@ class _Parser:
     # -- statements ----------------------------------------------------
     def parse_block(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
         self.open_level(self.expect("{"))
-        while self.cur.text != "}":
-            if self.cur.kind == "eof":
-                raise ParseError("unexpected end of input in block", self.cur.line, self.cur.col)
+        while self.texts[self.i] != "}":
+            if self.kinds[self.i] == "eof":
+                raise ParseError("unexpected end of input in block", *self.pos(self.i))
+            if not preds:  # every path through the previous statement returned
+                raise ParseError("unreachable statement after return", *self.pos(self.i))
             preds = self.parse_statement(builder, preds)
         self.expect("}")
         self.depth -= 1
         return preds
 
     def parse_statement(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        tok = self.cur
-        if tok.text == "if":
+        text = self.texts[self.i]
+        if text == "if":
             return self.parse_if(builder, preds)
-        if tok.text == "while":
+        if text == "while":
             return self.parse_while(builder, preds)
-        if tok.text == "return":
+        if text == "return":
             self.parse_return(builder, preds)
             return []
         if self.at_type():
@@ -209,7 +213,7 @@ class _Parser:
         self.expect(")")
         cond_id = builder.add(cond, preds)
         then_out = self.parse_block(builder, [cond_id])
-        if self.cur.text == "else":
+        if self.texts[self.i] == "else":
             self.advance()
             else_out = self.parse_block(builder, [cond_id])
             return then_out + else_out
@@ -238,9 +242,9 @@ class _Parser:
         )
 
     def parse_return(self, builder: "_CfgBuilder", preds: list[int]) -> None:
-        tok = self.expect("return")
+        self.expect("return")
         info = _ExprInfo()
-        if self.cur.text != ";":
+        if self.texts[self.i] != ";":
             self.parse_expr(info)
         self.expect(";")
         stmt = Statement(
@@ -254,42 +258,34 @@ class _Parser:
         builder.returns.append(node)
 
     def parse_decl(self) -> Statement:
-        tok = self.cur
+        start = self.i
         decl_type = self.parse_type()
-        name = self.expect_ident().text
-        if self.cur.text == ",":
-            raise UnsupportedError(
-                "multiple declarators in one declaration", self.cur.line, self.cur.col
-            )
-        if self.cur.text != "=":
-            raise UnsupportedError("declaration without initializer", tok.line, tok.col)
+        name = self.texts[self.expect_ident()]
+        if self.texts[self.i] == ",":
+            raise UnsupportedError("multiple declarators in one declaration", *self.pos(self.i))
+        if self.texts[self.i] != "=":
+            raise UnsupportedError("declaration without initializer", *self.pos(start))
         self.advance()
         self.types[name] = decl_type
         stmt = self.parse_def_rhs(name, decl_type, "decl-init", f"{decl_type} {name} = ")
-        if self.cur.text == ",":
-            raise UnsupportedError(
-                "multiple declarators in one declaration", self.cur.line, self.cur.col
-            )
+        if self.texts[self.i] == ",":
+            raise UnsupportedError("multiple declarators in one declaration", *self.pos(self.i))
         self.expect(";")
         return stmt
 
     def parse_simple(self) -> Statement:
-        tok = self.cur
-        if tok.text == "*" or (
-            tok.kind == "ident" and self.tokens[self.i + 1].text in ("[",)
-        ):
+        i, text, kind = self.i, self.texts[self.i], self.kinds[self.i]
+        if text == "*" or (kind == "ident" and self.texts[i + 1] == "["):
             return self.parse_deref_stmt()
-        if tok.kind != "ident":
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        if self.tokens[self.i + 1].text != "=":
+        if kind != "ident":
+            raise ParseError(f"unexpected token {text!r}", *self.pos(i))
+        if self.texts[i + 1] != "=":
             raise UnsupportedError(
-                f"expression statement {tok.text!r} without assignment or dereference",
-                tok.line,
-                tok.col,
+                f"expression statement {text!r} without assignment or dereference",
+                *self.pos(i),
             )
-        name = self.advance().text
-        self.advance()  # '='
-        stmt = self.parse_def_rhs(name, self.types.get(name), None, f"{name} = ")
+        self.i += 2  # the name and '='
+        stmt = self.parse_def_rhs(text, self.types.get(text), None, f"{text} = ")
         self.expect(";")
         return stmt
 
@@ -299,14 +295,14 @@ class _Parser:
         """Parse the right-hand side of a definition; detects call assignments."""
         callee = None
         info = _ExprInfo()
-        if self.cur.kind == "ident" and self.tokens[self.i + 1].text == "(":
-            callee = self.advance().text
-            self.advance()  # '('
+        if self.kinds[self.i] == "ident" and self.texts[self.i + 1] == "(":
+            callee = self.texts[self.i]
+            self.i += 2  # the callee and '('
             info.text_parts.append(callee + "(")
-            if self.cur.text != ")":
+            if self.texts[self.i] != ")":
                 while True:
                     self.parse_expr(info)
-                    if self.cur.text != ",":
+                    if self.texts[self.i] != ",":
                         break
                     self.advance()
                     info.text_parts.append(", ")
@@ -329,15 +325,12 @@ class _Parser:
         )
 
     def parse_deref_stmt(self) -> Statement:
+        """A statement starting ``*x`` or ``x[``, the only ones ``parse_simple`` sends here."""
         info = _ExprInfo()
         self.parse_expr(info)
-        if self.cur.text == "=":
-            raise UnsupportedError(
-                "assignment through a dereference", self.cur.line, self.cur.col
-            )
+        if self.texts[self.i] == "=":
+            raise UnsupportedError("assignment through a dereference", *self.pos(self.i))
         self.expect(";")
-        if not info.has_deref:
-            raise ParseError("expected a dereference", self.cur.line, self.cur.col)
         return Statement(
             kind="deref-use",
             code="".join(info.text_parts),
@@ -349,62 +342,58 @@ class _Parser:
     # -- expressions ---------------------------------------------------
     def parse_expr(self, info: _ExprInfo) -> None:
         self.parse_atom(info)
-        while self.cur.kind == "op" and self.cur.text not in ("!", "="):
-            op = self.advance().text
+        while self.kinds[self.i] == "op" and self.texts[self.i] not in ("!", "="):
+            op = self.texts[self.advance()]
             info.operators.append(op)
             info.text_parts.append(f" {op} ")
             self.parse_atom(info)
 
     def parse_atom(self, info: _ExprInfo) -> None:
-        tok = self.cur
-        if tok.text == "(":
+        i, text, kind = self.i, self.texts[self.i], self.kinds[self.i]
+        if text == "(":
             self.open_level(self.advance())
             info.text_parts.append("(")
             self.parse_expr(info)
             self.expect(")")
             info.text_parts.append(")")
             self.depth -= 1
-        elif tok.text == "*":
+        elif text == "*":
             self.advance()
-            name = self.expect_ident().text
+            name = self.texts[self.expect_ident()]
             info.uses.add(name)
-            info.has_deref = True
             info.text_parts.append(f"*{name}")
-        elif tok.text == "!":
+        elif text == "!":
             self.open_level(self.advance())
             info.operators.append("!")
             info.text_parts.append("!")
             self.parse_atom(info)
             self.depth -= 1
-        elif tok.kind == "num":
+        elif kind == "num":
             self.advance()
-            info.constants.append(tok.text)
-            info.text_parts.append(tok.text)
-        elif tok.text == "NULL":
+            info.constants.append(text)
+            info.text_parts.append(text)
+        elif text == "NULL":
             self.advance()
             info.constants.append("NULL")
             info.text_parts.append("NULL")
-        elif tok.kind == "ident":
-            name = self.advance().text
-            info.uses.add(name)
-            info.text_parts.append(name)
-            if self.cur.text == "[":
+        elif kind == "ident":
+            self.advance()
+            info.uses.add(text)
+            info.text_parts.append(text)
+            if self.texts[self.i] == "[":
                 self.open_level(self.advance())
-                info.has_deref = True
                 info.text_parts.append("[")
                 self.parse_expr(info)
                 self.expect("]")
                 info.text_parts.append("]")
                 self.depth -= 1
-            elif self.cur.text == "(":
+            elif self.texts[self.i] == "(":
                 raise UnsupportedError(
-                    f"call to {name!r} nested inside an expression", tok.line, tok.col
+                    f"call to {text!r} nested inside an expression", *self.pos(i)
                 )
         else:
             raise ParseError(
-                f"unexpected token {tok.text or 'end of input'!r} in expression",
-                tok.line,
-                tok.col,
+                f"unexpected token {text or 'end of input'!r} in expression", *self.pos(i)
             )
 
 

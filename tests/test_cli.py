@@ -164,6 +164,12 @@ class TestErrors:
         code, _, err = run(capsys, "parse", bad)
         assert code == 2 and "error:" in err
 
+    def test_unreachable_statement_exits_2_with_position(self, tmp_path, capsys):
+        path = tmp_path / "dead.c"
+        path.write_text("void f() { return; int x = 1; }")
+        code, _, err = run(capsys, "parse", path)
+        assert code == 2 and err.startswith("error: 1:20: ")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "dfa", "/nonexistent.c")
         assert code == 2 and "error:" in err

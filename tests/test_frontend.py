@@ -1,6 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defreach.cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg
+from defreach.harness import synth_generate
 from defreach.parser import MAX_NESTING, ParseError, UnsupportedError, parse_function
 
 from conftest import FIG1_SRC
@@ -102,6 +107,13 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_function("void f() {\n  int x = ;\n}")
         assert exc.value.line == 2
+        # comments are skipped when counting tokens; the end of input has a position too
+        with pytest.raises(ParseError) as exc:
+            parse_function("// a\nvoid f() { // b\n  int x = ; }")
+        assert (exc.value.line, exc.value.col) == (3, 11)
+        with pytest.raises(ParseError, match="end of input") as exc:
+            parse_function("void f() {\n  int x = 1;\n  ")
+        assert (exc.value.line, exc.value.col) == (3, 3)
 
     @pytest.mark.parametrize(
         "source,construct",
@@ -130,3 +142,55 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_function("void f() { int x = 1 @ 2; }")
+
+    def test_non_ascii_letters_are_unexpected_and_digits_are_numbers(self):
+        with pytest.raises(ParseError, match="unexpected character 'é'"):
+            parse_function("void f() { int é = 1; }")
+        cfg = parse_function("void f() { int x٣ = ٣4; }")  # \w and \d are Unicode-aware
+        assert (cfg.nodes[1].target, cfg.nodes[1].constants) == ("x٣", ["٣4"])
+
+    @pytest.mark.parametrize(
+        "source,line,col",
+        [
+            ("void f() { return; int x = 1; }", 1, 20),
+            ("void f(int n) {\n  if (n) { return; } else { return; }\n  n = 1;\n}", 3, 3),
+            ("void f(int n) {\n  while (n) { return 1; n = 2; }\n}", 2, 25),
+        ],
+        ids=["after-return", "after-if-else-both-returning", "in-while-body"],
+    )
+    def test_unreachable_statement_is_positioned(self, source, line, col):
+        with pytest.raises(ParseError, match="unreachable statement after return") as exc:
+            parse_function(source)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# Positions are worked out only when an error is raised; these properties pin
+# them down on realistic functions.
+SYNTH_SOURCES = [e.source for e in synth_generate(12, seed=5)]
+# Token spans of a synthetic source (ASCII, no "/"), found independently of
+# the lexer: a boundary is where a token starts or ends.
+SYNTH_TOKEN_RE = re.compile(r"\w+|[<>=!]=|&&|\|\||\S")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYNTH_SOURCES), st.sampled_from('@#$?~^:`"'), st.data())
+def test_unexpected_character_reports_its_offset(source, char, data):
+    offset = data.draw(st.integers(0, len(source)))
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_function(source[:offset] + char + source[offset:])
+    lines_before = source[:offset].split("\n")
+    assert (exc.value.line, exc.value.col) == (len(lines_before), len(lines_before[-1]) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SYNTH_SOURCES), st.data())
+def test_whitespace_and_comments_between_tokens_leave_the_cfg_alone(source, data):
+    boundaries = sorted(
+        {0, len(source)} | {b for m in SYNTH_TOKEN_RE.finditer(source) for b in m.span()}
+    )
+    picked = data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=12, unique=True))
+    runs = st.lists(st.sampled_from([" ", "\t", "\r\n", "\f", "// note\n"]), min_size=1, max_size=4)
+    noisy = source
+    for b in sorted(picked, reverse=True):
+        noisy = noisy[:b] + "".join(data.draw(runs)) + noisy[b:]
+    assert dump_cfg(parse_function(noisy)) == dump_cfg(parse_function(source))
