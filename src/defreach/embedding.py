@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,33 +29,37 @@ RESERVED_SLOTS = 2
 
 @dataclass(frozen=True)
 class DefinitionProfile:
+    """A definition's four property values; the fields are in PROPERTIES order."""
+
     api: str | None = None
     datatype: str | None = None
     constant: str | None = None
     operator: str | None = None
 
-    def get(self, prop: str) -> str | None:
-        return getattr(self, prop)
+
+def _definitions(cfg: Cfg):
+    """(node, values) per definition node, the four values in PROPERTIES order."""
+    for node, stmt in enumerate(cfg.nodes):
+        if stmt.is_definition():
+            yield node, (
+                stmt.callee,
+                stmt.decl_type,
+                stmt.constants[0] if stmt.constants else None,
+                stmt.operators[0] if stmt.operators else None,
+            )
 
 
 def extract_profiles(cfg: Cfg) -> dict[int, DefinitionProfile]:
     """Profile every definition-kind node of the graph."""
-    profiles = {}
-    for node, stmt in enumerate(cfg.nodes):
-        if stmt.is_definition():
-            profiles[node] = DefinitionProfile(
-                api=stmt.callee,
-                datatype=stmt.decl_type,
-                constant=stmt.constants[0] if stmt.constants else None,
-                operator=stmt.operators[0] if stmt.operators else None,
-            )
-    return profiles
+    return {node: DefinitionProfile(*values) for node, values in _definitions(cfg)}
 
 
 @dataclass
 class Vocabulary:
     k: int
-    ranks: dict[str, list[str]]  # property -> values in rank order
+    ranks: dict[str, list[str]]  # property -> values in rank order; fixed once constructed
+    # property -> {None: SLOT_NONE, ranked value: its slot}; any other value is SLOT_UNKNOWN
+    slot_tables: dict[str, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -66,15 +70,14 @@ class Vocabulary:
                 raise ValueError(f"{prop} rank list longer than k={self.k}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{prop} rank list has duplicates")
+        self.slot_tables = {
+            prop: {None: SLOT_NONE, **{v: RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
+            for prop in PROPERTIES
+        }
 
     def slot(self, prop: str, value: str | None) -> int:
         """Block-local hot slot for a property value."""
-        if value is None:
-            return SLOT_NONE
-        try:
-            return RESERVED_SLOTS + self.ranks[prop].index(value)
-        except ValueError:
-            return SLOT_UNKNOWN
+        return self.slot_tables[prop].get(value, SLOT_UNKNOWN)
 
     @property
     def row_width(self) -> int:
@@ -100,9 +103,8 @@ def build_vocabulary(corpus: list[Cfg], k: int) -> Vocabulary:
     """Rank property values by (frequency desc, value asc) over the corpus."""
     counts = {p: Counter() for p in PROPERTIES}
     for cfg in corpus:
-        for profile in extract_profiles(cfg).values():
-            for prop in PROPERTIES:
-                value = profile.get(prop)
+        for _, values in _definitions(cfg):
+            for prop, value in zip(PROPERTIES, values):
                 if value is not None:
                     counts[prop][value] += 1
     ranks = {}
@@ -130,14 +132,20 @@ def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> 
     """(nodes, 4) int64 hot columns, property j in column j; -1 where masked or no definition."""
     if mask is None:
         mask = FULL_MASK
-    if not any(mask.get(p) for p in PROPERTIES):
+    masked = [not mask.get(p) for p in PROPERTIES]
+    if all(masked):
         raise ValueError("mask must enable at least one property")
     block = vocab.k + RESERVED_SLOTS
-    slots = np.full((len(cfg.nodes), len(PROPERTIES)), -1, dtype=np.int64)
-    for node, profile in extract_profiles(cfg).items():
-        for j, prop in enumerate(PROPERTIES):
-            if mask.get(prop):
-                slots[node, j] = j * block + vocab.slot(prop, profile.get(prop))
+    tables = [(j * block, vocab.slot_tables[prop]) for j, prop in enumerate(PROPERTIES)]
+    width = len(PROPERTIES)
+    flat = [-1] * (len(cfg.nodes) * width)
+    for node, values in _definitions(cfg):
+        flat[node * width : (node + 1) * width] = [
+            off + table.get(v, SLOT_UNKNOWN) for (off, table), v in zip(tables, values)
+        ]
+    slots = np.array(flat, dtype=np.int64).reshape(len(cfg.nodes), width)
+    if any(masked):
+        slots[:, masked] = -1
     return slots
 
 

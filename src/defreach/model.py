@@ -105,28 +105,29 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
     )
 
 
+# tensor.gru's weights, in its argument order: per gate z, r, h the input
+# weights, the state weights and the bias.
+GRU_PARAMS = (
+    "gru_wz_w", "gru_uz_w", "gru_wz_b",
+    "gru_wr_w", "gru_ur_w", "gru_wr_b",
+    "gru_wh_w", "gru_uh_w", "gru_wh_b",
+)
+
+
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     """Graph-level logits, shape (num_graphs, 1)."""
     h = T.relu(T.add(T.embed_sum(batch.features, pt["proj_w"]), pt["proj_b"]))
+    gru = [pt[name] for name in GRU_PARAMS]
     for _ in range(config.steps):
         summed = T.edge_gather_sum(h, batch.src, batch.dst)
-        a = T.relu(T.add(T.matmul(summed, pt["agg_w"]), pt["agg_b"]))
-        z = T.sigmoid(_gru_pre(pt, "z", a, h))
-        r = T.sigmoid(_gru_pre(pt, "r", a, h))
-        cand = T.tanh(
-            T.add(
-                T.add(T.matmul(a, pt["gru_wh_w"]), T.matmul(T.hadamard(r, h), pt["gru_uh_w"])),
-                pt["gru_wh_b"],
-            )
-        )
-        keep = T.add_const(T.scale(z, -1.0), 1.0)
-        h = T.add(T.hadamard(keep, h), T.hadamard(z, cand))
-    gate = T.sigmoid(T.add(T.matmul(h, pt["att_gate_w"]), pt["att_gate_b"]))
-    feat = T.tanh(T.add(T.matmul(h, pt["att_feat_w"]), pt["att_feat_b"]))
+        a = T.relu(T.matmul(summed, pt["agg_w"], bias=pt["agg_b"]))
+        h = T.gru(a, h, *gru)
+    gate = T.sigmoid(T.matmul(h, pt["att_gate_w"], bias=pt["att_gate_b"]))
+    feat = T.tanh(T.matmul(h, pt["att_feat_w"], bias=pt["att_feat_b"]))
     pooled = T.segment_sum(T.scale_rows(feat, gate), batch.seg, batch.num_graphs)
     y = pooled
     for i in range(config.output_layers):
-        y = T.add(T.matmul(y, pt[f"cls{i}_w"]), pt[f"cls{i}_b"])
+        y = T.matmul(y, pt[f"cls{i}_w"], bias=pt[f"cls{i}_b"])
         if i < config.output_layers - 1:
             y = T.relu(y)
     return y
@@ -134,13 +135,6 @@ def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfi
 
 def forward_probs(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     return T.sigmoid(forward_batch(pt, batch, config))
-
-
-def _gru_pre(pt: dict[str, T.Tensor], gate: str, a: T.Tensor, h: T.Tensor) -> T.Tensor:
-    return T.add(
-        T.add(T.matmul(a, pt[f"gru_w{gate}_w"]), T.matmul(h, pt[f"gru_u{gate}_w"])),
-        pt[f"gru_w{gate}_b"],
-    )
 
 
 def infer(

@@ -1,12 +1,17 @@
 """Dense 2-D float64 tensors with a reverse-mode tape.
 
 Every primitive checks shapes explicitly and rejects non-finite outputs;
-the only broadcast allowed is a 1-row bias in ``add`` and the per-row
-gate in ``scale_rows``. An op with an operand on a Tape appends one
-record to it: the output, the inputs, and a rule that maps the output's
-gradient to one gradient per input. ``gradients`` replays the records in
-exact reverse order, adding each rule's gradients into the inputs that
-are on the tape.
+the only broadcasts allowed are a 1-row bias in ``add`` and ``matmul``
+and the per-row gate in ``scale_rows``. An op with an operand on a Tape
+appends one record to it: the output, the inputs, and a rule that maps
+the output's gradient to one gradient per input. ``gradients`` replays
+the records in exact reverse order, adding each rule's gradients into the
+inputs that are on the tape.
+
+``gru`` is a fused primitive: one record, and one hand-derived rule, for
+a GRU update that the other primitives spell out as 21 records. It checks
+its three pre-activations and its output, which raises on exactly the
+inputs where the chain of primitives would raise.
 
 A tape with records is a reference cycle (a record holds its output,
 whose ``tape`` holds the record), so its activations outlive the last
@@ -129,17 +134,86 @@ def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
                lambda g: (kernels.segment_sum(g[rows], hot, w.shape[0]),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[1] == 1:
         # BLAS computes a one-column product (gemv) with rounding that depends
         # on the row's position in ``a``; a row-wise dot gives every row the
         # same result wherever it sits in the batch.
-        data = (a.data * b.data.T).sum(axis=1, keepdims=True)
-    else:
-        data = a.data @ b.data
-    return _op(data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+        return (a * b.T).sum(axis=1, keepdims=True)
+    return a @ b
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus the 1-row ``bias`` added to every row when one is given.
+
+    With a bias the op is one record for what ``add(matmul(a, b), bias)``
+    records as two, with the same arithmetic: the product is finite exactly
+    when the sum is, so one finiteness check stands for both.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    data = _product(a.data, b.data)
+    if bias is None:
+        return _op(data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    if bias.shape != (1, b.shape[1]):
+        raise TensorError(f"matmul bias shape {bias.shape} for product {data.shape}")
+    return _op(data + bias.data, "matmul", (a, b, bias),
+               lambda g: (g @ b.data.T, a.data.T @ g, g.sum(axis=0, keepdims=True)))
+
+
+def gru(a: Tensor, h: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
+        br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+    """GRU update of state ``h`` by input ``a``, recorded as one op:
+
+        z = sigmoid(a @ wz + h @ uz + bz)
+        r = sigmoid(a @ wr + h @ ur + br)
+        c = tanh(a @ wh + (r * h) @ uh + bh)
+        out = (1 - z) * h + z * c
+
+    The arithmetic is that of the chain of ``matmul``, ``add``, ``sigmoid``,
+    ``tanh``, ``hadamard``, ``scale`` and ``add_const`` spelling it out, in
+    the same order, so the output is bit-identical to the chain's. So are
+    its failures: a non-finite value in the chain first appears in a
+    product or a sum, and it stays non-finite through every later ``+`` up
+    to a squashing function, so checking the three pre-activations and the
+    output raises exactly where the chain would.
+    """
+    n, m = a.shape
+    d = h.shape[1]
+    if h.shape[0] != n:
+        raise TensorError(f"gru input {a.shape} and state {h.shape} differ in rows")
+    for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
+        if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
+            raise TensorError(f"gru weights {w.shape}, {u.shape}, {b.shape} for input {a.shape} "
+                              f"and state {h.shape}")
+    ad, hd = a.data, h.data
+
+    def squash(pre: np.ndarray, f, name: str) -> np.ndarray:
+        if not np.isfinite(pre).all():
+            raise TensorError(f"non-finite {name} pre-activation of gru")
+        return f(pre)
+
+    z = squash(_product(ad, wz.data) + _product(hd, uz.data) + bz.data, _sigmoid, "update gate")
+    r = squash(_product(ad, wr.data) + _product(hd, ur.data) + br.data, _sigmoid, "reset gate")
+    rh = r * hd
+    c = squash(_product(ad, wh.data) + _product(rh, uh.data) + bh.data, np.tanh, "candidate")
+    keep = z * -1.0 + 1.0
+
+    def rule(g):
+        dz = g * c + (g * hd) * -1.0
+        dpc = (g * z) * (1.0 - c * c)
+        drh = dpc @ uh.data.T
+        dpr = (drh * hd) * (r * (1.0 - r))
+        dpz = dz * (z * (1.0 - z))
+        return (
+            dpz @ wz.data.T + dpr @ wr.data.T + dpc @ wh.data.T,
+            g * keep + drh * r + dpr @ ur.data.T + dpz @ uz.data.T,
+            ad.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
+            ad.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
+            ad.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
+        )
+
+    return _op(keep * hd + z * c, "gru", (a, h, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -170,8 +244,12 @@ def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
     return _op(y, op, (a,), lambda g: (g * dfdy(a.data, y),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    return _unary(a, lambda x: 0.5 * np.tanh(0.5 * x) + 0.5, lambda x, y: y * (1.0 - y), "sigmoid")
+    return _unary(a, _sigmoid, lambda x, y: y * (1.0 - y), "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:

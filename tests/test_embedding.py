@@ -1,3 +1,7 @@
+import itertools
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,12 @@ from defreach.embedding import (
     one_hot,
     parse_mask,
 )
+from defreach.harness import synth_generate
 from defreach.parser import parse_function
 
 from conftest import FIG1_SRC
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def fn(body: str) -> "Cfg":
@@ -172,3 +179,64 @@ class TestEncode:
         r2 = encode(cfg, vocab)
         assert np.array_equal(r1, r2)
         assert vocab.ranks == before  # unseen values never leak into the vocabulary
+
+
+def reference_encode(cfg, vocab, mask):
+    """Node by node, slot by slot, with a linear search of the rank lists."""
+    block = vocab.k + 2
+    slots = np.full((len(cfg.nodes), 4), -1, dtype=np.int64)
+    for node, stmt in enumerate(cfg.nodes):
+        if not stmt.is_definition():
+            continue
+        values = (
+            stmt.callee,
+            stmt.decl_type,
+            stmt.constants[0] if stmt.constants else None,
+            stmt.operators[0] if stmt.operators else None,
+        )
+        for j, (prop, value) in enumerate(zip(PROPERTIES, values)):
+            if mask[prop]:
+                ranks = vocab.ranks[prop]
+                slot = 0 if value is None else 2 + ranks.index(value) if value in ranks else 1
+                slots[node, j] = j * block + slot
+    return slots
+
+
+def scan_large_corpus():
+    """The functions of one draw of perfbench's scan-large workload (58..1250 nodes)."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import compose
+        import workloads as W
+    finally:
+        sys.path.remove(PERFBENCH)
+    pool = synth_generate(W.SCAN_POOL, seed=1)
+    shapes = synth_generate(W.SCAN_POOL, seed=W.SHAPE_SEED)
+    functions = compose.make_functions(
+        pool, W.SCAN_FUNCTIONS, W.SCAN_DRAWS, W.SCAN_MIN_NODES, W.SCAN_MAX_NODES, shapes, 0
+    )
+    return [e.cfg for e in pool[: W.SCAN_TRAIN]], [parse_function(f.source) for f in functions]
+
+
+CORPORA = {
+    "synthetic": lambda: ([e.cfg for e in synth_generate(100, seed=31)],
+                          [e.cfg for e in synth_generate(200, seed=32)]),
+    "scan-large": scan_large_corpus,
+}
+MASKS = [
+    {p: p in on for p in PROPERTIES}
+    for r in range(1, len(PROPERTIES) + 1)
+    for on in itertools.combinations(PROPERTIES, r)
+]
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_encode_matches_reference_under_every_mask(corpus):
+    train, functions = CORPORA[corpus]()
+    for k in (3, 1000):  # most values unknown; every value ranked
+        vocab = build_vocabulary(train, k)
+        for mask in MASKS:
+            for cfg in functions:
+                got = encode(cfg, vocab, mask)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, reference_encode(cfg, vocab, mask))

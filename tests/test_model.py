@@ -112,6 +112,21 @@ class TestForward:
         assert p_full == p_pruned
 
 
+class TestTapeRecords:
+    @pytest.mark.parametrize("steps, layers", [(0, 1), (1, 1), (2, 3), (5, 3)])
+    def test_records_per_forward_and_loss(self, steps, layers):
+        # projection 3 (embed_sum, bias, relu); per message step 4 (edge sum,
+        # aggregate matmul, relu, gru); readout 6; per classifier layer a
+        # matmul and, but for the last, a relu; the loss 6
+        c = tiny_config(steps=steps, output_layers=layers)
+        params = M.init_params(c, seed=0)
+        graphs = random_graphs(c, seed=9, n_graphs=3)
+        tape = T.Tape()
+        pt = {k: tape.tensor(v) for k, v in params.items()}
+        M.bce_logits(M.forward_batch(pt, M.batch_graphs(graphs), c), np.array([1.0, 0.0, 1.0]))
+        assert len(tape._ops) == 3 + 4 * steps + 6 + (2 * layers - 1) + 6
+
+
 class TestBatch:
     def test_features_stay_slot_indices_at_k1000(self):
         # 4 int64 slots per node, not a 4008-column float64 one-hot row

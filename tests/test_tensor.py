@@ -54,6 +54,12 @@ class TestForward:
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
         with pytest.raises(T.TensorError, match=r"\(2, 3\) \+ \(3, 2\)"):
             T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
+        with pytest.raises(T.TensorError, match=r"bias shape \(1, 3\) for product \(2, 2\)"):
+            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), bias=T.Tensor(np.ones((1, 3))))
+        gru = [T.Tensor(x) for x in gru_inputs(np.random.default_rng(0), n=2, m=3, hdim=4)]
+        gru[5] = T.Tensor(np.ones((4, 4)))  # wr needs the input width 3 in rows
+        with pytest.raises(T.TensorError, match=r"gru weights \(4, 4\)"):
+            T.gru(*gru)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(T.TensorError, match="non-finite output of scale"):
@@ -181,25 +187,92 @@ class TestFiniteDifferenceChecks:
         )
 
     def test_gru_cell(self):
-        rng = np.random.default_rng(13)
-        n, hdim = 3, 4
-        h0 = rng.standard_normal((n, hdim))
-        a = rng.standard_normal((n, hdim))
-        mats = [rng.standard_normal((hdim, hdim)) * 0.5 for _ in range(6)]
-        biases = [rng.standard_normal((1, hdim)) * 0.1 for _ in range(3)]
+        inputs = gru_inputs(np.random.default_rng(13), n=3, m=4, hdim=4)
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(gru_chain(*t))), inputs, tol=1e-6)
 
-        def gru(t):
-            h, av = t[0], t[1]
-            wz, uz, wr, ur, wh, uh = t[2:8]
-            bz, br, bh = t[8:11]
-            z = T.sigmoid(T.add(T.add(T.matmul(av, wz), T.matmul(h, uz)), bz))
-            r = T.sigmoid(T.add(T.add(T.matmul(av, wr), T.matmul(h, ur)), br))
-            cand = T.tanh(T.add(T.add(T.matmul(av, wh), T.matmul(T.hadamard(r, h), uh)), bh))
-            keep = T.add_const(T.scale(z, -1.0), 1.0)
-            out = T.add(T.hadamard(keep, h), T.hadamard(z, cand))
-            return T.sum_all(T.tanh(out))
 
-        check_scalar_fn(gru, [h0, a, *mats, *biases], tol=1e-6)
+def gru_inputs(rng, n, m, hdim):
+    """Input a, state h and the nine weights, in T.gru's argument order."""
+    arrays = [rng.standard_normal((n, m)), rng.standard_normal((n, hdim))]
+    for _ in "zrh":
+        arrays += [rng.standard_normal((m, hdim)) * 0.5, rng.standard_normal((hdim, hdim)) * 0.5,
+                   rng.standard_normal((1, hdim)) * 0.1]
+    return arrays
+
+
+def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
+    """The GRU update spelled out in primitive ops: the reference for T.gru."""
+    z = T.sigmoid(T.add(T.add(T.matmul(a, wz), T.matmul(h, uz)), bz))
+    r = T.sigmoid(T.add(T.add(T.matmul(a, wr), T.matmul(h, ur)), br))
+    cand = T.tanh(T.add(T.add(T.matmul(a, wh), T.matmul(T.hadamard(r, h), uh)), bh))
+    keep = T.add_const(T.scale(z, -1.0), 1.0)
+    return T.add(T.hadamard(keep, h), T.hadamard(z, cand))
+
+
+# (rows, input width, state width); a one-column state takes matmul's row-wise path
+GRU_SHAPES = [(3, 4, 4), (5, 3, 1), (1, 2, 3)]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
+    def test_gru_output_bit_identical_to_chain(self, n, m, hdim):
+        tensors = [T.Tensor(x) for x in gru_inputs(np.random.default_rng(40), n, m, hdim)]
+        assert np.array_equal(T.gru(*tensors).data, gru_chain(*tensors).data)
+
+    @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
+    def test_gru_gradients_match_chain(self, n, m, hdim):
+        arrays = gru_inputs(np.random.default_rng(41), n, m, hdim)
+
+        def grads(cell):
+            tape = T.Tape()
+            tensors = [tape.tensor(x) for x in arrays]
+            out = cell(*tensors)
+            # a second GRU update on the output, so h's gradient has several terms
+            out = cell(tensors[0], out, *tensors[2:])
+            return T.gradients(T.sum_all(T.tanh(out)), tensors)
+
+        for i, (fused, chain) in enumerate(zip(grads(T.gru), grads(gru_chain))):
+            assert T.relative_error(fused, chain) <= 1e-12, f"input {i}"
+
+    @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
+    def test_gru_finite_differences(self, n, m, hdim):
+        inputs = gru_inputs(np.random.default_rng(42), n, m, hdim)
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.gru(*t))), inputs)
+
+    @pytest.mark.parametrize("n, cols", [(5, 3), (5, 1), (1, 2)])
+    def test_matmul_bias(self, n, cols):
+        rng = np.random.default_rng(43)
+        x, w, b = rng.standard_normal((n, 4)), rng.standard_normal((4, cols)), rng.standard_normal((1, cols))
+        fused = T.matmul(T.Tensor(x), T.Tensor(w), bias=T.Tensor(b)).data
+        assert np.array_equal(fused, T.add(T.matmul(T.Tensor(x), T.Tensor(w)), T.Tensor(b)).data)
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.matmul(t[0], t[1], bias=t[2]))), [x, w, b])
+
+    @pytest.mark.parametrize("weight", [2, 3, 5, 6, 8, 9])  # wz uz wr ur wh uh
+    def test_gru_overflow_raises_where_chain_raises(self, weight):
+        arrays = gru_inputs(np.random.default_rng(44), 4, 3, 3)
+        arrays[0] = arrays[0] * 1e10
+        arrays[1] = arrays[1] * 1e10
+        tensors = [T.Tensor(x) for x in arrays]
+        T.gru(*tensors)  # large, but finite
+        arrays[weight] = arrays[weight] * 1e300
+        tensors = [T.Tensor(x) for x in arrays]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.TensorError, match="non-finite output of matmul"):
+                gru_chain(*tensors)
+            with pytest.raises(T.TensorError, match="non-finite .* pre-activation of gru"):
+                T.gru(*tensors)
+
+    @pytest.mark.parametrize("cols", [3, 1])
+    def test_matmul_bias_overflow_raises(self, cols):
+        rng = np.random.default_rng(45)
+        x = T.Tensor(rng.standard_normal((4, 2)) * 1e10)
+        w = T.Tensor(rng.standard_normal((2, cols)) * 1e300)
+        b = T.Tensor(np.zeros((1, cols)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.TensorError, match="non-finite output of matmul"):
+                T.add(T.matmul(x, w), b)
+            with pytest.raises(T.TensorError, match="non-finite output of matmul"):
+                T.matmul(x, w, bias=b)
 
 
 def loop_scatter(x, index, n):
