@@ -2,8 +2,9 @@
 
 Subcommands: parse, dfa, vocab, encode, synth, split, train, eval,
 predict. Validation failures (bad input files, schema violations,
-unsupported constructs) exit with status 2, and so does a request for
-more memory than can be allocated (say, an enormous ``--k``).
+unsupported constructs) exit with status 2, and so do a request for
+more memory than can be allocated (say, an enormous ``--k``) and a
+training run whose values overflow (say, ``--lr 1e300``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import dataflow, embedding, harness, model
+from . import dataflow, embedding, harness, model, tensor
 from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
 from .parser import ParseError, parse_function
 
@@ -295,8 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, CfgError, ValueError, harness.GenerationError, OSError) as e:
+        # Tensor ops reject non-finite results with a TensorError, so numpy's
+        # overflow warnings would only repeat that error.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except (ParseError, CfgError, ValueError, harness.GenerationError, tensor.TensorError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -27,16 +27,6 @@ SLOT_UNKNOWN = 1
 RESERVED_SLOTS = 2
 
 
-@dataclass(frozen=True)
-class DefinitionProfile:
-    """A definition's four property values; the fields are in PROPERTIES order."""
-
-    api: str | None = None
-    datatype: str | None = None
-    constant: str | None = None
-    operator: str | None = None
-
-
 def _definitions(cfg: Cfg):
     """(node, values) per definition node, the four values in PROPERTIES order."""
     for node, stmt in enumerate(cfg.nodes):
@@ -47,11 +37,6 @@ def _definitions(cfg: Cfg):
                 stmt.constants[0] if stmt.constants else None,
                 stmt.operators[0] if stmt.operators else None,
             )
-
-
-def extract_profiles(cfg: Cfg) -> dict[int, DefinitionProfile]:
-    """Profile every definition-kind node of the graph."""
-    return {node: DefinitionProfile(*values) for node, values in _definitions(cfg)}
 
 
 @dataclass

@@ -371,7 +371,7 @@ def save_dataset(examples: list[Example], directory: str) -> None:
         f.write("\n")
 
 
-def load_dataset(directory: str, revalidate: bool = True) -> list[Example]:
+def load_dataset(directory: str) -> list[Example]:
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as f:
         manifest = parse_json(f.read(), manifest_path)
@@ -389,7 +389,7 @@ def load_dataset(directory: str, revalidate: bool = True) -> list[Example]:
         with open(os.path.join(directory, rec["path"])) as f:
             cfg = load_cfg(f.read())
         label = LABELS.index(rec["label"])
-        if revalidate and oracle_label(cfg) != label:
+        if oracle_label(cfg) != label:
             raise ValueError(f"example {rec['id']}: stored label {rec['label']} fails re-validation")
         source_path = os.path.join(directory, rec["id"] + ".c")
         source = ""

@@ -6,7 +6,6 @@ mini-batches built as disjoint-union graphs.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -37,6 +36,10 @@ class ModelConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.l2_weight) and self.l2_weight >= 0):
+            raise ValueError(f"l2_weight must be finite and >= 0, got {self.l2_weight}")
         bad = set(self.mask) - set(PROPERTIES)
         if bad or not self.mask:
             raise ValueError(f"invalid feature mask {self.mask}")
@@ -208,17 +211,12 @@ def train_model(
     """Returns (best params, best epoch, per-epoch history)."""
     from .harness import compute_metrics  # local import avoids a module cycle
 
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
     if not train_set:
         raise ValueError("empty training split")
-    # A tape that a caller recorded and never cleared is a reference cycle
-    # (a record holds its output tensor, whose ``tape`` holds the record),
-    # so its activations stay in the heap until the collector's oldest
-    # generation happens to run. Collecting them here lets this run reuse
-    # that memory instead of faulting in fresh pages by an amount that
-    # varied from run to run. This run's own tapes never wait for the
-    # collector: each step clears the previous step's tape, so at most two
-    # steps' tapes are live.
-    gc.collect()
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
     train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
@@ -233,7 +231,6 @@ def train_model(
     best_f1, best_epoch, best_params = -1.0, 0, {n: v.copy() for n, v in params.items()}
     history: list[EpochStats] = []
     since_best = 0
-    last_tape = T.Tape()
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
@@ -242,23 +239,17 @@ def train_model(
             idx = order[lo : lo + config.batch_size]
             batch = batch_graphs([train_graphs[i] for i in idx])
             labels = train_labels[idx].reshape(-1, 1)
-            tape = T.Tape()
-            pt = _as_tensors(params, tape)
+            pt = _as_tensors(params, T.Tape())
             logits = forward_batch(pt, batch, config)
+            # Rebinding obj frees the previous step's tape before this step's
+            # backward, so its blocks are reused; freeing a tape right after
+            # its own backward cost about 12% at k=20 (glibc trims the heap top).
             obj = bce_logits(logits, labels)
-            # Cleared here, before this step's backward: the freed blocks
-            # then lie below this step's live tape and are reused. Clearing
-            # a tape right after its own backward frees the top of the heap,
-            # which glibc hands back to the OS and faults in again every
-            # step (about 12% slower training at k=20).
-            last_tape.clear()
-            last_tape = tape
             grads = T.gradients(obj, list(pt.values()))
             opt.step(params, dict(zip(pt.keys(), grads)))
             epoch_loss += obj.item()
             nbatch += 1
 
-        last_tape.clear()
         probs = infer(params, valid_graphs, config)
         f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
         history.append(EpochStats(epoch, epoch_loss / max(nbatch, 1), f1))

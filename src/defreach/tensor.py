@@ -2,22 +2,21 @@
 
 Every primitive checks shapes explicitly and rejects non-finite outputs;
 the only broadcasts allowed are a 1-row bias in ``add`` and ``matmul``
-and the per-row gate in ``scale_rows``. An op with an operand on a Tape
-appends one record to it: the output, the inputs, and a rule that maps
-the output's gradient to one gradient per input. ``gradients`` replays
-the records in exact reverse order, adding each rule's gradients into the
-inputs that are on the tape.
+and the per-row gate in ``scale_rows``. Each tensor on a Tape has an
+integer slot on it. An op with an operand on a Tape appends one record
+to it: the output's slot, the inputs' slots, and a rule that maps the
+output's gradient to one gradient per input. ``gradients`` replays the
+records in exact reverse order, adding each rule's gradients into the
+slots of the inputs that are on the tape.
 
 ``gru`` is a fused primitive: one record, and one hand-derived rule, for
 a GRU update that the other primitives spell out as 21 records. It checks
 its three pre-activations and its output, which raises on exactly the
 inputs where the chain of primitives would raise.
 
-A tape with records is a reference cycle (a record holds its output,
-whose ``tape`` holds the record), so its activations outlive the last
-name bound to them until the cyclic collector runs. ``Tape.clear`` drops
-the records and breaks the cycle: the training loop clears each step's
-tape one step late, so at most two steps' tapes are live at once.
+A rule holds arrays, never tensors, so nothing on a tape refers back to
+the tensors recorded on it: a tape and its activations are freed by
+reference count when the last tensor recorded on it goes.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class TensorError(Exception):
 
 
 class Tensor:
-    __slots__ = ("data", "tape", "grad")
+    __slots__ = ("data", "tape", "index")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -40,7 +39,11 @@ class Tensor:
             raise TensorError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.tape = tape
-        self.grad: np.ndarray | None = None
+        if tape is None:
+            self.index = -1
+        else:
+            self.index = tape._size
+            tape._size += 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -53,42 +56,45 @@ class Tensor:
 
 
 class Tape:
-    """(output, inputs, rule) per recorded op, replayed in reverse for gradients."""
+    """(output slot, input slots, rule) per recorded op, replayed in reverse for gradients."""
 
     def __init__(self):
         self._ops: list = []
+        self._size = 0  # slots handed out: index < _size for every tensor on the tape
 
     def tensor(self, data) -> Tensor:
         return Tensor(data, tape=self)
 
-    def clear(self) -> None:
-        """Drop every record, so the tape's activations are freed by reference count."""
-        self._ops.clear()
-
-    def backward(self, loss: Tensor) -> None:
-        if loss.data.size != 1:
-            raise TensorError(f"backward from non-scalar shape {loss.shape}")
-        _accum(loss, np.ones((1, 1)))
-        for out, inputs, rule in reversed(self._ops):
-            if out.grad is None:  # the loss does not depend on this output
-                continue
-            for t, g in zip(inputs, rule(out.grad)):
-                if t.tape is not None:
-                    _accum(t, g)
-
 
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     """d loss / d param per param; zeros where the loss does not depend on it."""
-    if loss.tape is None:
+    tape = loss.tape
+    if tape is None:
         raise TensorError("loss was not recorded on a tape")
-    loss.tape.backward(loss)
-    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    if loss.data.size != 1:
+        raise TensorError(f"backward from non-scalar shape {loss.shape}")
+    grads: list[np.ndarray | None] = [None] * tape._size
+    grads[loss.index] = np.ones((1, 1))
+    for out, inputs, rule in reversed(tape._ops):
+        g = grads[out]
+        if g is None:  # the loss does not depend on this output
+            continue
+        for i, gi in zip(inputs, rule(g)):
+            if i < 0:  # a constant operand, off the tape
+                continue
+            if grads[i] is None:
+                grads[i] = gi.copy()  # a copy: ``add`` hands the same array to both operands
+            else:
+                grads[i] += gi
+    found = [grads[p.index] if p.tape is tape else None for p in params]
+    return [np.zeros_like(p.data) if g is None else g for p, g in zip(params, found)]
 
 
 def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
     """The output of ``op``, recorded on its inputs' tape if they have one.
 
     ``rule(g)`` maps the output's gradient ``g`` to one gradient per input.
+    It closes over arrays only, never over a tensor.
     """
     tape = None
     for t in inputs:
@@ -100,15 +106,8 @@ def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
         raise TensorError(f"non-finite output of {op}")
     out = Tensor(data, tape=tape)
     if tape is not None:
-        tape._ops.append((out, inputs, rule))
+        tape._ops.append((out.index, tuple(t.index for t in inputs), rule))
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g.copy()  # a copy: ``add`` hands the same array to both operands
-    else:
-        t.grad += g
 
 
 def check_slots(slots: np.ndarray, rows: int) -> None:
@@ -127,11 +126,12 @@ def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
     j = 0, 1, ..., the order of the hot columns in a one-hot row. The
     slots are constant input, so only ``w`` gets a gradient.
     """
-    check_slots(slots, w.shape[0])
+    w_rows = w.shape[0]
+    check_slots(slots, w_rows)
     rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
     hot = slots[rows, cols]
     return _op(kernels.segment_sum(w.data[hot], rows, slots.shape[0]), "embed_sum", (w,),
-               lambda g: (kernels.segment_sum(g[rows], hot, w.shape[0]),))
+               lambda g: (kernels.segment_sum(g[rows], hot, w_rows),))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,13 +152,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = _product(a.data, b.data)
+    ad, bd = a.data, b.data
+    data = _product(ad, bd)
     if bias is None:
-        return _op(data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+        return _op(data, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
     if bias.shape != (1, b.shape[1]):
         raise TensorError(f"matmul bias shape {bias.shape} for product {data.shape}")
     return _op(data + bias.data, "matmul", (a, b, bias),
-               lambda g: (g @ b.data.T, a.data.T @ g, g.sum(axis=0, keepdims=True)))
+               lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
 def gru(a: Tensor, h: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
@@ -187,27 +188,28 @@ def gru(a: Tensor, h: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur
             raise TensorError(f"gru weights {w.shape}, {u.shape}, {b.shape} for input {a.shape} "
                               f"and state {h.shape}")
     ad, hd = a.data, h.data
+    wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
 
     def squash(pre: np.ndarray, f, name: str) -> np.ndarray:
         if not np.isfinite(pre).all():
             raise TensorError(f"non-finite {name} pre-activation of gru")
         return f(pre)
 
-    z = squash(_product(ad, wz.data) + _product(hd, uz.data) + bz.data, _sigmoid, "update gate")
-    r = squash(_product(ad, wr.data) + _product(hd, ur.data) + br.data, _sigmoid, "reset gate")
+    z = squash(_product(ad, wzd) + _product(hd, uzd) + bz.data, _sigmoid, "update gate")
+    r = squash(_product(ad, wrd) + _product(hd, urd) + br.data, _sigmoid, "reset gate")
     rh = r * hd
-    c = squash(_product(ad, wh.data) + _product(rh, uh.data) + bh.data, np.tanh, "candidate")
+    c = squash(_product(ad, whd) + _product(rh, uhd) + bh.data, np.tanh, "candidate")
     keep = z * -1.0 + 1.0
 
     def rule(g):
         dz = g * c + (g * hd) * -1.0
         dpc = (g * z) * (1.0 - c * c)
-        drh = dpc @ uh.data.T
+        drh = dpc @ uhd.T
         dpr = (drh * hd) * (r * (1.0 - r))
         dpz = dz * (z * (1.0 - z))
         return (
-            dpz @ wz.data.T + dpr @ wr.data.T + dpc @ wh.data.T,
-            g * keep + drh * r + dpr @ ur.data.T + dpz @ uz.data.T,
+            dpz @ wzd.T + dpr @ wrd.T + dpc @ whd.T,
+            g * keep + drh * r + dpr @ urd.T + dpz @ uzd.T,
             ad.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
             ad.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
             ad.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
@@ -227,21 +229,24 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise TensorError(f"hadamard shape mismatch: {a.shape} * {b.shape}")
-    return _op(a.data * b.data, "hadamard", (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _op(ad * bd, "hadamard", (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Scale row i of ``a`` by the scalar s[i, 0]."""
     if s.shape != (a.shape[0], 1):
         raise TensorError(f"scale_rows needs gate shape {(a.shape[0], 1)}, got {s.shape}")
-    return _op(a.data * s.data, "scale_rows", (a, s),
-               lambda g: (g * s.data, (g * a.data).sum(axis=1, keepdims=True)))
+    ad, sd = a.data, s.data
+    return _op(ad * sd, "scale_rows", (a, s),
+               lambda g: (g * sd, (g * ad).sum(axis=1, keepdims=True)))
 
 
 def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
+    x = a.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = fwd(a.data)
-    return _op(y, op, (a,), lambda g: (g * dfdy(a.data, y),))
+        y = fwd(x)
+    return _op(y, op, (a,), lambda g: (g * dfdy(x, y),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -281,8 +286,9 @@ def add_const(a: Tensor, c: float) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
     return _op(a.data.sum(keepdims=True).reshape(1, 1), "sum_all", (a,),
-               lambda g: (np.full_like(a.data, g[0, 0]),))
+               lambda g: (np.full(shape, g[0, 0]),))
 
 
 def edge_gather_sum(h: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -236,6 +237,39 @@ class TestErrors:
         code, _, err = run(capsys, "train", "--data", data_dir, "--batch-size", size,
                            "-o", tmp_path / "model.json")
         assert code == 2 and "error:" in err and f"batch_size must be >= 1, got {size}" in err
+
+    @pytest.mark.parametrize(
+        "option,value,problem",
+        [
+            ("--epochs", "0", "epochs must be >= 1, got 0"),
+            ("--epochs", "-3", "epochs must be >= 1, got -3"),
+            ("--patience", "0", "patience must be >= 1, got 0"),
+            ("--lr", "nan", "learning_rate must be finite and > 0, got nan"),
+            ("--lr", "inf", "learning_rate must be finite and > 0, got inf"),
+            ("--lr", "0", "learning_rate must be finite and > 0, got 0.0"),
+            ("--l2", "nan", "l2_weight must be finite and >= 0, got nan"),
+            ("--l2", "-1", "l2_weight must be finite and >= 0, got -1.0"),
+        ],
+        ids=["epochs-0", "epochs-neg", "patience-0", "lr-nan", "lr-inf", "lr-0", "l2-nan", "l2-neg"],
+    )
+    def test_invalid_training_setting_exits_2(self, tmp_path, capsys, option, value, problem):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        ckpt = tmp_path / "model.json"
+        code, _, err = run(capsys, "train", "--data", data_dir, option, value, "-o", ckpt)
+        assert code == 2 and err == f"error: {problem}\n"
+        assert not ckpt.exists()
+
+    def test_overflowing_training_exits_2(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        ckpt = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would print more lines
+            code, _, err = run(capsys, "train", "--data", data_dir, "--lr", "1e300", "--k", "3",
+                               "--steps", "1", "--hidden", "4", "-o", ckpt)
+        assert code == 2 and err.startswith("error: non-finite output of ") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_unallocatable_model_exits_2(self, tmp_path, capsys):
         # proj_w would take 931 TiB, beyond a 47-bit address space, so the

@@ -7,11 +7,12 @@ import pytest
 
 from defreach.embedding import (
     PROPERTIES,
-    DefinitionProfile,
+    RESERVED_SLOTS,
+    SLOT_NONE,
+    SLOT_UNKNOWN,
     Vocabulary,
     build_vocabulary,
     encode,
-    extract_profiles,
     one_hot,
     parse_mask,
 )
@@ -27,26 +28,46 @@ def fn(body: str) -> "Cfg":
     return parse_function(f"void f(int n, int c) {{ {body} }}")
 
 
+# Ranks every property value that TestProfiles expects, so each decodes from its slot.
+PROFILE_VOCAB = Vocabulary(
+    k=2,
+    ranks={
+        "api": ["malloc"],
+        "datatype": ["char*", "int"],
+        "constant": ["10", "NULL"],
+        "operator": ["*", "+"],
+    },
+)
+
+
+def profile(slots: np.ndarray, node: int) -> tuple:
+    """The node's four property values from its encoded slots; None for NONE."""
+    block = PROFILE_VOCAB.k + RESERVED_SLOTS
+    values = []
+    for j, prop in enumerate(PROPERTIES):
+        slot = slots[node, j] - j * block
+        assert 0 <= slot < block and slot != SLOT_UNKNOWN, f"{prop} slot {slot} is not NONE or ranked"
+        values.append(None if slot == SLOT_NONE else PROFILE_VOCAB.ranks[prop][slot - RESERVED_SLOTS])
+    return tuple(values)
+
+
 class TestProfiles:
     def test_fig1_call_assign(self):
-        profiles = extract_profiles(parse_function(FIG1_SRC))
-        assert profiles[3] == DefinitionProfile(
-            api="malloc", datatype="char*", constant="10", operator="*"
-        )
+        slots = encode(parse_function(FIG1_SRC), PROFILE_VOCAB)
+        assert profile(slots, 3) == ("malloc", "char*", "10", "*")
 
     def test_null_decl(self):
-        profiles = extract_profiles(parse_function(FIG1_SRC))
-        p = profiles[1]
-        assert (p.api, p.datatype, p.constant, p.operator) == (None, "char*", "NULL", None)
+        slots = encode(parse_function(FIG1_SRC), PROFILE_VOCAB)
+        assert profile(slots, 1) == (None, "char*", "NULL", None)
 
     def test_plain_arithmetic(self):
-        cfg = fn("int a = 1; int b = 2; int x = a + b;")
-        p = extract_profiles(cfg)[3]
-        assert (p.api, p.datatype, p.constant, p.operator) == (None, "int", None, "+")
+        slots = encode(fn("int a = 1; int b = 2; int x = a + b;"), PROFILE_VOCAB)
+        assert profile(slots, 3) == (None, "int", None, "+")
 
     def test_non_definitions_have_no_profile(self):
-        profiles = extract_profiles(parse_function(FIG1_SRC))
-        assert set(profiles) == {1, 3}  # not condition, deref, entry/exit
+        slots = encode(parse_function(FIG1_SRC), PROFILE_VOCAB)
+        # not condition, deref, entry/exit
+        assert list(np.flatnonzero((slots >= 0).any(axis=1))) == [1, 3]
 
 
 class TestVocabulary:

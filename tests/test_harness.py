@@ -209,5 +209,3 @@ class TestDatasetFormat:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="re-validation"):
             load_dataset(str(tmp_path))
-        loaded = load_dataset(str(tmp_path), revalidate=False)
-        assert len(loaded) == 6

@@ -224,24 +224,6 @@ class TestTraining:
             assert np.array_equal(r1[0][k], r2[0][k])
         assert [e.train_loss for e in r1[2]] == [e.train_loss for e in r2[2]]
 
-    def test_earlier_tape_freed_before_training(self):
-        # A tape is a reference cycle; with the collector off, only
-        # train_model's own collection can free it.
-        train, valid, vocab = small_training_setup()
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            tape = T.Tape()
-            T.tanh(tape.tensor(np.ones((1, 1))))
-            earlier = weakref.ref(tape)
-            del tape
-            assert earlier() is not None
-            M.train_model(tiny_config(k=5, batch_size=8), train, valid, vocab, seed=1, epochs=1)
-            assert earlier() is None
-        finally:
-            if enabled:
-                gc.enable()
-
     def test_at_most_two_step_tapes_hold_records(self, monkeypatch):
         # With the collector off, a tape that still holds records stays live
         # until train_model clears it; count those at every backward.

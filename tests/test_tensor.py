@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,8 +119,27 @@ class TestGradients:
         w = tape.tensor([[2.0]])
         c = T.Tensor([[3.0]])
         grads = T.gradients(T.sum_all(T.hadamard(c, w)), [w])
-        assert c.grad is None
+        assert c.index == -1  # the constant has no slot on the tape
         np.testing.assert_array_equal(grads[0], [[3.0]])
+
+    def test_gradients_twice_on_one_loss_agree(self):
+        tape = T.Tape()
+        x = tape.tensor([[2.0]])
+        loss = T.sum_all(T.hadamard(x, x))
+        first = T.gradients(loss, [x])
+        second = T.gradients(loss, [x])
+        np.testing.assert_array_equal(first[0], [[4.0]])
+        np.testing.assert_array_equal(second[0], first[0])
+
+    def test_param_on_another_differentiated_tape_gets_zeros(self):
+        other = T.Tape()
+        y = other.tensor([[2.0]])
+        T.gradients(T.sum_all(T.hadamard(y, y)), [y])
+        tape = T.Tape()
+        x = tape.tensor([[1.0]])
+        grads = T.gradients(T.sum_all(x), [x, y])
+        np.testing.assert_array_equal(grads[0], [[1.0]])
+        np.testing.assert_array_equal(grads[1], [[0.0]])
 
     def test_op_off_the_loss_path_is_skipped(self):
         tape = T.Tape()
@@ -281,6 +303,49 @@ def loop_scatter(x, index, n):
     for r in range(x.shape[0]):
         out[index[r]] += x[r]
     return out
+
+
+# Every public op: its operand shapes and a call on operands of those shapes.
+TAPED_OPS = {
+    "matmul": ([(3, 4), (4, 2)], T.matmul),
+    "matmul-bias": ([(3, 4), (4, 2), (1, 2)], T.matmul),
+    "gru": ([(3, 4), (3, 4)] + [(4, 4), (4, 4), (1, 4)] * 3, T.gru),
+    "embed_sum": ([(6, 3)], lambda w: T.embed_sum(np.array([[0, 5, -1], [2, 2, 1]]), w)),
+    "add": ([(3, 2), (1, 2)], T.add),
+    "hadamard": ([(3, 2), (3, 2)], T.hadamard),
+    "scale_rows": ([(3, 2), (3, 1)], T.scale_rows),
+    "sigmoid": ([(3, 2)], T.sigmoid),
+    "tanh": ([(3, 2)], T.tanh),
+    "relu": ([(3, 2)], T.relu),
+    "softplus": ([(3, 2)], T.softplus),
+    "scale": ([(3, 2)], lambda a: T.scale(a, 2.0)),
+    "add_const": ([(3, 2)], lambda a: T.add_const(a, 1.5)),
+    "sum_all": ([(3, 2)], T.sum_all),
+    "edge_gather_sum": ([(4, 2)],
+                        lambda h: T.edge_gather_sum(h, np.array([0, 1, 3]), np.array([1, 2, 0]))),
+    "segment_sum": ([(4, 2)], lambda x: T.segment_sum(x, np.array([0, 0, 1, 1]), 2)),
+}
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("name", sorted(TAPED_OPS))
+    def test_tape_freed_by_reference_count(self, name):
+        # With the collector off, a tape that holds a reference cycle would outlive its names.
+        shapes, op = TAPED_OPS[name]
+        rng = np.random.default_rng(50)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = T.Tape()
+            inputs = [tape.tensor(rng.standard_normal(shape)) for shape in shapes]
+            loss = T.sum_all(op(*inputs))
+            T.gradients(loss, inputs)
+            freed = weakref.ref(tape)
+            del tape, inputs, loss
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestKernels:
