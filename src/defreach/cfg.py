@@ -188,13 +188,15 @@ def load_cfg(document: str) -> Cfg:
 
     for i, rec in enumerate(doc["nodes"]):
         _require(isinstance(rec, dict), f"$.nodes[{i}]", "must be an object")
-    records = sorted(doc["nodes"], key=lambda r: r.get("id", -1))
+        _require(type(rec.get("id")) is int, f"$.nodes[{i}].id", "must be an int")
+    records = sorted(doc["nodes"], key=lambda r: r["id"])
     nodes: list[Statement] = []
     for i, rec in enumerate(records):
         path = f"$.nodes[{i}]"
-        _require(rec.get("id") == i, path + ".id", f"ids must be dense, expected {i}")
+        _require(rec["id"] == i, path + ".id", f"ids must be dense, expected {i}")
         kind = rec.get("kind")
-        _require(kind in STATEMENT_KINDS, path + ".kind", f"unknown kind {kind!r}")
+        _require(isinstance(kind, str) and kind in STATEMENT_KINDS, path + ".kind", f"unknown kind {kind!r}")
+        _require(isinstance(rec.get("code", ""), str), path + ".code", "must be a string")
         for k, t in (("target", str), ("type", str), ("callee", str)):
             v = rec.get(k)
             _require(v is None or isinstance(v, t), f"{path}.{k}", "must be string or null")

@@ -171,16 +171,22 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         patience=args.patience,
     )
-    vocab_path = args.vocab_out or args.output + ".vocab.json"
+    vocab_path = args.output + ".vocab.json"
     with open(vocab_path, "w") as f:
         f.write(vocab.to_json())
-    # relative to the checkpoint, so the run directory can be moved as a whole
-    vocab_rel = os.path.relpath(vocab_path, os.path.dirname(os.path.abspath(args.output)))
-    model.save_checkpoint(args.output, params, config, vocab_rel, best_epoch)
+    # the basename, which load_checkpoint resolves against the checkpoint's
+    # directory, so the run directory can be moved as a whole
+    model.save_checkpoint(args.output, params, config, os.path.basename(vocab_path), best_epoch)
     for h in history:
         print(f"epoch {h.epoch}: loss {h.train_loss:.4f} valid_f1 {h.valid_f1:.4f}")
     print(f"saved checkpoint {args.output} (best epoch {best_epoch})")
     return 0
+
+
+def _infer(ckpt: model.Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
+    mask = ckpt.config.mask_dict()
+    graphs = [(embedding.encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs]
+    return model.infer(ckpt.params, graphs, ckpt.config)
 
 
 def cmd_eval(args) -> int:
@@ -188,10 +194,8 @@ def cmd_eval(args) -> int:
     dataset = harness.load_dataset(args.data)
     if args.split:
         _, _, dataset = _apply_split(dataset, args.split, 0)
-    mask = ckpt.config.mask_dict()
     start = time.perf_counter()
-    graphs = [(embedding.encode(e.cfg, ckpt.vocab, mask), e.cfg) for e in dataset]
-    probs = model.infer(ckpt.params, graphs, ckpt.config)
+    probs = _infer(ckpt, [e.cfg for e in dataset])
     elapsed = time.perf_counter() - start
     metrics = harness.compute_metrics(probs.tolist(), [e.label for e in dataset])
     report = metrics.to_dict()
@@ -205,9 +209,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = model.load_checkpoint(args.ckpt)
-    prob = model.predict(ckpt, _read_cfg(args.file))
-    verdict = harness.LABELS[model.classify(prob)]
-    print(json.dumps({"probability": prob, "classification": verdict}))
+    for prob in _infer(ckpt, [_read_cfg(path) for path in args.files]).tolist():
+        print(json.dumps({"probability": prob, "classification": harness.LABELS[model.classify(prob)]}))
     return 0
 
 
@@ -274,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--l2", type=float, default=1e-2)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--vocab-out")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -286,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("predict", help="classify one function")
-    p.add_argument("file")
+    p = sub.add_parser("predict", help="classify functions, one JSON line per file")
+    p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--ckpt", required=True)
     p.set_defaults(fn=cmd_predict)
     return ap

@@ -299,8 +299,8 @@ def split(
     fractions: tuple[float, float, float],
     seed: int,
 ) -> tuple[list[Example], list[Example], list[Example]]:
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    if not all(f >= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be >= 0 and sum to 1, got {fractions}")
     rng = random.Random(seed)
     n = len(dataset)
     if regime == "mixed":

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .cfg import Cfg, parse_json
 from .embedding import PROPERTIES, RESERVED_SLOTS, Vocabulary, encode
+from .harness import compute_metrics
 
 
 @dataclass
@@ -30,18 +32,27 @@ class ModelConfig:
     mask: list[str] = field(default_factory=lambda: list(PROPERTIES))
 
     def __post_init__(self):
+        for name in ("hidden", "steps", "output_layers", "batch_size", "k"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not a count
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("learning_rate", "l2_weight"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.hidden < 1 or self.output_layers < 1:
             raise ValueError("hidden and output_layers must be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.l2_weight) and self.l2_weight >= 0):
+        if not 0 <= self.l2_weight < math.inf:
             raise ValueError(f"l2_weight must be finite and >= 0, got {self.l2_weight}")
-        bad = set(self.mask) - set(PROPERTIES)
-        if bad or not self.mask:
+        if not (isinstance(self.mask, list) and self.mask and all(p in PROPERTIES for p in self.mask)):
             raise ValueError(f"invalid feature mask {self.mask}")
 
     @property
@@ -52,28 +63,31 @@ class ModelConfig:
         return {p: p in self.mask for p in PROPERTIES}
 
 
-def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Weights ~ uniform(-s, s), s = sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-
-    def dense(name: str, fan_in: int, fan_out: int) -> None:
-        s = math.sqrt(6.0 / (fan_in + fan_out))
-        params[name + "_w"] = rng.uniform(-s, s, size=(fan_in, fan_out))
-        params[name + "_b"] = np.zeros((1, fan_out))
-
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's (rows, cols), in the order ``init_params`` draws
+    them: a layer's ``_w`` weight, then its (1, cols) ``_b`` bias; the GRU's
+    state weights ``gru_u*_w`` have no bias."""
     h = config.hidden
-    dense("proj", config.feature_width, h)
-    dense("agg", h, h)
-    for gate in ("z", "r", "h"):
-        dense(f"gru_w{gate}", h, h)
-        s = math.sqrt(6.0 / (h + h))
-        params[f"gru_u{gate}_w"] = rng.uniform(-s, s, size=(h, h))
-    dense("att_gate", h, 1)
-    dense("att_feat", h, h)
+    shapes = {"proj_w": (config.feature_width, h), "proj_b": (1, h), "agg_w": (h, h), "agg_b": (1, h)}
+    for gate in "zrh":
+        shapes |= {f"gru_w{gate}_w": (h, h), f"gru_w{gate}_b": (1, h), f"gru_u{gate}_w": (h, h)}
+    shapes |= {"att_gate_w": (h, 1), "att_gate_b": (1, 1), "att_feat_w": (h, h), "att_feat_b": (1, h)}
     for i in range(config.output_layers):
         out = 1 if i == config.output_layers - 1 else h
-        dense(f"cls{i}", h, out)
+        shapes |= {f"cls{i}_w": (h, out), f"cls{i}_b": (1, out)}
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Weights ~ uniform(-s, s), s = sqrt(6 / (rows + cols)); zero biases."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, (rows, cols) in param_shapes(config).items():
+        if name.endswith("_w"):
+            s = math.sqrt(6.0 / (rows + cols))
+            params[name] = rng.uniform(-s, s, size=(rows, cols))
+        else:
+            params[name] = np.zeros((rows, cols))
     return params
 
 
@@ -209,8 +223,6 @@ def train_model(
     patience: int = 10,
 ) -> tuple[dict[str, np.ndarray], int, list[EpochStats]]:
     """Returns (best params, best epoch, per-epoch history)."""
-    from .harness import compute_metrics  # local import avoids a module cycle
-
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if patience < 1:
@@ -234,25 +246,25 @@ def train_model(
     for epoch in range(1, epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
-        nbatch = 0
-        for lo in range(0, len(order), config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            batch = batch_graphs([train_graphs[i] for i in idx])
-            labels = train_labels[idx].reshape(-1, 1)
-            pt = _as_tensors(params, T.Tape())
-            logits = forward_batch(pt, batch, config)
-            # Rebinding obj frees the previous step's tape before this step's
-            # backward, so its blocks are reused; freeing a tape right after
-            # its own backward cost about 12% at k=20 (glibc trims the heap top).
-            obj = bce_logits(logits, labels)
-            grads = T.gradients(obj, list(pt.values()))
-            opt.step(params, dict(zip(pt.keys(), grads)))
-            epoch_loss += obj.item()
-            nbatch += 1
-
-        probs = infer(params, valid_graphs, config)
+        try:
+            for step, lo in enumerate(range(0, len(order), config.batch_size), 1):
+                idx = order[lo : lo + config.batch_size]
+                batch = batch_graphs([train_graphs[i] for i in idx])
+                labels = train_labels[idx].reshape(-1, 1)
+                pt = _as_tensors(params, T.Tape())
+                logits = forward_batch(pt, batch, config)
+                # Rebinding obj frees the previous step's tape before this step's
+                # backward, so its blocks are reused; freeing a tape right after
+                # its own backward cost about 12% at k=20 (glibc trims the heap top).
+                obj = bce_logits(logits, labels)
+                grads = T.gradients(obj, list(pt.values()))
+                opt.step(params, dict(zip(pt.keys(), grads)))
+                epoch_loss += obj.item()
+            probs = infer(params, valid_graphs, config)
+        except T.TensorError as e:  # a non-finite value in this step or in validation after it
+            raise T.TensorError(f"training diverged at epoch {epoch}, step {step}: {e}") from e
         f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
-        history.append(EpochStats(epoch, epoch_loss / max(nbatch, 1), f1))
+        history.append(EpochStats(epoch, epoch_loss / step, f1))
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
             best_params = {n: v.copy() for n, v in params.items()}
@@ -296,36 +308,60 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint and its vocabulary, checking that the params have
+    exactly the names and shapes ``param_shapes(config)`` gives and that the
+    vocabulary's ``k`` is the config's."""
     with open(path) as f:
         doc = parse_json(f.read(), f"checkpoint {path}")
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path} must hold a JSON object")
     if doc.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise ValueError(f"checkpoint {path}: unsupported version {doc.get('version')!r}")
     for name in ("config", "vocab_path", "params", "best_epoch"):
         if name not in doc:
             raise ValueError(f"checkpoint {path} has no {name!r} field")
+    names = [f.name for f in fields(ModelConfig)]
+    if not isinstance(doc["config"], dict) or not doc["config"].keys() <= set(names):
+        raise ValueError(f"checkpoint {path}: config must be an object with fields among {', '.join(names)}")
     try:
         config = ModelConfig(**doc["config"])
-        params = {
-            n: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-            for n, rec in doc["params"].items()
-        }
-    except (TypeError, KeyError, AttributeError, ValueError) as e:  # any malformed field
-        raise ValueError(f"checkpoint {path} has a malformed config or params: {e!r}") from e
-    vocab_path = doc["vocab_path"]
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: config: {e}") from e
+    stored = doc["params"]
+    # param_shapes lists two params per output layer: a config with more
+    # layers than the stored params could hold is refused before it is listed
+    if not isinstance(stored, dict) or 2 * config.output_layers > len(stored):
+        raise ValueError(f"checkpoint {path}: params must be an object with one record per param")
+    shapes = param_shapes(config)
+    if stored.keys() != shapes.keys():
+        missing, extra = sorted(shapes.keys() - stored.keys()), sorted(stored.keys() - shapes.keys())
+        raise ValueError(f"checkpoint {path}: params do not fit the config: missing {missing}, extra {extra}")
+    params = {}
+    for name, shape in shapes.items():
+        rec = stored[name]
+        if not (isinstance(rec, dict) and rec.get("shape") == list(shape)):
+            raise ValueError(f"checkpoint {path}: param {name} must have shape {list(shape)}")
+        try:
+            data = np.array(rec.get("data"), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"checkpoint {path}: param {name} data is not a list of numbers: {e}") from e
+        if data.shape != (shape[0] * shape[1],):
+            raise ValueError(f"checkpoint {path}: param {name} needs {shape[0] * shape[1]} values")
+        params[name] = data.reshape(shape)
+    vocab_path, best_epoch = doc["vocab_path"], doc["best_epoch"]
+    if not isinstance(vocab_path, str):
+        raise ValueError(f"checkpoint {path}: vocab_path must be a string, got {vocab_path!r}")
+    if type(best_epoch) is not int or best_epoch < 0:
+        raise ValueError(f"checkpoint {path}: best_epoch must be an int >= 0, got {best_epoch!r}")
     if not os.path.isabs(vocab_path):
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)
     with open(vocab_path) as f:
         vocab = Vocabulary.from_json(f.read(), vocab_path)
-    proj_w = params.get("proj_w")
-    width = proj_w.shape[0] if proj_w is not None and proj_w.ndim == 2 else None
-    if vocab.k != config.k or width != vocab.row_width:
+    if vocab.k != config.k:
         raise ValueError(
-            f"vocabulary {vocab_path} (k={vocab.k}, input width {vocab.row_width}) does not match "
-            f"checkpoint {path} (k={config.k}, input width {width})"
+            f"vocabulary {vocab_path} (k={vocab.k}) does not match checkpoint {path} (k={config.k})"
         )
-    return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=doc["best_epoch"])
+    return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=best_epoch)
 
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:

@@ -2,8 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from defreach.cfg import Cfg, Statement
+
+# Tier-1 runs hypothesis's default budget of 100 examples per test; CI runs
+# tests/test_fuzz.py once more with --hypothesis-profile=ci, ten times that.
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 FIG1_SRC = """\
 void f(int argc) {

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
 
 from conftest import FIG1_SRC
 from defreach.cli import main
+from defreach.embedding import Vocabulary
+from defreach.model import ModelConfig, init_params, save_checkpoint
 
 
 @pytest.fixture()
@@ -117,12 +120,24 @@ class TestPipeline:
         report = json.loads(report_path.read_text())
         assert {"precision", "recall", "f1", "ms_per_example"} <= report.keys()
 
-        example_src = sorted(data_dir.glob("*.c"))[0]
-        code, out, _ = run(capsys, "predict", example_src, "--ckpt", ckpt)
+        sources = sorted(data_dir.glob("*.c"))[:3]
+        singles = []
+        for src in sources:
+            code, out, _ = run(capsys, "predict", src, "--ckpt", ckpt)
+            assert code == 0
+            singles.append(json.loads(out))
+        for verdict in singles:
+            assert 0.0 < verdict["probability"] < 1.0
+            assert verdict["classification"] in ("safe", "vulnerable")
+
+        # one checkpoint load and one batched infer: a line per file, in argument order
+        code, out, _ = run(capsys, "predict", *sources, "--ckpt", ckpt)
         assert code == 0
-        verdict = json.loads(out)
-        assert 0.0 < verdict["probability"] < 1.0
-        assert verdict["classification"] in ("safe", "vulnerable")
+        verdicts = [json.loads(line) for line in out.splitlines()]
+        assert [v["classification"] for v in verdicts] == [v["classification"] for v in singles]
+        assert [v["probability"] for v in verdicts] == pytest.approx(
+            [v["probability"] for v in singles], abs=1e-12
+        )
 
     def test_predict_after_moving_run_directory(self, tmp_path, fig1_file, capsys):
         run_dir = tmp_path / "a"
@@ -182,9 +197,9 @@ class TestErrors:
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
         run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
-        code, _, err = run(capsys, "split", "--data", data_dir,
-                           "--fractions", "0.5,0.1")
-        assert code == 2 and "error:" in err
+        for fractions in ("0.5,0.1", "2,-1,0", "0.9,0.2,-0.1", "nan,0.5,0.5"):
+            code, _, err = run(capsys, "split", "--data", data_dir, "--fractions", fractions)
+            assert code == 2 and "error:" in err, fractions
 
     def test_checkpoint_missing_field_exits_2(self, tmp_path, fig1_file, capsys):
         ckpt = tmp_path / "model.json"
@@ -212,23 +227,64 @@ class TestErrors:
         code, _, err = run(capsys, "dfa", path)
         assert code == 2 and "error:" in err and "nest" in err
 
+    @staticmethod
+    def _write_checkpoint(path, edit=None):
+        """A valid checkpoint (k=5, hidden 8, 3 output layers) and its
+        vocabulary v.json; ``edit`` changes the document in place."""
+        config = ModelConfig(k=5, hidden=8, steps=1)
+        save_checkpoint(str(path), init_params(config, 0), config, "v.json", 1)
+        (path.parent / "v.json").write_text(Vocabulary(k=5, ranks={}).to_json())
+        if edit:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+
     @pytest.mark.parametrize(
-        "text",
+        "case,problem",
         [
-            "[1]",
-            '{"version": 1, "config": {"bogus": 1}, "vocab_path": "v.json", "params": {}, '
-            '"best_epoch": 0}',
-            '{"version": 1, "config": {}, "vocab_path": "v.json", "params": [1], "best_epoch": 0}',
-            '{"version": 1, "config": {"batch_size": 0}, "vocab_path": "v.json", "params": {}, '
-            '"best_epoch": 0}',
+            ("[1]", "JSON object"),
+            ('{"version": 1, "config": {"bogus": 1}, "vocab_path": "v.json", "params": {}, '
+             '"best_epoch": 0}', "config"),
+            ('{"version": 1, "config": {}, "vocab_path": "v.json", "params": [1], "best_epoch": 0}',
+             "params"),
+            ('{"version": 1, "config": {"batch_size": 0}, "vocab_path": "v.json", "params": {}, '
+             '"best_epoch": 0}', "batch_size must be >= 1"),
+            (lambda d: d["params"].pop("agg_w"), "missing ['agg_w']"),
+            (lambda d: d["config"].update(output_layers=4), "missing ['cls3_b', 'cls3_w']"),
+            (lambda d: d["config"].update(output_layers=10**9), "one record per param"),
+            (lambda d: d["config"].update(steps=2.5), "steps must be an int, got 2.5"),
+            (lambda d: d.update(vocab_path=3), "vocab_path must be a string, got 3"),
+            (lambda d: d["config"].update(hidden=7), "param proj_w must have shape [28, 7]"),
+            (lambda d: d["config"].update(hidden=10**9), "param proj_w must have shape [28, 1000000000]"),
+            (lambda d: d.update(best_epoch="x"), "best_epoch must be an int >= 0, got 'x'"),
+            (lambda d: d["config"].update(k="5"), "k must be an int, got '5'"),
         ],
-        ids=["non-object", "unknown-config-key", "params-not-object", "batch-size-zero"],
+        ids=["non-object", "unknown-config-key", "params-not-object", "batch-size-zero",
+             "missing-agg_w", "output-layers-4", "output-layers-1e9", "steps-2.5", "vocab-path-3", "hidden-7",
+             "hidden-1e9", "best-epoch-x", "k-string"],
     )
-    def test_malformed_checkpoint_exits_2(self, tmp_path, fig1_file, capsys, text):
+    def test_malformed_checkpoint_exits_2(self, tmp_path, fig1_file, capsys, case, problem):
         ckpt = tmp_path / "model.json"
-        ckpt.write_text(text)
-        code, _, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
-        assert code == 2 and "error:" in err and "checkpoint" in err
+        if isinstance(case, str):
+            ckpt.write_text(case)
+        else:
+            self._write_checkpoint(ckpt, case)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert str(ckpt) in err and problem in err
+        assert peak < 20e6  # no array sized from the config alone
+
+    def test_unedited_checkpoint_predicts(self, tmp_path, fig1_file, capsys):
+        ckpt = tmp_path / "model.json"
+        self._write_checkpoint(ckpt)
+        code, out, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+        assert code == 0, err
+        assert 0.0 < json.loads(out)["probability"] < 1.0
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_batch_size_below_one_exits_2(self, tmp_path, capsys, size):
@@ -268,7 +324,8 @@ class TestErrors:
             warnings.simplefilter("error")  # a numpy overflow warning would print more lines
             code, _, err = run(capsys, "train", "--data", data_dir, "--lr", "1e300", "--k", "3",
                                "--steps", "1", "--hidden", "4", "-o", ckpt)
-        assert code == 2 and err.startswith("error: non-finite output of ") and err.count("\n") == 1
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: training diverged at epoch 1, step 1: non-finite output of ")
         assert not ckpt.exists()
 
     def test_unallocatable_model_exits_2(self, tmp_path, capsys):

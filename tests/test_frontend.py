@@ -93,6 +93,14 @@ class TestInterchange:
             load_cfg('{"function": "f", "nodes": [42], "edges": [], "entry": 0, "exit": 0}')
         with pytest.raises(CfgError, match="missing field"):
             load_cfg('{"function": "f"}')
+        nodes = '[{"id": 0, "kind": "nop"}, {"id": 1, "kind": "nop"}]'
+        for bad, path in [
+            (nodes.replace('"id": 1', '"id": "a"'), r"\$\.nodes\[1\]\.id"),
+            (nodes.replace('"kind": "nop"}]', '"kind": ["nop"]}]'), r"\$\.nodes\[1\]\.kind"),
+            (nodes.replace('"kind": "nop"}]', '"kind": "nop", "code": 7}]'), r"\$\.nodes\[1\]\.code"),
+        ]:
+            with pytest.raises(CfgError, match=path):
+                load_cfg(f'{{"function": "f", "nodes": {bad}, "edges": [[0, 1]], "entry": 0, "exit": 1}}')
 
     def test_random_roundtrip(self):
         from defreach.harness import synth_generate

@@ -44,6 +44,15 @@ class TestInit:
         p2 = M.init_params(c, seed=2)
         assert any(not np.array_equal(p1[k], p2[k]) for k in p1 if k.endswith("_w"))
 
+    @pytest.mark.parametrize(
+        "config",
+        [M.ModelConfig(), M.ModelConfig(k=20, hidden=8, output_layers=1), tiny_config()],
+        ids=["default", "k20-h8-1-layer", "tiny"],
+    )
+    def test_params_follow_param_shapes(self, config):
+        params = M.init_params(config, seed=0)
+        assert [(n, v.shape) for n, v in params.items()] == list(M.param_shapes(config).items())
+
     def test_weight_bounds_and_zero_biases(self):
         params = M.init_params(tiny_config(), seed=0)
         for name, arr in params.items():
