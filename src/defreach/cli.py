@@ -20,16 +20,8 @@ import time
 import numpy as np
 
 from . import dataflow, embedding, harness, model, tensor
-from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
-from .parser import ParseError, parse_function
-
-
-def _read_cfg(path: str) -> Cfg:
-    with open(path) as f:
-        text = f.read()
-    if path.endswith(".json"):
-        return load_cfg(text)
-    return parse_function(text)
+from .cfg import Cfg, CfgError, dump_cfg, parse_json
+from .parser import ParseError
 
 
 def _write(text: str, out: str | None) -> None:
@@ -41,12 +33,12 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_parse(args) -> int:
-    _write(dump_cfg(_read_cfg(args.file)), args.output)
+    _write(dump_cfg(harness.read_cfg(args.file)), args.output)
     return 0
 
 
 def cmd_dfa(args) -> int:
-    cfg = _read_cfg(args.file)
+    cfg = harness.read_cfg(args.file)
     table, state = dataflow.compute_gen_kill(cfg, deref_defines=args.deref_defines)
     report = {
         "function": cfg.function,
@@ -73,13 +65,8 @@ def cmd_dfa(args) -> int:
 def _corpus_cfgs(directory: str) -> list[Cfg]:
     if os.path.exists(os.path.join(directory, "manifest.json")):
         return [e.cfg for e in harness.load_dataset(directory)]
-    cfgs = []
-    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
-        with open(path) as f:
-            cfgs.append(load_cfg(f.read()))
-    for path in sorted(glob.glob(os.path.join(directory, "*.c"))):
-        with open(path) as f:
-            cfgs.append(parse_function(f.read()))
+    paths = [path for ext in ("json", "c") for path in sorted(glob.glob(os.path.join(directory, f"*.{ext}")))]
+    cfgs = [harness.read_cfg(path) for path in paths]
     if not cfgs:
         raise ValueError(f"no CFG documents or sources found in {directory}")
     return cfgs
@@ -95,20 +82,14 @@ def cmd_encode(args) -> int:
     with open(args.vocab) as f:
         vocab = embedding.Vocabulary.from_json(f.read(), args.vocab)
     mask = embedding.parse_mask(args.mask)
-    rows = embedding.one_hot(embedding.encode(_read_cfg(args.file), vocab, mask), vocab.row_width)
+    rows = embedding.one_hot(embedding.encode(harness.read_cfg(args.file), vocab, mask), vocab.row_width)
     text = "\n".join(" ".join(str(int(x)) for x in row) for row in rows) + "\n"
     _write(text, args.output)
     return 0
 
 
 def cmd_synth(args) -> int:
-    examples = harness.synth_generate(
-        args.n,
-        args.seed,
-        vulnerable_fraction=args.vuln_frac,
-        branch_depth=args.branch_depth,
-        loop_depth=args.loop_depth,
-    )
+    examples = harness.synth_generate(args.n, args.seed, vulnerable_fraction=args.vuln_frac)
     harness.save_dataset(examples, args.output)
     n_vuln = sum(e.label for e in examples)
     print(f"wrote {len(examples)} examples ({n_vuln} vulnerable) to {args.output}")
@@ -209,8 +190,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = model.load_checkpoint(args.ckpt)
-    for prob in _infer(ckpt, [_read_cfg(path) for path in args.files]).tolist():
-        print(json.dumps({"probability": prob, "classification": harness.LABELS[model.classify(prob)]}))
+    for prob in _infer(ckpt, [harness.read_cfg(path) for path in args.files]).tolist():
+        print(json.dumps({"probability": prob, "classification": harness.LABELS[harness.classify(prob)]}))
     return 0
 
 
@@ -251,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vuln-frac", type=float, default=0.5)
-    p.add_argument("--branch-depth", type=int, default=2)
-    p.add_argument("--loop-depth", type=int, default=1)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_synth)
 

@@ -10,8 +10,8 @@ one sweep, OUT[v] = GEN[v] | (OR of OUT[pred] & ~KILL[v]):
     round r is computed from the round r-1 OUTs (Jacobi style), so each
     round's snapshot is reproducible exactly.
 
-Dereference statements may optionally be treated as introducing an
-anonymous definition (``deref_defines=True``); off by default.
+``compute_gen_kill(deref_defines=True)`` treats dereference statements as
+introducing an anonymous definition; ``analyze`` never does.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[list[int]]:
     return snapshots
 
 
-def analyze(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionTable, DataflowState]:
-    """Convenience: GEN/KILL plus the round-robin fixpoint in one call."""
-    table, state = compute_gen_kill(cfg, deref_defines=deref_defines)
+def analyze(cfg: Cfg) -> tuple[DefinitionTable, DataflowState]:
+    """GEN/KILL plus the round-robin fixpoint in one call."""
+    table, state = compute_gen_kill(cfg)
     return table, solve(cfg, state)

@@ -13,9 +13,9 @@ import os
 import random
 from dataclasses import dataclass
 
-from .cfg import Cfg, dump_cfg, load_cfg, parse_json
+from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
 from .dataflow import analyze
-from .parser import parse_function
+from .parser import ParseError, parse_function
 
 LABELS = ("safe", "vulnerable")
 
@@ -60,14 +60,19 @@ class Metrics:
         }
 
 
-def compute_metrics(probs: list[float], labels: list[int], threshold: float = 0.5) -> Metrics:
+def classify(prob: float) -> int:
+    """The verdict for a probability: 1 (vulnerable) iff ``prob >= 0.5``."""
+    return int(prob >= 0.5)
+
+
+def compute_metrics(probs: list[float], labels: list[int]) -> Metrics:
     if len(probs) != len(labels):
         raise ValueError(f"length mismatch: {len(probs)} predictions, {len(labels)} labels")
     if not probs:
         raise ValueError("empty input")
     tp = fp = tn = fn = 0
     for p, y in zip(probs, labels):
-        pred = p >= threshold
+        pred = classify(p)
         if pred and y:
             tp += 1
         elif pred:
@@ -141,12 +146,10 @@ TEMPLATES: dict[str, TemplateStyle] = {
 
 
 class _Writer:
-    def __init__(self, rng: random.Random, style: TemplateStyle, branch_depth: int, loop_depth: int):
+    def __init__(self, rng: random.Random, style: TemplateStyle):
         self.rng = rng
         self.style = style
         self.lines: list[str] = []
-        self.branch_depth = branch_depth
-        self.loop_depth = loop_depth
         self.counter = 0
 
     def fresh(self, pool: tuple[str, ...]) -> str:
@@ -174,11 +177,11 @@ class _Writer:
             if self.rng.random() < 0.5:
                 op = self.rng.choice(("+", "*", "-"))
                 self.lines.append(f"{v} = {v} {op} {self.num()};")
-        if self.branch_depth > 0 and self.rng.random() < self.style.branch_prob:
+        if self.rng.random() < self.style.branch_prob:
             v = self.fresh(self.style.int_names)
             self.lines.append(f"int {v} = {self.num()};")
             self.lines.append(f"if ({self.cond()}) {{ {v} = {v} * 2; }}")
-        if self.loop_depth > 0 and self.rng.random() < self.style.loop_prob:
+        if self.rng.random() < self.style.loop_prob:
             v = self.fresh(self.style.int_names)
             self.lines.append(f"int {v} = {self.num()};")
             self.lines.append(f"while ({v} > 0) {{ {v} = {v} - 1; }}")
@@ -257,13 +260,7 @@ def _render(w: _Writer, name: str) -> str:
     return f"void {name}(int n, int c) {{\n{body}\n    return;\n}}\n"
 
 
-def synth_generate(
-    n: int,
-    seed: int,
-    vulnerable_fraction: float = 0.5,
-    branch_depth: int = 2,
-    loop_depth: int = 1,
-) -> list[Example]:
+def synth_generate(n: int, seed: int, vulnerable_fraction: float = 0.5) -> list[Example]:
     """Generate n labeled examples; labels are re-derived from the analysis."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -277,7 +274,7 @@ def synth_generate(
     examples = []
     for i, label in enumerate(labels):
         project = families[rng.randrange(len(families))]
-        w = _Writer(rng, TEMPLATES[project], branch_depth, loop_depth)
+        w = _Writer(rng, TEMPLATES[project])
         shape = _CORE_SHAPES[rng.randrange(len(_CORE_SHAPES))]
         shape(w, bool(label))
         source = _render(w, f"fn_{i}")
@@ -349,7 +346,27 @@ def undersample(train: list[Example], seed: int) -> list[Example]:
     return balanced
 
 
-# -- dataset directory format -----------------------------------------
+# -- reading graphs and dataset directories ----------------------------
+
+def read_cfg(path: str) -> Cfg:
+    """The graph in ``path``: a CFG document if the name ends in .json, else
+    one mini-C function."""
+    return _read_graph(path, load_cfg if path.endswith(".json") else parse_function)
+
+
+def _read_graph(path: str, read) -> Cfg:
+    """``read`` applied to the text of ``path``. A syntax or schema error is
+    re-raised as a ValueError that names the file and keeps its position:
+    ``f.c:1:20: …`` or ``g.json: $.nodes[1].kind: …``."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return read(text)
+    except ParseError as e:
+        raise ValueError(f"{path}:{e}") from e
+    except CfgError as e:
+        raise ValueError(f"{path}: {e}") from e
+
 
 MANIFEST_FIELDS = ("id", "path", "label", "project")
 
@@ -386,8 +403,7 @@ def load_dataset(directory: str) -> list[Example]:
             raise ValueError(
                 f"{manifest_path}: examples[{i}] has label {rec['label']!r}, not one of {', '.join(LABELS)}"
             )
-        with open(os.path.join(directory, rec["path"])) as f:
-            cfg = load_cfg(f.read())
+        cfg = _read_graph(os.path.join(directory, rec["path"]), load_cfg)
         label = LABELS.index(rec["label"])
         if oracle_label(cfg) != label:
             raise ValueError(f"example {rec['id']}: stored label {rec['label']} fails re-validation")

@@ -17,7 +17,12 @@ import numpy as np
 from . import tensor as T
 from .cfg import Cfg, parse_json
 from .embedding import PROPERTIES, RESERVED_SLOTS, Vocabulary, encode
-from .harness import compute_metrics
+from .harness import classify, compute_metrics  # noqa: F401  (model.classify is part of this module's API)
+
+# The most message-passing steps a config may ask for. Every forward runs
+# config.steps rounds, so without a bound a checkpoint could keep predict
+# running for hours. The paper and the defaults use 5.
+MAX_STEPS = 64
 
 
 @dataclass
@@ -44,8 +49,8 @@ class ModelConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.hidden < 1 or self.output_layers < 1:
             raise ValueError("hidden and output_layers must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be in [0, {MAX_STEPS}], got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < math.inf:
@@ -185,10 +190,10 @@ def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float):
         self.lr, self.wd = lr, weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(v) for n, v in params.items()}
         self.v = {n: np.zeros_like(v) for n, v in params.items()}
         self.t = 0
@@ -367,7 +372,3 @@ def load_checkpoint(path: str) -> Checkpoint:
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:
     features = encode(cfg, ckpt.vocab, ckpt.config.mask_dict())
     return float(infer(ckpt.params, [(features, cfg)], ckpt.config)[0])
-
-
-def classify(prob: float, threshold: float = 0.5) -> int:
-    return int(prob >= threshold)

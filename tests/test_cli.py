@@ -184,7 +184,37 @@ class TestErrors:
         path = tmp_path / "dead.c"
         path.write_text("void f() { return; int x = 1; }")
         code, _, err = run(capsys, "parse", path)
-        assert code == 2 and err.startswith("error: 1:20: ")
+        assert code == 2 and err.startswith(f"error: {path}:1:20: ")
+
+    DEAD_SOURCE = "void f() { return; int x = 1; }"
+
+    def test_predict_names_the_bad_file_among_several(self, tmp_path, fig1_file, capsys):
+        ckpt = tmp_path / "model.json"
+        self._write_checkpoint(ckpt)
+        bad = tmp_path / "bad.c"
+        bad.write_text(self.DEAD_SOURCE)
+        code, out, err = run(capsys, "predict", fig1_file, bad, "--ckpt", ckpt)
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}:1:20: unreachable statement after return\n"
+
+    def test_vocab_build_names_the_bad_corpus_file(self, tmp_path, fig1_file, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "good.c").write_text(fig1_file.read_text())
+        bad = corpus / "bad.c"
+        bad.write_text(self.DEAD_SOURCE)
+        code, _, err = run(capsys, "vocab", "build", "--corpus", corpus, "--k", "5")
+        assert code == 2 and err == f"error: {bad}:1:20: unreachable statement after return\n"
+
+    def test_train_names_the_bad_example_document(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        doc_path = data_dir / "ex00003.json"
+        doc = json.loads(doc_path.read_text())
+        doc["nodes"][1]["kind"] = "bogus"
+        doc_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--data", data_dir, "-o", tmp_path / "model.json")
+        assert code == 2 and err == f"error: {doc_path}: $.nodes[1].kind: unknown kind 'bogus'\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "dfa", "/nonexistent.c")
@@ -253,6 +283,7 @@ class TestErrors:
             (lambda d: d["config"].update(output_layers=4), "missing ['cls3_b', 'cls3_w']"),
             (lambda d: d["config"].update(output_layers=10**9), "one record per param"),
             (lambda d: d["config"].update(steps=2.5), "steps must be an int, got 2.5"),
+            (lambda d: d["config"].update(steps=10**9), "steps must be in [0, 64], got 1000000000"),
             (lambda d: d.update(vocab_path=3), "vocab_path must be a string, got 3"),
             (lambda d: d["config"].update(hidden=7), "param proj_w must have shape [28, 7]"),
             (lambda d: d["config"].update(hidden=10**9), "param proj_w must have shape [28, 1000000000]"),
@@ -260,7 +291,7 @@ class TestErrors:
             (lambda d: d["config"].update(k="5"), "k must be an int, got '5'"),
         ],
         ids=["non-object", "unknown-config-key", "params-not-object", "batch-size-zero",
-             "missing-agg_w", "output-layers-4", "output-layers-1e9", "steps-2.5", "vocab-path-3", "hidden-7",
+             "missing-agg_w", "output-layers-4", "output-layers-1e9", "steps-2.5", "steps-1e9", "vocab-path-3", "hidden-7",
              "hidden-1e9", "best-epoch-x", "k-string"],
     )
     def test_malformed_checkpoint_exits_2(self, tmp_path, fig1_file, capsys, case, problem):
@@ -305,8 +336,10 @@ class TestErrors:
             ("--lr", "0", "learning_rate must be finite and > 0, got 0.0"),
             ("--l2", "nan", "l2_weight must be finite and >= 0, got nan"),
             ("--l2", "-1", "l2_weight must be finite and >= 0, got -1.0"),
+            ("--steps", "1000000000", "steps must be in [0, 64], got 1000000000"),
         ],
-        ids=["epochs-0", "epochs-neg", "patience-0", "lr-nan", "lr-inf", "lr-0", "l2-nan", "l2-neg"],
+        ids=["epochs-0", "epochs-neg", "patience-0", "lr-nan", "lr-inf", "lr-0", "l2-nan", "l2-neg",
+             "steps-1e9"],
     )
     def test_invalid_training_setting_exits_2(self, tmp_path, capsys, option, value, problem):
         data_dir = tmp_path / "d"

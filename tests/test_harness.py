@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from defreach.cfg import dump_cfg
 from defreach.dataflow import analyze
 from defreach.harness import (
     TEMPLATES,
@@ -49,6 +51,17 @@ class TestGeneration:
         assert [(e.id, e.project, e.source, e.label) for e in a] == [
             (e.id, e.project, e.source, e.label) for e in b
         ]
+
+    def test_corpus_and_its_graphs_are_pinned(self):
+        # The acceptance gate trains on this generator: a change to the corpus
+        # or to the graphs parsed from it must update these digests on purpose.
+        corpus, graphs = hashlib.sha256(), hashlib.sha256()
+        for e in synth_generate(200, seed=0):
+            for part in (e.id, e.project, str(e.label), e.source):
+                corpus.update(part.encode() + b"\0")
+            graphs.update(dump_cfg(parse_function(e.source)).encode())
+        assert corpus.hexdigest() == "a4a5120235d68cc65dbead28a40a783df959fb0aca68ceefca6b238d9379d964"
+        assert graphs.hexdigest() == "54a43f05ea864cb74a2029e766082330c9b189c4b07212e9aa00a950c934a99c"
 
     def test_projects_drawn_from_template_families(self):
         data = synth_generate(200, seed=3)

@@ -29,6 +29,16 @@ def random_graphs(config, seed, n_graphs=3):
     return graphs
 
 
+class TestConfig:
+    def test_steps_are_bounded(self):
+        # every forward runs config.steps rounds, so an unbounded value hangs predict
+        with pytest.raises(ValueError, match=r"steps must be in \[0, 64\], got 1000000000"):
+            M.ModelConfig(steps=10**9)
+        with pytest.raises(ValueError, match="steps must be in"):
+            M.ModelConfig(steps=-1)
+        assert M.ModelConfig(steps=M.MAX_STEPS).steps == 64
+
+
 class TestInit:
     def test_deterministic_per_seed(self):
         c = tiny_config()
