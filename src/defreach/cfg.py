@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +25,7 @@ class CfgError(Exception):
     """Raised for malformed graphs or interchange documents."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     kind: str
     code: str = ""
@@ -71,7 +72,8 @@ class Cfg:
             self._succ[a].append(b)
             self._pred[b].append(a)
         # the same sorted edges as an (E, 2) int64 array, for batching
-        self.edge_array = np.array(ordered, dtype=np.int64).reshape(-1, 2)
+        flat = chain.from_iterable(ordered)
+        self.edge_array = np.fromiter(flat, dtype=np.int64, count=2 * len(ordered)).reshape(-1, 2)
         self.edge_array.flags.writeable = False
 
     def validate(self) -> None:
@@ -81,12 +83,12 @@ class Cfg:
         if not (0 <= self.entry < n and 0 <= self.exit < n):
             raise CfgError(f"entry/exit id out of range for {n} nodes")
         reach = _closure(self.entry, self._succ)
-        if len(reach) != n:
-            missing = sorted(set(range(n)) - reach)
+        if not all(reach):
+            missing = [v for v in range(n) if not reach[v]]
             raise CfgError(f"nodes unreachable from entry: {missing}")
         co_reach = _closure(self.exit, self._pred)
-        if len(co_reach) != n:
-            stuck = sorted(set(range(n)) - co_reach)
+        if not all(co_reach):
+            stuck = [v for v in range(n) if not co_reach[v]]
             raise CfgError(f"exit unreachable from nodes: {stuck}")
 
     def successors(self, v: int) -> list[int]:
@@ -103,17 +105,18 @@ class Cfg:
             if seen[root]:
                 continue
             seen[root] = True
-            stack = [(root, iter(self._succ[root]))]
-            while stack:
-                v, pending = stack[-1]
-                for s in pending:
+            # the DFS path and, in a parallel stack, the successors each node on it has left
+            path, pending = [root], [iter(self._succ[root])]
+            while path:
+                for s in pending[-1]:
                     if not seen[s]:
                         seen[s] = True
-                        stack.append((s, iter(self._succ[s])))
+                        path.append(s)
+                        pending.append(iter(self._succ[s]))
                         break
                 else:
-                    stack.pop()
-                    order.append(v)
+                    pending.pop()
+                    order.append(path.pop())
         order.reverse()
         return order
 
@@ -121,13 +124,15 @@ class Cfg:
         return dump_cfg(self) == dump_cfg(other)
 
 
-def _closure(start: int, adjacency: list[list[int]]) -> set[int]:
-    seen = {start}
+def _closure(start: int, adjacency: list[list[int]]) -> list[bool]:
+    """Whether each node is reachable from ``start`` along ``adjacency``."""
+    seen = [False] * len(adjacency)
+    seen[start] = True
     stack = [start]
     while stack:
         for m in adjacency[stack.pop()]:
-            if m not in seen:
-                seen.add(m)
+            if not seen[m]:
+                seen[m] = True
                 stack.append(m)
     return seen
 

@@ -1,14 +1,19 @@
 """Reaching-definitions analysis over a Cfg, with definition sets as int masks.
 
 Bit i of a mask is definition i of the DefinitionTable. Both solvers repeat
-one sweep, OUT[v] = GEN[v] | (OR of OUT[pred] & ~KILL[v]):
+one sweep, OUT[v] = GEN[v] | (OR of OUT[pred] & ~KILL[v]), over rows
+(v, predecessors of v, GEN[v], ~KILL[v]) built once per call, so each
+node's predecessor list is read from the Cfg once however many sweeps run:
   * ``solve`` -- round-robin sweeps in reverse postorder that update OUT in
     place (Gauss-Seidel) until a sweep changes nothing; on a reducible graph
     that takes at most d+2 sweeps, d the most back edges on any acyclic path
-    (production path);
+    (production path); IN is one more sweep over the same predecessor
+    lists, with nothing generated or killed;
   * ``trace`` -- synchronous sweeps in node-id order, where every OUT of
     round r is computed from the round r-1 OUTs (Jacobi style), so each
-    round's snapshot is reproducible exactly.
+    round's snapshot is reproducible exactly. It reaches its fixpoint within
+    about n + 1 rounds for n nodes and repeats that snapshot from then on;
+    it runs at most ``MAX_TRACE_ROUNDS`` rounds.
 
 ``compute_gen_kill(deref_defines=True)`` treats dereference statements as
 introducing an anonymous definition; ``analyze`` never does.
@@ -16,14 +21,20 @@ introducing an anonymous definition; ``analyze`` never does.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .cfg import Cfg
+from .cfg import DEFINITION_KINDS, Cfg
 
 
-@dataclass(frozen=True)
-class Definition:
+# Enough for a synchronous trace to reach its fixpoint (about n + 1 rounds)
+# on functions of up to about a thousand nodes. Every round holds a mask per
+# node, and `defreach dfa --trace` prints each as one character per
+# definition: about 3.4 MB a round on a 1200-node function.
+MAX_TRACE_ROUNDS = 1000
+
+
+class Definition(NamedTuple):
     def_id: int
     node: int
     variable: str
@@ -63,40 +74,42 @@ def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionT
     Anonymous definitions from deref statements define a per-node fresh
     variable, so they kill nothing.
     """
-    table = DefinitionTable()
+    entries: list[Definition] = []
     gen = [0] * len(cfg.nodes)
     kill = [0] * len(cfg.nodes)
     by_variable: dict[str, int] = {}  # variable -> mask of all its definitions
     for node, stmt in enumerate(cfg.nodes):
-        if stmt.is_definition():
+        if stmt.kind in DEFINITION_KINDS:
             variable = stmt.target
         elif deref_defines and stmt.kind == "deref-use":
             variable = f"<deref@{node}>"
         else:
             continue
-        gen[node] = 1 << table.width
-        by_variable[variable] = by_variable.get(variable, 0) | gen[node]
-        table.entries.append(Definition(table.width, node, variable))
-    for d in table.entries:
-        kill[d.node] = by_variable[d.variable] & ~gen[d.node]
-    return table, DataflowState(gen=gen, kill=kill)
+        bit = 1 << len(entries)
+        gen[node] = bit
+        by_variable[variable] = by_variable.get(variable, 0) | bit
+        entries.append(Definition(len(entries), node, variable))
+    for _, node, variable in entries:
+        kill[node] = by_variable[variable] ^ gen[node]  # the variable's other definitions
+    return DefinitionTable(entries), DataflowState(gen=gen, kill=kill)
 
 
-def _meet(cfg: Cfg, out: list[int], v: int) -> int:
-    inb = 0
-    for u in cfg.predecessors(v):
-        inb |= out[u]
-    return inb
+def _rows(cfg: Cfg, state: DataflowState, order) -> list[tuple[int, list[int], int, int]]:
+    """(v, predecessors of v, GEN[v], ~KILL[v]) for each v in order."""
+    gen, kill = state.gen, state.kill
+    return [(v, cfg.predecessors(v), gen[v], ~kill[v]) for v in order]
 
 
-def _sweep(cfg: Cfg, state: DataflowState, order: Iterable[int], src: list[int], dst: list[int]) -> bool:
-    """dst[v] = GEN[v] | (OR of src[pred] & ~KILL[v]) for each v in order;
+def _sweep(rows: list[tuple[int, list[int], int, int]], src: list[int], dst: list[int]) -> bool:
+    """dst[v] = GEN[v] | (OR of src[pred] & ~KILL[v]) for each row in turn;
     returns whether any dst[v] changed. With ``src is dst`` a node sees the
     OUTs its predecessors got earlier in the same sweep."""
-    gen, kill = state.gen, state.kill
     changed = False
-    for v in order:
-        out = gen[v] | (_meet(cfg, src, v) & ~kill[v])
+    for v, preds, gen, keep in rows:
+        inb = 0
+        for u in preds:
+            inb |= src[u]
+        out = gen | (inb & keep)
         if out != dst[v]:
             dst[v] = out
             changed = True
@@ -105,12 +118,15 @@ def _sweep(cfg: Cfg, state: DataflowState, order: Iterable[int], src: list[int],
 
 def solve(cfg: Cfg, state: DataflowState) -> DataflowState:
     """Least fixpoint of IN[v] = U OUT[pred], OUT[v] = GEN u (IN - KILL)."""
+    rows = _rows(cfg, state, cfg.reverse_postorder())
     out = [0] * len(cfg.nodes)
-    order = cfg.reverse_postorder()
-    while _sweep(cfg, state, order, out, out):
+    while _sweep(rows, out, out):
         pass
+    # IN is one more sweep, with nothing generated or killed, into a list of its own
+    inb = [0] * len(cfg.nodes)
+    _sweep([(v, preds, 0, -1) for v, preds, _, _ in rows], out, inb)
     state.out = out
-    state.inb = [_meet(cfg, out, v) for v in range(len(cfg.nodes))]
+    state.inb = inb
     return state
 
 
@@ -118,11 +134,13 @@ def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[list[int]]:
     """Per-round OUT snapshots of synchronous full sweeps; snapshot 0 is all zeros."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    nodes = range(len(cfg.nodes))
+    if rounds > MAX_TRACE_ROUNDS:
+        raise ValueError(f"rounds must be <= {MAX_TRACE_ROUNDS}, got {rounds}")
+    rows = _rows(cfg, state, range(len(cfg.nodes)))
     snapshots = [[0] * len(cfg.nodes)]
     for _ in range(rounds):
         out = snapshots[-1].copy()
-        _sweep(cfg, state, nodes, snapshots[-1], out)
+        _sweep(rows, snapshots[-1], out)
         snapshots.append(out)
     return snapshots
 

@@ -25,17 +25,24 @@ MAX_NESTING = 200
 TYPE_KEYWORDS = {"int", "char", "float", "double", "void", "long"}
 KEYWORDS = TYPE_KEYWORDS | {"if", "else", "while", "return", "NULL"}
 _OPERATORS = ("<=", ">=", "==", "!=", "&&", "||", *"-+*/%<>!=")
+_BINARY_OPERATORS = frozenset(_OPERATORS) - {"!", "="}
 
-# Group 1 is a token; a comment matches with no group and whitespace is never
-# matched, so findall skips both. The catch-all \S is an unexpected character.
+# Each match consumes the whitespace before it and then a comment, a token
+# (group 1) or the end of the input, so whitespace costs no match attempt of
+# its own; findall yields "" for a comment and for the end. The catch-all \S
+# is an unexpected character. Without the \Z alternative a run of trailing
+# whitespace would be rescanned from each of its positions: quadratic time.
 _TOKEN_RE = re.compile(
     r"""
-    //[^\n]*
-  | ( \d+
-    | [A-Za-z_]\w*
-    | <=|>=|==|!=|&&|\|\||[-+*/%<>!=]
-    | [()\[\]{};,]
-    | \S
+    \s*
+    (?: //[^\n]*
+      | ( \d+
+        | [A-Za-z_]\w*
+        | <=|>=|==|!=|&&|\|\||[-+*/%<>!=]
+        | [()\[\]{};,]
+        | \S
+        )
+      | \Z
     )
     """,
     re.VERBOSE,
@@ -70,7 +77,7 @@ class UnsupportedError(ParseError):
 
 def _lex(source: str) -> tuple[list[str], list[str]]:
     """Token texts and kinds, each list ending with the eof sentinel ("", "eof")."""
-    texts = [t for t in _TOKEN_RE.findall(source) if t]  # a comment matches as ""
+    texts = [t for t in _TOKEN_RE.findall(source) if t]
     kinds = [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "?") for t in texts]
     if "?" in kinds:
         for i, text in enumerate(texts):
@@ -85,13 +92,15 @@ def _lex(source: str) -> tuple[list[str], list[str]]:
 
 def _position(source: str, i: int) -> tuple[int, int]:
     """1-based line and column of token ``i`` of ``_lex(source)``; the eof token is at the end."""
-    starts = (m.start() for m in _TOKEN_RE.finditer(source) if m.lastindex)
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(source) if m.lastindex)
     start = next(islice(starts, i, None), len(source))
     return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
 
 
 class _ExprInfo:
     """Accumulates the properties read off an expression."""
+
+    __slots__ = ("constants", "operators", "uses", "text_parts")
 
     def __init__(self):
         self.constants: list[str] = []
@@ -112,6 +121,10 @@ class _ExprInfo:
 
 
 class _Parser:
+    """Walks the token lists by index. The hot paths step ``self.i`` themselves
+    rather than through a helper method, which a scan-large sweep called about
+    170k times."""
+
     def __init__(self, source: str):
         self.source = source
         self.texts, self.kinds = _lex(source)
@@ -123,21 +136,21 @@ class _Parser:
     def pos(self, i: int) -> tuple[int, int]:
         return _position(self.source, i)
 
-    def advance(self) -> int:
-        self.i += 1
-        return self.i - 1
-
     def expect(self, text: str) -> int:
-        if self.texts[self.i] != text:
-            found = self.texts[self.i] or "end of input"
-            raise ParseError(f"expected {text!r}, found {found!r}", *self.pos(self.i))
-        return self.advance()
+        i = self.i
+        if self.texts[i] != text:
+            found = self.texts[i] or "end of input"
+            raise ParseError(f"expected {text!r}, found {found!r}", *self.pos(i))
+        self.i = i + 1
+        return i
 
-    def expect_ident(self) -> int:
-        if self.kinds[self.i] != "ident":
-            found = self.texts[self.i] or "end of input"
-            raise ParseError(f"expected identifier, found {found!r}", *self.pos(self.i))
-        return self.advance()
+    def expect_ident(self) -> str:
+        i = self.i
+        if self.kinds[i] != "ident":
+            found = self.texts[i] or "end of input"
+            raise ParseError(f"expected identifier, found {found!r}", *self.pos(i))
+        self.i = i + 1
+        return self.texts[i]
 
     def open_level(self, i: int) -> None:
         """Enter a nesting level opened by token ``i``; the caller decrements ``depth`` on leaving."""
@@ -145,39 +158,36 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.pos(i))
 
-    def at_type(self) -> bool:
-        return self.kinds[self.i] == "keyword" and self.texts[self.i] in TYPE_KEYWORDS
-
     def parse_type(self) -> str:
-        base = self.texts[self.advance()]
-        stars = ""
-        while self.texts[self.i] == "*":
-            self.advance()
-            stars += "*"
-        return base + stars
+        """A type keyword, which the caller has seen, and its stars."""
+        start = self.i
+        end = start + 1
+        while self.texts[end] == "*":
+            end += 1
+        self.i = end
+        return self.texts[start] + "*" * (end - start - 1)
 
     # -- function ------------------------------------------------------
     def parse_function(self) -> Cfg:
-        if not self.at_type():
+        if self.texts[self.i] not in TYPE_KEYWORDS:
             raise ParseError(
                 f"expected return type, found {self.texts[self.i]!r}", *self.pos(self.i)
             )
         self.parse_type()
-        name = self.texts[self.expect_ident()]
+        name = self.expect_ident()
         self.expect("(")
         if self.texts[self.i] != ")":
             while True:
-                if not self.at_type():
+                if self.texts[self.i] not in TYPE_KEYWORDS:
                     raise ParseError(
                         f"expected parameter type, found {self.texts[self.i]!r}",
                         *self.pos(self.i),
                     )
                 ptype = self.parse_type()
-                pname = self.texts[self.expect_ident()]
-                self.types[pname] = ptype
+                self.types[self.expect_ident()] = ptype
                 if self.texts[self.i] != ",":
                     break
-                self.advance()
+                self.i += 1
         self.expect(")")
 
         builder = _CfgBuilder(name)
@@ -193,33 +203,35 @@ class _Parser:
 
     # -- statements ----------------------------------------------------
     def parse_block(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
+        """``{ statement* }``: returns the nodes control leaves the block from."""
         self.open_level(self.expect("{"))
-        while self.texts[self.i] != "}":
-            if self.kinds[self.i] == "eof":
+        texts = self.texts
+        while True:
+            text = texts[self.i]
+            if text == "}":
+                break
+            if not text:  # the eof sentinel
                 raise ParseError("unexpected end of input in block", *self.pos(self.i))
             if not preds:  # every path through the previous statement returned
                 raise ParseError("unreachable statement after return", *self.pos(self.i))
-            preds = self.parse_statement(builder, preds)
-        self.expect("}")
+            if text == "if":
+                preds = self.parse_if(builder, preds)
+            elif text == "while":
+                preds = self.parse_while(builder, preds)
+            elif text == "return":
+                self.parse_return(builder, preds)
+                preds = []
+            elif text in TYPE_KEYWORDS:
+                preds = [builder.add(self.parse_decl(), preds)]
+            else:
+                preds = [builder.add(self.parse_simple(), preds)]
+        self.i += 1  # the '}'
         self.depth -= 1
         return preds
 
-    def parse_statement(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        text = self.texts[self.i]
-        if text == "if":
-            return self.parse_if(builder, preds)
-        if text == "while":
-            return self.parse_while(builder, preds)
-        if text == "return":
-            self.parse_return(builder, preds)
-            return []
-        if self.at_type():
-            return [builder.add(self.parse_decl(), preds)]
-        return [builder.add(self.parse_simple(), preds)]
-
-    def parse_condition(self, keyword: str, builder: "_CfgBuilder", preds: list[int]) -> int:
-        """``keyword ( expr )``, the header of an if or a while: adds the condition node."""
-        self.expect(keyword)
+    def parse_condition(self, builder: "_CfgBuilder", preds: list[int]) -> int:
+        """``( expr )`` after an if or a while keyword: adds the condition node."""
+        self.i += 1  # the keyword
         self.expect("(")
         info = _ExprInfo()
         self.parse_expr(info)
@@ -227,23 +239,23 @@ class _Parser:
         return builder.add(info.statement("condition"), preds)
 
     def parse_if(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        cond_id = self.parse_condition("if", builder, preds)
+        cond_id = self.parse_condition(builder, preds)
         then_out = self.parse_block(builder, [cond_id])
         if self.texts[self.i] == "else":
-            self.advance()
+            self.i += 1
             else_out = self.parse_block(builder, [cond_id])
             return then_out + else_out
         return then_out + [cond_id]
 
     def parse_while(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        cond_id = self.parse_condition("while", builder, preds)
+        cond_id = self.parse_condition(builder, preds)
         body_out = self.parse_block(builder, [cond_id])
         for v in body_out:  # back edge(s) to the loop header
             builder.edges.add((v, cond_id))
         return [cond_id]
 
     def parse_return(self, builder: "_CfgBuilder", preds: list[int]) -> None:
-        self.expect("return")
+        self.i += 1  # the keyword
         info = _ExprInfo()
         if self.texts[self.i] != ";":
             self.parse_expr(info)
@@ -254,12 +266,12 @@ class _Parser:
     def parse_decl(self) -> Statement:
         start = self.i
         decl_type = self.parse_type()
-        name = self.texts[self.expect_ident()]
+        name = self.expect_ident()
         if self.texts[self.i] == ",":
             raise UnsupportedError("multiple declarators in one declaration", *self.pos(self.i))
         if self.texts[self.i] != "=":
             raise UnsupportedError("declaration without initializer", *self.pos(start))
-        self.advance()
+        self.i += 1
         self.types[name] = decl_type
         stmt = self.parse_def_rhs(name, decl_type, "decl-init", f"{decl_type} {name} = ")
         if self.texts[self.i] == ",":
@@ -298,7 +310,7 @@ class _Parser:
                     self.parse_expr(info)
                     if self.texts[self.i] != ",":
                         break
-                    self.advance()
+                    self.i += 1
                     info.text_parts.append(", ")
             self.expect(")")
             info.text_parts.append(")")
@@ -307,7 +319,7 @@ class _Parser:
             self.parse_expr(info)
             if kind is None:
                 kind = "assign"
-        return info.statement(kind, prefix, target=target, decl_type=decl_type, callee=callee)
+        return info.statement(kind, prefix, target, decl_type, callee)
 
     def parse_deref_stmt(self) -> Statement:
         """A statement starting ``*x`` or ``x[``, the only ones ``parse_simple`` sends here."""
@@ -321,55 +333,62 @@ class _Parser:
     # -- expressions ---------------------------------------------------
     def parse_expr(self, info: _ExprInfo) -> None:
         self.parse_atom(info)
-        while self.kinds[self.i] == "op" and self.texts[self.i] not in ("!", "="):
-            op = self.texts[self.advance()]
+        texts = self.texts
+        while (op := texts[self.i]) in _BINARY_OPERATORS:
+            self.i += 1
             info.operators.append(op)
             info.text_parts.append(f" {op} ")
             self.parse_atom(info)
 
     def parse_atom(self, info: _ExprInfo) -> None:
-        i, text, kind = self.i, self.texts[self.i], self.kinds[self.i]
-        if text == "(":
-            self.open_level(self.advance())
+        i = self.i
+        text = self.texts[i]
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.i = i + 1
+            info.uses.add(text)
+            info.text_parts.append(text)
+            after = self.texts[i + 1]
+            if after == "[":
+                self.open_level(i + 1)
+                self.i = i + 2
+                info.text_parts.append("[")
+                self.parse_expr(info)
+                self.expect("]")
+                info.text_parts.append("]")
+                self.depth -= 1
+            elif after == "(":
+                raise UnsupportedError(
+                    f"call to {text!r} nested inside an expression", *self.pos(i)
+                )
+        elif kind == "num":
+            self.i = i + 1
+            info.constants.append(text)
+            info.text_parts.append(text)
+        elif text == "(":
+            self.open_level(i)
+            self.i = i + 1
             info.text_parts.append("(")
             self.parse_expr(info)
             self.expect(")")
             info.text_parts.append(")")
             self.depth -= 1
         elif text == "*":
-            self.advance()
-            name = self.texts[self.expect_ident()]
+            self.i = i + 1
+            name = self.expect_ident()
             info.uses.add(name)
             info.text_parts.append(f"*{name}")
         elif text == "!":
-            self.open_level(self.advance())
+            self.open_level(i)
+            self.i = i + 1
             info.operators.append("!")
             info.text_parts.append("!")
             self.parse_atom(info)
             self.depth -= 1
-        elif kind == "num":
-            self.advance()
-            info.constants.append(text)
-            info.text_parts.append(text)
         elif text == "NULL":
-            self.advance()
+            self.i = i + 1
             info.constants.append("NULL")
             info.text_parts.append("NULL")
-        elif kind == "ident":
-            self.advance()
-            info.uses.add(text)
-            info.text_parts.append(text)
-            if self.texts[self.i] == "[":
-                self.open_level(self.advance())
-                info.text_parts.append("[")
-                self.parse_expr(info)
-                self.expect("]")
-                info.text_parts.append("]")
-                self.depth -= 1
-            elif self.texts[self.i] == "(":
-                raise UnsupportedError(
-                    f"call to {text!r} nested inside an expression", *self.pos(i)
-                )
         else:
             raise ParseError(
                 f"unexpected token {text or 'end of input'!r} in expression", *self.pos(i)
@@ -388,7 +407,8 @@ class _CfgBuilder:
     def add(self, stmt: Statement, preds: list[int]) -> int:
         node = len(self.nodes)
         self.nodes.append(stmt)
-        self.edges.update((p, node) for p in preds)
+        for p in preds:
+            self.edges.add((p, node))
         return node
 
     def finish(self, dangling: list[int]) -> Cfg:

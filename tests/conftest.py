@@ -7,7 +7,8 @@ from hypothesis import settings
 from defreach.cfg import Cfg, Statement
 
 # Tier-1 runs hypothesis's default budget of 100 examples per test; CI runs
-# tests/test_fuzz.py once more with --hypothesis-profile=ci, ten times that.
+# tests/test_fuzz.py and tests/test_frontend.py once more with
+# --hypothesis-profile=ci, ten times that.
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 FIG1_SRC = """\
@@ -24,10 +25,12 @@ def fig1_src():
     return FIG1_SRC
 
 
-def random_cfg(rng: random.Random, max_nodes: int = 20, max_vars: int = 8) -> Cfg:
+def random_cfg(
+    rng: random.Random, max_nodes: int = 20, max_vars: int = 8, min_nodes: int = 3
+) -> Cfg:
     """Random structured CFG built directly (no parser): a chain guaranteeing
     the reachability invariants, plus random extra edges."""
-    n_mid = rng.randint(1, max_nodes - 2)
+    n_mid = rng.randint(min_nodes - 2, max_nodes - 2)
     variables = [f"v{i}" for i in range(rng.randint(1, max_vars))]
     nodes = [Statement(kind="nop", code="<entry>")]
     for i in range(n_mid):

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from conftest import FIG1_SRC
+from defreach import dataflow
 from defreach.cli import main
 from defreach.embedding import Vocabulary
 from defreach.model import ModelConfig, init_params, save_checkpoint
@@ -223,6 +224,13 @@ class TestErrors:
     def test_negative_trace_exits_2(self, fig1_file, capsys):
         code, _, err = run(capsys, "dfa", fig1_file, "--trace", "-1")
         assert code == 2 and "error:" in err
+
+    def test_trace_above_the_round_bound_exits_2(self, fig1_file, capsys):
+        # checked before any round runs: an unbounded count grows memory without end
+        rounds = dataflow.MAX_TRACE_ROUNDS + 1
+        code, out, err = run(capsys, "dfa", fig1_file, "--trace", rounds)
+        assert code == 2 and out == ""
+        assert err == f"error: rounds must be <= {dataflow.MAX_TRACE_ROUNDS}, got {rounds}\n"
 
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         data_dir = tmp_path / "d"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from defreach.dataflow import bit_string, compute_gen_kill, solve, trace
+from defreach.dataflow import MAX_TRACE_ROUNDS, bit_string, compute_gen_kill, solve, trace
 from defreach.parser import parse_function
 
 from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg
@@ -86,12 +86,18 @@ class TestSolve:
                 inb |= state.out[u]
             assert state.out[v] == state.gen[v] | (inb & ~state.kill[v])
 
-    # the dense oracle takes about 25 ms on a 130-node graph, so fewer large ones
-    @pytest.mark.parametrize("max_nodes,count", [(20, 200), (400, 12)], ids=["20", "400"])
-    def test_random_cfgs_match_naive_oracle(self, max_nodes, count):
+    # the dense oracle takes about 25 ms on a 130-node graph and over a second
+    # on a 1000-node one, so fewer large ones
+    @pytest.mark.parametrize(
+        "min_nodes,max_nodes,count",
+        [(3, 20, 200), (3, 400, 12), (1000, 1200, 2)],
+        ids=["20", "400", "1000-1200"],
+    )
+    def test_random_cfgs_match_naive_oracle(self, min_nodes, max_nodes, count):
         rng = random.Random(42)
         for _ in range(count):
-            cfg = random_cfg(rng, max_nodes=max_nodes, max_vars=8)
+            cfg = random_cfg(rng, max_nodes=max_nodes, max_vars=8, min_nodes=min_nodes)
+            assert len(cfg.nodes) >= min_nodes
             table, state = compute_gen_kill(cfg)
             solve(cfg, state)
             _, gen, kill = brute_gen_kill(cfg)
@@ -117,6 +123,14 @@ class TestTrace:
         table, state = compute_gen_kill(fig1_cfg, deref_defines=True)
         with pytest.raises(ValueError):
             trace(fig1_cfg, state, -1)
+
+    def test_rounds_bounded(self, fig1_cfg):
+        table, state = compute_gen_kill(fig1_cfg, deref_defines=True)
+        snapshots = trace(fig1_cfg, state, MAX_TRACE_ROUNDS)  # the bound itself is allowed
+        assert len(snapshots) == MAX_TRACE_ROUNDS + 1
+        assert snapshots[-1] == snapshots[len(fig1_cfg.nodes) + 1]  # the fixpoint, repeated
+        with pytest.raises(ValueError, match=f"rounds must be <= {MAX_TRACE_ROUNDS}, got {MAX_TRACE_ROUNDS + 1}"):
+            trace(fig1_cfg, state, MAX_TRACE_ROUNDS + 1)
 
     def test_monotone_and_stable_and_matches_solve(self):
         rng = random.Random(3)

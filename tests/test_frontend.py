@@ -180,7 +180,9 @@ SYNTH_SOURCES = [e.source for e in synth_generate(12, seed=5)]
 SYNTH_TOKEN_RE = re.compile(r"\w+|[<>=!]=|&&|\|\||\S")
 
 
-@settings(max_examples=150, deadline=None)
+# Half as many examples again as the profile's budget: 150 in tier-1, and
+# ten times that under CI's --hypothesis-profile=ci (conftest.py).
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(st.sampled_from(SYNTH_SOURCES), st.sampled_from('@#$?~^:`"'), st.data())
 def test_unexpected_character_reports_its_offset(source, char, data):
     offset = data.draw(st.integers(0, len(source)))
@@ -190,15 +192,44 @@ def test_unexpected_character_reports_its_offset(source, char, data):
     assert (exc.value.line, exc.value.col) == (len(lines_before), len(lines_before[-1]) + 1)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(st.sampled_from(SYNTH_SOURCES), st.data())
 def test_whitespace_and_comments_between_tokens_leave_the_cfg_alone(source, data):
     boundaries = sorted(
         {0, len(source)} | {b for m in SYNTH_TOKEN_RE.finditer(source) for b in m.span()}
     )
     picked = data.draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=12, unique=True))
-    runs = st.lists(st.sampled_from([" ", "\t", "\r\n", "\f", "// note\n"]), min_size=1, max_size=4)
+    blanks = [" ", "\t", "\r\n", "\f", "\v", "\u00a0", "\u3000", "// note\n"]
+    runs = st.lists(st.sampled_from(blanks), min_size=1, max_size=4)
     noisy = source
     for b in sorted(picked, reverse=True):
         noisy = noisy[:b] + "".join(data.draw(runs)) + noisy[b:]
     assert dump_cfg(parse_function(noisy)) == dump_cfg(parse_function(source))
+
+
+# The lexer consumes the whitespace before each token inside the token's own
+# match. Its pattern ends in an end-of-input alternative: without it a run of
+# trailing whitespace would be rescanned from each of its positions, in time
+# quadratic in the run's length, and these 200k-character runs would hang.
+LONG_RUNS = {"spaces": " " * 200_000, "newlines": "\n" * 200_000, "mixed": " \t\n" * 70_000}
+
+
+@pytest.mark.parametrize("run", LONG_RUNS.values(), ids=LONG_RUNS.keys())
+def test_long_whitespace_runs_parse_in_linear_time(run):
+    source = "void f(int n) { n = n + 1; }"
+    graph = dump_cfg(parse_function(source))
+    assert dump_cfg(parse_function(source + run)) == graph  # at the end
+    assert dump_cfg(parse_function(source.replace("+ ", "+" + run))) == graph  # between two tokens
+    assert dump_cfg(parse_function(source + run + "// no newline")) == graph
+    with pytest.raises(ParseError, match="trailing input") as exc:  # positions count the run too
+        parse_function(source + run + "n")
+    lines = (source + run).split("\n")
+    assert (exc.value.line, exc.value.col) == (len(lines), len(lines[-1]) + 1)
+
+
+def test_trailing_comment_without_newline():
+    source = "void f(int n) { n = n + 1; }"
+    assert dump_cfg(parse_function(source + "// " + "x" * 200_000)) == dump_cfg(parse_function(source))
+    with pytest.raises(ParseError, match="end of input") as exc:
+        parse_function("void f(int n) { n = n + 1; // }")
+    assert (exc.value.line, exc.value.col) == (1, 32)
