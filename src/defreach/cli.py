@@ -10,6 +10,7 @@ training run whose values overflow (say, ``--lr 1e300``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import glob
 import json
@@ -24,12 +25,19 @@ from .cfg import Cfg, CfgError, dump_cfg, parse_json
 from .parser import ParseError
 
 
-def _write(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _opened(out: str | None):
+    """The file ``out`` opened for writing, or standard output without one."""
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            yield f
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(text: str, out: str | None) -> None:
+    with _opened(out) as f:
+        f.write(text)
 
 
 def cmd_parse(args) -> int:
@@ -47,18 +55,24 @@ def cmd_dfa(args) -> int:
         ],
     }
     bits = functools.partial(dataflow.bit_string, width=table.width)
-    if args.trace is not None:
-        snapshots = dataflow.trace(cfg, state, args.trace)
-        report["trace"] = [
-            {str(v): bits(snap[v]) for v in range(len(cfg.nodes))} for snap in snapshots
-        ]
-    else:
+    if args.trace is None:
         dataflow.solve(cfg, state)
         report["nodes"] = [
             {"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
             for v in range(len(cfg.nodes))
         ]
-    _write(json.dumps(report, indent=2) + "\n", args.output)
+        _write(json.dumps(report, indent=2) + "\n", args.output)
+        return 0
+    # A trace holds rounds x nodes bit strings, so each round is written as it
+    # is computed; the text is what json.dumps(report, indent=2) gives with the
+    # rounds as report["trace"].
+    snapshots = dataflow._trace_rounds(cfg, state, args.trace)  # checks the count first
+    with _opened(args.output) as f:
+        f.write(json.dumps(report, indent=2)[:-2] + ',\n  "trace": [')
+        for i, snap in enumerate(snapshots):
+            text = json.dumps({str(v): bits(snap[v]) for v in range(len(cfg.nodes))}, indent=2)
+            f.write(("," if i else "") + "\n    " + text.replace("\n", "\n    "))
+        f.write("\n  ]\n}\n")
     return 0
 
 
@@ -164,19 +178,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _infer(ckpt: model.Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
-    mask = ckpt.config.mask_dict()
-    graphs = [(embedding.encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs]
-    return model.infer(ckpt.params, graphs, ckpt.config)
-
-
 def cmd_eval(args) -> int:
     ckpt = model.load_checkpoint(args.ckpt)
     dataset = harness.load_dataset(args.data)
     if args.split:
         _, _, dataset = _apply_split(dataset, args.split, 0)
     start = time.perf_counter()
-    probs = _infer(ckpt, [e.cfg for e in dataset])
+    probs = model.predict_many(ckpt, [e.cfg for e in dataset])
     elapsed = time.perf_counter() - start
     metrics = harness.compute_metrics(probs.tolist(), [e.label for e in dataset])
     report = metrics.to_dict()
@@ -190,7 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = model.load_checkpoint(args.ckpt)
-    for prob in _infer(ckpt, [harness.read_cfg(path) for path in args.files]).tolist():
+    for prob in model.predict_many(ckpt, [harness.read_cfg(path) for path in args.files]).tolist():
         print(json.dumps({"probability": prob, "classification": harness.LABELS[harness.classify(prob)]}))
     return 0
 

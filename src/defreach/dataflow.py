@@ -21,6 +21,7 @@ introducing an anonymous definition; ``analyze`` never does.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,7 +31,8 @@ from .cfg import DEFINITION_KINDS, Cfg
 # Enough for a synchronous trace to reach its fixpoint (about n + 1 rounds)
 # on functions of up to about a thousand nodes. Every round holds a mask per
 # node, and `defreach dfa --trace` prints each as one character per
-# definition: about 3.4 MB a round on a 1200-node function.
+# definition: about 1 MB of output a round on a 1200-node function. It writes
+# each round as it is computed, so its memory is that of one round.
 MAX_TRACE_ROUNDS = 1000
 
 
@@ -132,17 +134,32 @@ def solve(cfg: Cfg, state: DataflowState) -> DataflowState:
 
 def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[list[int]]:
     """Per-round OUT snapshots of synchronous full sweeps; snapshot 0 is all zeros."""
+    return list(_trace_rounds(cfg, state, rounds))
+
+
+def _trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[int]]:
+    """``trace``'s snapshots one at a time, each computed when it is asked for.
+
+    ``rounds`` is checked here, before the first snapshot, so a caller that
+    writes snapshots as they come writes nothing for an invalid count. A
+    snapshot is never changed after it is yielded.
+    """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     if rounds > MAX_TRACE_ROUNDS:
         raise ValueError(f"rounds must be <= {MAX_TRACE_ROUNDS}, got {rounds}")
     rows = _rows(cfg, state, range(len(cfg.nodes)))
-    snapshots = [[0] * len(cfg.nodes)]
-    for _ in range(rounds):
-        out = snapshots[-1].copy()
-        _sweep(rows, snapshots[-1], out)
-        snapshots.append(out)
-    return snapshots
+
+    def snapshots() -> Iterator[list[int]]:
+        snapshot = [0] * len(cfg.nodes)
+        yield snapshot
+        for _ in range(rounds):
+            out = snapshot.copy()
+            _sweep(rows, snapshot, out)
+            snapshot = out
+            yield snapshot
+
+    return snapshots()
 
 
 def analyze(cfg: Cfg) -> tuple[DefinitionTable, DataflowState]:

@@ -127,9 +127,11 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
     )
 
 
-# tensor.gru's weights, in its argument order: per gate z, r, h the input
-# weights, the state weights and the bias.
-GRU_PARAMS = (
+# tensor.message_step's weights, in its argument order: the aggregate layer's
+# weight and bias, then per GRU gate z, r, h the input weights, the state
+# weights and the bias.
+STEP_PARAMS = (
+    "agg_w", "agg_b",
     "gru_wz_w", "gru_uz_w", "gru_wz_b",
     "gru_wr_w", "gru_ur_w", "gru_wr_b",
     "gru_wh_w", "gru_uh_w", "gru_wh_b",
@@ -139,11 +141,9 @@ GRU_PARAMS = (
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     """Graph-level logits, shape (num_graphs, 1)."""
     h = T.relu(T.add(T.embed_sum(batch.features, pt["proj_w"]), pt["proj_b"]))
-    gru = [pt[name] for name in GRU_PARAMS]
+    weights = [pt[name] for name in STEP_PARAMS]
     for _ in range(config.steps):
-        summed = T.edge_gather_sum(h, batch.src, batch.dst)
-        a = T.relu(T.matmul(summed, pt["agg_w"], bias=pt["agg_b"]))
-        h = T.gru(a, h, *gru)
+        h = T.message_step(h, batch.src, batch.dst, *weights)
     gate = T.sigmoid(T.matmul(h, pt["att_gate_w"], bias=pt["att_gate_b"]))
     feat = T.tanh(T.matmul(h, pt["att_feat_w"], bias=pt["att_feat_b"]))
     pooled = T.segment_sum(T.scale_rows(feat, gate), batch.seg, batch.num_graphs)
@@ -369,6 +369,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=best_epoch)
 
 
+def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
+    """Probability per CFG: each encoded with the checkpoint's vocabulary and
+    feature mask, then ``infer``."""
+    mask = ckpt.config.mask_dict()
+    return infer(ckpt.params, [(encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs], ckpt.config)
+
+
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:
-    features = encode(cfg, ckpt.vocab, ckpt.config.mask_dict())
-    return float(infer(ckpt.params, [(features, cfg)], ckpt.config)[0])
+    return float(predict_many(ckpt, [cfg])[0])

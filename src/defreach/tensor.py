@@ -9,10 +9,14 @@ output's gradient to one gradient per input. ``gradients`` replays the
 records in exact reverse order, adding each rule's gradients into the
 slots of the inputs that are on the tape.
 
-``gru`` is a fused primitive: one record, and one hand-derived rule, for
-a GRU update that the other primitives spell out as 21 records. It checks
-its three pre-activations and its output, which raises on exactly the
-inputs where the chain of primitives would raise.
+``message_step`` is a fused primitive: one record, and one hand-derived
+rule, for a message-passing step that the other primitives spell out as
+24 records (an edge sum, the aggregate layer, its relu and a 21-record GRU
+update). It checks the aggregate before its relu, the GRU's three
+pre-activations and its output, which raises on exactly the inputs where
+the chain of primitives would raise. ``edge_gather_sum`` stays a primitive
+of its own: it is the sparse propagation op that callers outside the
+model, such as the acceptance tests, build on.
 
 A rule holds arrays, never tensors, so nothing on a tape refers back to
 the tensors recorded on it: a tape and its activations are freed by
@@ -162,43 +166,56 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
-def gru(a: Tensor, h: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
-        br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
-    """GRU update of state ``h`` by input ``a``, recorded as one op:
+def message_step(h: Tensor, src: np.ndarray, dst: np.ndarray, agg_w: Tensor, agg_b: Tensor,
+                 wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor, br: Tensor,
+                 wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+    """One message-passing step of state ``h`` over the edges (src, dst),
+    recorded as one op:
 
+        a = relu(s @ agg_w + agg_b), s[v] = sum over edges (u, v) of h[u]
         z = sigmoid(a @ wz + h @ uz + bz)
         r = sigmoid(a @ wr + h @ ur + br)
         c = tanh(a @ wh + (r * h) @ uh + bh)
         out = (1 - z) * h + z * c
 
-    The arithmetic is that of the chain of ``matmul``, ``add``, ``sigmoid``,
-    ``tanh``, ``hadamard``, ``scale`` and ``add_const`` spelling it out, in
-    the same order, so the output is bit-identical to the chain's. So are
-    its failures: a non-finite value in the chain first appears in a
-    product or a sum, and it stays non-finite through every later ``+`` up
-    to a squashing function, so checking the three pre-activations and the
-    output raises exactly where the chain would.
+    The arithmetic is that of the chain ``edge_gather_sum``, ``matmul``
+    with a bias, ``relu`` and the GRU update spelled out in ``matmul``,
+    ``add``, ``sigmoid``, ``tanh``, ``hadamard``, ``scale`` and
+    ``add_const``, in the same order, so the output is bit-identical to the
+    chain's. Its gradients are too: the rule adds h's GRU-state gradient
+    and then its reversed-edge term, the order ``gradients`` adds them in
+    for the chain. So are its failures: a non-finite value in the chain
+    first appears in a sum or a product, and it stays non-finite through
+    every later ``+`` and product up to the relu or a squashing function,
+    so checking the aggregate before the relu (which maps -inf to 0), the
+    three GRU pre-activations and the output raises exactly where the
+    chain would.
     """
-    n, m = a.shape
-    d = h.shape[1]
-    if h.shape[0] != n:
-        raise TensorError(f"gru input {a.shape} and state {h.shape} differ in rows")
+    n, d = h.shape
+    m = agg_w.shape[1]
+    if agg_w.shape != (d, m) or agg_b.shape != (1, m):
+        raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} for state {h.shape}")
     for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
         if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
-            raise TensorError(f"gru weights {w.shape}, {u.shape}, {b.shape} for input {a.shape} "
-                              f"and state {h.shape}")
-    ad, hd = a.data, h.data
+            raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
+                              f"aggregate width {m} and state {h.shape}")
+    hd, aggd = h.data, agg_w.data
     wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
+    summed = kernels.edge_sum(hd, src, dst)
+    pre = _product(summed, aggd) + agg_b.data
+    if not np.isfinite(pre).all():
+        raise TensorError("non-finite output of message_step aggregate")
+    a = np.maximum(pre, 0.0)
 
-    def squash(pre: np.ndarray, f, name: str) -> np.ndarray:
-        if not np.isfinite(pre).all():
-            raise TensorError(f"non-finite {name} pre-activation of gru")
-        return f(pre)
+    def squash(x: np.ndarray, f, name: str) -> np.ndarray:
+        if not np.isfinite(x).all():
+            raise TensorError(f"non-finite {name} pre-activation of message_step")
+        return f(x)
 
-    z = squash(_product(ad, wzd) + _product(hd, uzd) + bz.data, _sigmoid, "update gate")
-    r = squash(_product(ad, wrd) + _product(hd, urd) + br.data, _sigmoid, "reset gate")
+    z = squash(_product(a, wzd) + _product(hd, uzd) + bz.data, _sigmoid, "update gate")
+    r = squash(_product(a, wrd) + _product(hd, urd) + br.data, _sigmoid, "reset gate")
     rh = r * hd
-    c = squash(_product(ad, whd) + _product(rh, uhd) + bh.data, np.tanh, "candidate")
+    c = squash(_product(a, whd) + _product(rh, uhd) + bh.data, np.tanh, "candidate")
     keep = z * -1.0 + 1.0
 
     def rule(g):
@@ -207,15 +224,19 @@ def gru(a: Tensor, h: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur
         drh = dpc @ uhd.T
         dpr = (drh * hd) * (r * (1.0 - r))
         dpz = dz * (z * (1.0 - z))
+        # relu's gradient: a > 0 exactly where pre > 0, so pre need not be kept
+        dpre = (dpz @ wzd.T + dpr @ wrd.T + dpc @ whd.T) * (a > 0)
+        dh = g * keep + drh * r + dpr @ urd.T + dpz @ uzd.T
+        dh += kernels.edge_sum(dpre @ aggd.T, dst, src)
         return (
-            dpz @ wzd.T + dpr @ wrd.T + dpc @ whd.T,
-            g * keep + drh * r + dpr @ urd.T + dpz @ uzd.T,
-            ad.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
-            ad.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
-            ad.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
+            dh, summed.T @ dpre, dpre.sum(axis=0, keepdims=True),
+            a.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
+            a.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
+            a.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
         )
 
-    return _op(keep * hd + z * c, "gru", (a, h, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
+    return _op(keep * hd + z * c, "message_step",
+               (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from conftest import FIG1_SRC
-from defreach import dataflow
+from defreach import dataflow, harness
 from defreach.cli import main
 from defreach.embedding import Vocabulary
 from defreach.model import ModelConfig, init_params, save_checkpoint
@@ -62,6 +62,27 @@ class TestParseAndDfa:
             ["100", "100", "010", "011"],
             ["100", "100", "010", "111"],
         ]
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_dfa_trace_text_is_the_whole_report_dumped(self, fig1_file, tmp_path, capsys, rounds):
+        # the rounds are written one at a time; the text must still be
+        # json.dumps of the whole report, as when it was built in memory
+        cfg = harness.read_cfg(str(fig1_file))
+        table, state = dataflow.compute_gen_kill(cfg, deref_defines=True)
+        report = {
+            "function": cfg.function,
+            "definitions": [{"id": d.def_id, "node": d.node, "variable": d.variable} for d in table.entries],
+            "trace": [
+                {str(v): dataflow.bit_string(snap[v], table.width) for v in range(len(cfg.nodes))}
+                for snap in dataflow.trace(cfg, state, rounds)
+            ],
+        }
+        expected = json.dumps(report, indent=2) + "\n"
+        code, out, _ = run(capsys, "dfa", fig1_file, "--trace", rounds, "--deref-defines")
+        assert code == 0 and out == expected
+        path = tmp_path / "trace.json"
+        code, out, _ = run(capsys, "dfa", fig1_file, "--trace", rounds, "--deref-defines", "-o", path)
+        assert code == 0 and out == "" and path.read_text() == expected
 
 
 class TestLargeInputs:
@@ -225,12 +246,15 @@ class TestErrors:
         code, _, err = run(capsys, "dfa", fig1_file, "--trace", "-1")
         assert code == 2 and "error:" in err
 
-    def test_trace_above_the_round_bound_exits_2(self, fig1_file, capsys):
+    def test_trace_above_the_round_bound_exits_2(self, fig1_file, tmp_path, capsys):
         # checked before any round runs: an unbounded count grows memory without end
         rounds = dataflow.MAX_TRACE_ROUNDS + 1
         code, out, err = run(capsys, "dfa", fig1_file, "--trace", rounds)
         assert code == 2 and out == ""
         assert err == f"error: rounds must be <= {dataflow.MAX_TRACE_ROUNDS}, got {rounds}\n"
+        # and before the output file is opened
+        code, _, _ = run(capsys, "dfa", fig1_file, "--trace", rounds, "-o", tmp_path / "trace.json")
+        assert code == 2 and not (tmp_path / "trace.json").exists()
 
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         data_dir = tmp_path / "d"

@@ -134,16 +134,16 @@ class TestForward:
 class TestTapeRecords:
     @pytest.mark.parametrize("steps, layers", [(0, 1), (1, 1), (2, 3), (5, 3)])
     def test_records_per_forward_and_loss(self, steps, layers):
-        # projection 3 (embed_sum, bias, relu); per message step 4 (edge sum,
-        # aggregate matmul, relu, gru); readout 6; per classifier layer a
-        # matmul and, but for the last, a relu; the loss 6
+        # projection 3 (embed_sum, bias, relu); per message step 1
+        # (message_step); readout 6; per classifier layer a matmul and, but
+        # for the last, a relu; the loss 6
         c = tiny_config(steps=steps, output_layers=layers)
         params = M.init_params(c, seed=0)
         graphs = random_graphs(c, seed=9, n_graphs=3)
         tape = T.Tape()
         pt = {k: tape.tensor(v) for k, v in params.items()}
         M.bce_logits(M.forward_batch(pt, M.batch_graphs(graphs), c), np.array([1.0, 0.0, 1.0]))
-        assert len(tape._ops) == 3 + 4 * steps + 6 + (2 * layers - 1) + 6
+        assert len(tape._ops) == 3 + steps + 6 + (2 * layers - 1) + 6
 
 
 class TestBatch:
@@ -295,6 +295,9 @@ class TestTraining:
         features = encode(cfg, vocab, c.mask_dict())
         (direct,) = M.infer(params, [(features, cfg)], c)
         assert M.predict(ckpt, cfg) == pytest.approx(direct, abs=1e-15)
+        cfgs = [cfg for cfg, _ in valid]
+        graphs = [(encode(cfg, vocab, c.mask_dict()), cfg) for cfg in cfgs]
+        assert np.array_equal(M.predict_many(ckpt, cfgs), M.infer(params, graphs, c))
 
     def test_bad_checkpoint_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

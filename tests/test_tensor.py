@@ -59,10 +59,16 @@ class TestForward:
             T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
         with pytest.raises(T.TensorError, match=r"bias shape \(1, 3\) for product \(2, 2\)"):
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), bias=T.Tensor(np.ones((1, 3))))
-        gru = [T.Tensor(x) for x in gru_inputs(np.random.default_rng(0), n=2, m=3, hdim=4)]
-        gru[5] = T.Tensor(np.ones((4, 4)))  # wr needs the input width 3 in rows
-        with pytest.raises(T.TensorError, match=r"gru weights \(4, 4\)"):
-            T.gru(*gru)
+        h, *weights = [T.Tensor(x) for x in step_inputs(np.random.default_rng(0), n=2, m=3, hdim=4)]
+        src, dst = edges(np.random.default_rng(0), 2)
+        bad = weights.copy()
+        bad[5] = T.Tensor(np.ones((4, 4)))  # wr needs the aggregate width 3 in rows
+        with pytest.raises(T.TensorError, match=r"message_step gru weights \(4, 4\)"):
+            T.message_step(h, src, dst, *bad)
+        bad = weights.copy()
+        bad[0] = T.Tensor(np.ones((3, 3)))  # agg_w needs the state width 4 in rows
+        with pytest.raises(T.TensorError, match=r"message_step aggregate weights \(3, 3\), \(1, 3\)"):
+            T.message_step(h, src, dst, *bad)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(T.TensorError, match="non-finite output of scale"):
@@ -214,7 +220,7 @@ class TestFiniteDifferenceChecks:
 
 
 def gru_inputs(rng, n, m, hdim):
-    """Input a, state h and the nine weights, in T.gru's argument order."""
+    """Input a, state h and the nine weights, in gru_chain's argument order."""
     arrays = [rng.standard_normal((n, m)), rng.standard_normal((n, hdim))]
     for _ in "zrh":
         arrays += [rng.standard_normal((m, hdim)) * 0.5, rng.standard_normal((hdim, hdim)) * 0.5,
@@ -223,7 +229,8 @@ def gru_inputs(rng, n, m, hdim):
 
 
 def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
-    """The GRU update spelled out in primitive ops: the reference for T.gru."""
+    """The GRU update spelled out in primitive ops: the reference for the
+    GRU half of T.message_step."""
     z = T.sigmoid(T.add(T.add(T.matmul(a, wz), T.matmul(h, uz)), bz))
     r = T.sigmoid(T.add(T.add(T.matmul(a, wr), T.matmul(h, ur)), br))
     cand = T.tanh(T.add(T.add(T.matmul(a, wh), T.matmul(T.hadamard(r, h), uh)), bh))
@@ -231,35 +238,63 @@ def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     return T.add(T.hadamard(keep, h), T.hadamard(z, cand))
 
 
-# (rows, input width, state width); a one-column state takes matmul's row-wise path
+def step_inputs(rng, n, m, hdim):
+    """State h, agg_w, agg_b and the nine GRU weights, in T.message_step's
+    argument order; m is the aggregate's width, the GRU's input width."""
+    _, h, *weights = gru_inputs(rng, n, m, hdim)
+    return [h, rng.standard_normal((hdim, m)) * 0.5, rng.standard_normal((1, m)) * 0.1] + weights
+
+
+def edges(rng, n):
+    """2n random edges: repeated edges, self-loops and nodes without predecessors."""
+    return rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+
+
+def step_chain(h, src, dst, agg_w, agg_b, *gru_weights):
+    """A message step spelled out in primitive ops: the reference for T.message_step."""
+    a = T.relu(T.matmul(T.edge_gather_sum(h, src, dst), agg_w, bias=agg_b))
+    return gru_chain(a, h, *gru_weights)
+
+
+# (rows, aggregate width, state width); a one-column state takes matmul's row-wise path
 GRU_SHAPES = [(3, 4, 4), (5, 3, 1), (1, 2, 3)]
 
 
 class TestFusedOps:
+    """T.message_step against step_chain. The GRU update exists only inside
+    message_step, so the test_gru_* tests check it there."""
+
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
     def test_gru_output_bit_identical_to_chain(self, n, m, hdim):
-        tensors = [T.Tensor(x) for x in gru_inputs(np.random.default_rng(40), n, m, hdim)]
-        assert np.array_equal(T.gru(*tensors).data, gru_chain(*tensors).data)
+        rng = np.random.default_rng(40)
+        h, *weights = [T.Tensor(x) for x in step_inputs(rng, n, m, hdim)]
+        src, dst = edges(rng, n)
+        fused = T.message_step(h, src, dst, *weights).data
+        assert np.array_equal(fused, step_chain(h, src, dst, *weights).data)
 
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
     def test_gru_gradients_match_chain(self, n, m, hdim):
-        arrays = gru_inputs(np.random.default_rng(41), n, m, hdim)
+        rng = np.random.default_rng(41)
+        arrays = step_inputs(rng, n, m, hdim)
+        src, dst = edges(rng, n)
 
-        def grads(cell):
+        def grads(step):
             tape = T.Tape()
             tensors = [tape.tensor(x) for x in arrays]
-            out = cell(*tensors)
-            # a second GRU update on the output, so h's gradient has several terms
-            out = cell(tensors[0], out, *tensors[2:])
+            out = step(tensors[0], src, dst, *tensors[1:])
+            # a second step on the output, so h's and every weight's gradient has several terms
+            out = step(out, src, dst, *tensors[1:])
             return T.gradients(T.sum_all(T.tanh(out)), tensors)
 
-        for i, (fused, chain) in enumerate(zip(grads(T.gru), grads(gru_chain))):
+        for i, (fused, chain) in enumerate(zip(grads(T.message_step), grads(step_chain))):
             assert T.relative_error(fused, chain) <= 1e-12, f"input {i}"
 
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
     def test_gru_finite_differences(self, n, m, hdim):
-        inputs = gru_inputs(np.random.default_rng(42), n, m, hdim)
-        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.gru(*t))), inputs)
+        rng = np.random.default_rng(42)
+        inputs = step_inputs(rng, n, m, hdim)
+        src, dst = edges(rng, n)
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.message_step(t[0], src, dst, *t[1:]))), inputs)
 
     @pytest.mark.parametrize("n, cols", [(5, 3), (5, 1), (1, 2)])
     def test_matmul_bias(self, n, cols):
@@ -269,20 +304,38 @@ class TestFusedOps:
         assert np.array_equal(fused, T.add(T.matmul(T.Tensor(x), T.Tensor(w)), T.Tensor(b)).data)
         check_scalar_fn(lambda t: T.sum_all(T.tanh(T.matmul(t[0], t[1], bias=t[2]))), [x, w, b])
 
-    @pytest.mark.parametrize("weight", [2, 3, 5, 6, 8, 9])  # wz uz wr ur wh uh
+    @pytest.mark.parametrize("weight", [2, 3, 5, 6, 8, 9])  # wz uz wr ur wh uh, by gru_chain's arguments
     def test_gru_overflow_raises_where_chain_raises(self, weight):
-        arrays = gru_inputs(np.random.default_rng(44), 4, 3, 3)
+        rng = np.random.default_rng(44)
+        arrays = step_inputs(rng, 4, 3, 3)
+        src, dst = edges(rng, 4)
         arrays[0] = arrays[0] * 1e10
-        arrays[1] = arrays[1] * 1e10
         tensors = [T.Tensor(x) for x in arrays]
-        T.gru(*tensors)  # large, but finite
-        arrays[weight] = arrays[weight] * 1e300
+        T.message_step(tensors[0], src, dst, *tensors[1:])  # large, but finite
+        # message_step takes agg_w and agg_b where gru_chain takes its input a
+        arrays[weight + 1] = arrays[weight + 1] * 1e300
         tensors = [T.Tensor(x) for x in arrays]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(T.TensorError, match="non-finite output of matmul"):
-                gru_chain(*tensors)
-            with pytest.raises(T.TensorError, match="non-finite .* pre-activation of gru"):
-                T.gru(*tensors)
+                step_chain(tensors[0], src, dst, *tensors[1:])
+            with pytest.raises(T.TensorError, match="non-finite .* pre-activation of message_step"):
+                T.message_step(tensors[0], src, dst, *tensors[1:])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_aggregate_overflow_raises_where_chain_raises(self, sign):
+        # With sign -1 every overflow is -inf, which the relu would map to 0:
+        # the aggregate must be checked before it.
+        rng = np.random.default_rng(46)
+        arrays = step_inputs(rng, 4, 3, 3)
+        src, dst = edges(rng, 4)
+        arrays[0] = np.abs(arrays[0]) * 1e10
+        arrays[1] = sign * np.abs(arrays[1]) * 1e300
+        tensors = [T.Tensor(x) for x in arrays]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.TensorError, match="non-finite output of matmul"):
+                step_chain(tensors[0], src, dst, *tensors[1:])
+            with pytest.raises(T.TensorError, match="non-finite output of message_step aggregate"):
+                T.message_step(tensors[0], src, dst, *tensors[1:])
 
     @pytest.mark.parametrize("cols", [3, 1])
     def test_matmul_bias_overflow_raises(self, cols):
@@ -309,7 +362,8 @@ def loop_scatter(x, index, n):
 TAPED_OPS = {
     "matmul": ([(3, 4), (4, 2)], T.matmul),
     "matmul-bias": ([(3, 4), (4, 2), (1, 2)], T.matmul),
-    "gru": ([(3, 4), (3, 4)] + [(4, 4), (4, 4), (1, 4)] * 3, T.gru),
+    "message_step": ([(3, 4), (4, 2), (1, 2)] + [(2, 4), (4, 4), (1, 4)] * 3,
+                     lambda h, *weights: T.message_step(h, np.array([0, 1, 2]), np.array([1, 2, 1]), *weights)),
     "embed_sum": ([(6, 3)], lambda w: T.embed_sum(np.array([[0, 5, -1], [2, 2, 1]]), w)),
     "add": ([(3, 2), (1, 2)], T.add),
     "hadamard": ([(3, 2), (3, 2)], T.hadamard),
