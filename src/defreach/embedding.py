@@ -9,6 +9,11 @@ columns (slot 0 = NONE, slot 1 = UNKNOWN, slots 2..k+1 = ranked values).
 ``j * (k + 2) + slot``, rather than the dense row: -1 marks a masked
 property and every column of a non-definition node. ``one_hot`` renders
 the dense 0/1 rows.
+
+A vocabulary builds its per-column tables once: for property j, a dict
+from each ranked value, and from None, to its hot column with the block
+offset ``j * (k + 2)`` already added. ``encode`` looks each definition's
+four values up in them, one dict lookup per property.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ def _definitions(cfg: Cfg):
 class Vocabulary:
     k: int
     ranks: dict[str, list[str]]  # property -> values in rank order; fixed once constructed
-    # property -> {None: SLOT_NONE, ranked value: its slot}; any other value is SLOT_UNKNOWN
-    slot_tables: dict[str, dict] = field(init=False, repr=False, compare=False)
+    # per property, in PROPERTIES order: {None: the block's NONE column, ranked
+    # value: its column}; any other value takes the block's UNKNOWN column
+    columns: list[dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -55,14 +61,20 @@ class Vocabulary:
                 raise ValueError(f"{prop} rank list longer than k={self.k}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{prop} rank list has duplicates")
-        self.slot_tables = {
-            prop: {None: SLOT_NONE, **{v: RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
-            for prop in PROPERTIES
-        }
+        self.columns = [
+            {None: self.offset(j) + SLOT_NONE,
+             **{v: self.offset(j) + RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
+            for j, prop in enumerate(PROPERTIES)
+        ]
+
+    def offset(self, j: int) -> int:
+        """The first column of property j's block."""
+        return j * (self.k + RESERVED_SLOTS)
 
     def slot(self, prop: str, value: str | None) -> int:
         """Block-local hot slot for a property value."""
-        return self.slot_tables[prop].get(value, SLOT_UNKNOWN)
+        j = PROPERTIES.index(prop)
+        return self.columns[j].get(value, self.offset(j) + SLOT_UNKNOWN) - self.offset(j)
 
     @property
     def row_width(self) -> int:
@@ -120,15 +132,24 @@ def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> 
     masked = [not mask.get(p) for p in PROPERTIES]
     if all(masked):
         raise ValueError("mask must enable at least one property")
-    block = vocab.k + RESERVED_SLOTS
-    tables = [(j * block, vocab.slot_tables[prop]) for j, prop in enumerate(PROPERTIES)]
-    width = len(PROPERTIES)
-    flat = [-1] * (len(cfg.nodes) * width)
-    for node, values in _definitions(cfg):
-        flat[node * width : (node + 1) * width] = [
-            off + table.get(v, SLOT_UNKNOWN) for (off, table), v in zip(tables, values)
-        ]
-    slots = np.array(flat, dtype=np.int64).reshape(len(cfg.nodes), width)
+    api, datatype, constant, operator = vocab.columns
+    unknown_api, unknown_datatype, unknown_constant, unknown_operator = (
+        vocab.offset(j) + SLOT_UNKNOWN for j in range(len(PROPERTIES))
+    )
+    none = (-1,) * len(PROPERTIES)
+    flat: list[int] = []
+    for stmt in cfg.nodes:
+        if stmt.is_definition():  # the values _definitions yields, looked up in their columns
+            constants, operators = stmt.constants, stmt.operators
+            flat += (
+                api.get(stmt.callee, unknown_api),
+                datatype.get(stmt.decl_type, unknown_datatype),
+                constant.get(constants[0] if constants else None, unknown_constant),
+                operator.get(operators[0] if operators else None, unknown_operator),
+            )
+        else:
+            flat += none
+    slots = np.array(flat, dtype=np.int64).reshape(len(cfg.nodes), len(PROPERTIES))
     if any(masked):
         slots[:, masked] = -1
     return slots

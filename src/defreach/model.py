@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
+from . import kernels
 from . import tensor as T
 from .cfg import Cfg, parse_json
 from .embedding import PROPERTIES, RESERVED_SLOTS, Vocabulary, encode
@@ -142,8 +143,11 @@ def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfi
     """Graph-level logits, shape (num_graphs, 1)."""
     h = T.relu(T.add(T.embed_sum(batch.features, pt["proj_w"]), pt["proj_b"]))
     weights = [pt[name] for name in STEP_PARAMS]
+    # the batch's scatter positions, built once for every step's forward and
+    # backward; the rules on a tape keep them until the tape goes
+    edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
     for _ in range(config.steps):
-        h = T.message_step(h, batch.src, batch.dst, *weights)
+        h = T.message_step(h, edges, *weights)
     gate = T.sigmoid(T.matmul(h, pt["att_gate_w"], bias=pt["att_gate_b"]))
     feat = T.tanh(T.matmul(h, pt["att_feat_w"], bias=pt["att_feat_b"]))
     pooled = T.segment_sum(T.scale_rows(feat, gate), batch.seg, batch.num_graphs)
@@ -165,14 +169,18 @@ def infer(
     config: ModelConfig,
 ) -> np.ndarray:
     """Inference probability per (slots, cfg) graph, config.batch_size graphs per forward."""
+    return _infer(_as_tensors(params, None), graphs, config)
+
+
+def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig) -> np.ndarray:
+    """``infer`` with the params already wrapped as off-tape tensors."""
     for features, _ in graphs:
         try:
-            T.check_slots(features, params["proj_w"].shape[0])
+            T.check_slots(features, pt["proj_w"].shape[0])
         except T.TensorError as e:
             raise ValueError(f"feature width: {e}") from e
         if features.shape[1] != len(PROPERTIES):
             raise ValueError(f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
-    pt = _as_tensors(params, None)
     probs = [
         forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
         for lo in range(0, len(graphs), config.batch_size)
@@ -241,6 +249,9 @@ def train_model(
     valid_labels = [lbl for _, lbl in valid_set]
 
     params = init_params(config, seed)
+    # validation's view of params: Adam updates the arrays in place, so these
+    # tensors see every step without being wrapped again
+    wrapped = _as_tensors(params, None)
     opt = Adam(params, config.learning_rate, config.l2_weight)
     rng = np.random.default_rng(seed)
     order = np.arange(len(train_set))
@@ -265,7 +276,7 @@ def train_model(
                 grads = T.gradients(obj, list(pt.values()))
                 opt.step(params, dict(zip(pt.keys(), grads)))
                 epoch_loss += obj.item()
-            probs = infer(params, valid_graphs, config)
+            probs = _infer(wrapped, valid_graphs, config)
         except T.TensorError as e:  # a non-finite value in this step or in validation after it
             raise T.TensorError(f"training diverged at epoch {epoch}, step {step}: {e}") from e
         f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
@@ -306,10 +317,15 @@ def save_checkpoint(
 
 @dataclass
 class Checkpoint:
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # fixed once constructed
     config: ModelConfig
     vocab: Vocabulary
     best_epoch: int
+    # params wrapped once as off-tape tensors, for every predict
+    tensors: dict[str, T.Tensor] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tensors = _as_tensors(self.params, None)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -371,9 +387,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
     """Probability per CFG: each encoded with the checkpoint's vocabulary and
-    feature mask, then ``infer``."""
+    feature mask, then inferred with its params wrapped once."""
     mask = ckpt.config.mask_dict()
-    return infer(ckpt.params, [(encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs], ckpt.config)
+    return _infer(ckpt.tensors, [(encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs], ckpt.config)
 
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:

@@ -20,7 +20,11 @@ model, such as the acceptance tests, build on.
 
 A rule holds arrays, never tensors, so nothing on a tape refers back to
 the tensors recorded on it: a tape and its activations are freed by
-reference count when the last tensor recorded on it goes.
+reference count when the last tensor recorded on it goes. A rule may work
+in place only on arrays it allocates itself: it must not write into ``g``,
+which ``gradients`` still holds as the output's gradient, nor into the
+arrays it closes over, which may be an operand's data or shared with
+another record, so that replaying a tape twice gives the same gradients.
 """
 
 from __future__ import annotations
@@ -166,7 +170,18 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
-def message_step(h: Tensor, src: np.ndarray, dst: np.ndarray, agg_w: Tensor, agg_b: Tensor,
+def _gate(x: np.ndarray, w: np.ndarray, y: np.ndarray, u: np.ndarray, b: np.ndarray, f, name: str):
+    """f(x @ w + y @ u + b) for a GRU gate of ``message_step``, summed and
+    squashed in one buffer; raises when the pre-activation is not finite."""
+    p = _product(x, w)
+    p += _product(y, u)
+    p += b
+    if not np.isfinite(p).all():
+        raise TensorError(f"non-finite {name} pre-activation of message_step")
+    return f(p, out=p)
+
+
+def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
                  wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor, br: Tensor,
                  wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
     """One message-passing step of state ``h`` over the edges (src, dst),
@@ -178,18 +193,20 @@ def message_step(h: Tensor, src: np.ndarray, dst: np.ndarray, agg_w: Tensor, agg
         c = tanh(a @ wh + (r * h) @ uh + bh)
         out = (1 - z) * h + z * c
 
-    The arithmetic is that of the chain ``edge_gather_sum``, ``matmul``
-    with a bias, ``relu`` and the GRU update spelled out in ``matmul``,
-    ``add``, ``sigmoid``, ``tanh``, ``hadamard``, ``scale`` and
-    ``add_const``, in the same order, so the output is bit-identical to the
-    chain's. Its gradients are too: the rule adds h's GRU-state gradient
-    and then its reversed-edge term, the order ``gradients`` adds them in
-    for the chain. So are its failures: a non-finite value in the chain
-    first appears in a sum or a product, and it stays non-finite through
-    every later ``+`` and product up to the relu or a squashing function,
-    so checking the aggregate before the relu (which maps -inf to 0), the
-    three GRU pre-activations and the output raises exactly where the
-    chain would.
+    ``edges`` holds the scatter positions of rows as wide as ``h``, built
+    once for every step over the same edges. The arithmetic is that of the
+    chain ``edge_gather_sum``, ``matmul`` with a bias, ``relu`` and the GRU
+    update spelled out in ``matmul``, ``add``, ``sigmoid``, ``tanh``,
+    ``hadamard``, ``scale`` and ``add_const``, in the same order, so the
+    output is bit-identical to the chain's; each sum and squashing function
+    runs in place on a buffer of its own. Its gradients are too: the rule
+    adds h's GRU-state gradient and then its reversed-edge term, the order
+    ``gradients`` adds them in for the chain. So are its failures: a
+    non-finite value in the chain first appears in a sum or a product, and
+    it stays non-finite through every later ``+`` and product up to the
+    relu or a squashing function, so checking the aggregate before the relu
+    (which maps -inf to 0), the three GRU pre-activations and the output
+    raises exactly where the chain would.
     """
     n, d = h.shape
     m = agg_w.shape[1]
@@ -199,35 +216,60 @@ def message_step(h: Tensor, src: np.ndarray, dst: np.ndarray, agg_w: Tensor, agg
         if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
             raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
                               f"aggregate width {m} and state {h.shape}")
+    if edges.width != d:
+        raise TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
     hd, aggd = h.data, agg_w.data
     wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
-    summed = kernels.edge_sum(hd, src, dst)
-    pre = _product(summed, aggd) + agg_b.data
-    if not np.isfinite(pre).all():
+    summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
+    a = _product(summed, aggd)
+    a += agg_b.data
+    if not np.isfinite(a).all():
         raise TensorError("non-finite output of message_step aggregate")
-    a = np.maximum(pre, 0.0)
-
-    def squash(x: np.ndarray, f, name: str) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise TensorError(f"non-finite {name} pre-activation of message_step")
-        return f(x)
-
-    z = squash(_product(a, wzd) + _product(hd, uzd) + bz.data, _sigmoid, "update gate")
-    r = squash(_product(a, wrd) + _product(hd, urd) + br.data, _sigmoid, "reset gate")
+    np.maximum(a, 0.0, out=a)  # relu in place: its gradient needs only a > 0, true where pre > 0
+    z = _gate(a, wzd, hd, uzd, bz.data, _sigmoid, "update gate")
+    r = _gate(a, wrd, hd, urd, br.data, _sigmoid, "reset gate")
     rh = r * hd
-    c = squash(_product(a, whd) + _product(rh, uhd) + bh.data, np.tanh, "candidate")
-    keep = z * -1.0 + 1.0
+    c = _gate(a, whd, rh, uhd, bh.data, np.tanh, "candidate")
+    out = z * -1.0
+    out += 1.0  # keep = 1 - z
+    out *= hd
+    out += z * c
 
     def rule(g):
-        dz = g * c + (g * hd) * -1.0
-        dpc = (g * z) * (1.0 - c * c)
+        # g, and every array the rule closes over, is read only: each
+        # gradient below is a fresh array, updated in place. The rule keeps
+        # summed, a, z, r and c; keep and r * h are recomputed, which holds
+        # two arrays fewer per step on a tape.
+        dz = g * c
+        t = g * hd
+        t *= -1.0
+        dz += t
+        dpc = g * z
+        np.multiply(c, c, out=t)
+        np.subtract(1.0, t, out=t)
+        dpc *= t
         drh = dpc @ uhd.T
-        dpr = (drh * hd) * (r * (1.0 - r))
-        dpz = dz * (z * (1.0 - z))
-        # relu's gradient: a > 0 exactly where pre > 0, so pre need not be kept
-        dpre = (dpz @ wzd.T + dpr @ wrd.T + dpc @ whd.T) * (a > 0)
-        dh = g * keep + drh * r + dpr @ urd.T + dpz @ uzd.T
-        dh += kernels.edge_sum(dpre @ aggd.T, dst, src)
+        dpr = drh * hd
+        np.subtract(1.0, r, out=t)
+        np.multiply(r, t, out=t)
+        dpr *= t
+        np.subtract(1.0, z, out=t)
+        np.multiply(z, t, out=t)
+        dpz = dz  # dz is not needed again
+        dpz *= t
+        dpre = dpz @ wzd.T
+        dpre += dpr @ wrd.T
+        dpre += dpc @ whd.T
+        dpre *= a > 0
+        dh = z * -1.0
+        dh += 1.0
+        dh *= g  # g * keep
+        drh *= r
+        dh += drh
+        dh += dpr @ urd.T
+        dh += dpz @ uzd.T
+        dh += kernels.edge_sum(dpre @ aggd.T, edges.dst, edges.into_src)
+        rh = np.multiply(r, hd, out=t)
         return (
             dh, summed.T @ dpre, dpre.sum(axis=0, keepdims=True),
             a.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
@@ -235,8 +277,7 @@ def message_step(h: Tensor, src: np.ndarray, dst: np.ndarray, agg_w: Tensor, agg
             a.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
         )
 
-    return _op(keep * hd + z * c, "message_step",
-               (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
+    return _op(out, "message_step", (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -270,8 +311,13 @@ def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
     return _op(y, op, (a,), lambda g: (g * dfdy(x, y),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * tanh(0.5 * x) + 0.5, written into ``out`` when one is given."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -314,8 +360,9 @@ def sum_all(a: Tensor) -> Tensor:
 
 def edge_gather_sum(h: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
     """out[v] = sum over edges (u, v) of h[u]; gradient gathers along reversed edges."""
-    return _op(kernels.edge_sum(h.data, src, dst), "edge_gather_sum", (h,),
-               lambda g: (kernels.edge_sum(g, dst, src),))
+    edges = kernels.Edges(src, dst, h.shape[1])
+    return _op(kernels.edge_sum(h.data, src, edges.into_dst), "edge_gather_sum", (h,),
+               lambda g: (kernels.edge_sum(g, dst, edges.into_src),))
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cfg, random_slots
+from defreach import kernels
 from defreach import model as M
 from defreach import tensor as T
 from defreach.embedding import build_vocabulary, encode
@@ -157,6 +158,37 @@ class TestBatch:
         assert batch.features.nbytes <= 32 * nodes
 
 
+class TestBatchScatter:
+    """forward_batch builds its batch's scatter positions once (kernels.Edges)
+    for every step; logits and gradients must equal those of steps that
+    each build their own."""
+
+    @pytest.mark.parametrize("k", [20, 1000])
+    def test_matches_per_call_kernel(self, k, monkeypatch):
+        data = synth_generate(120, seed=4)
+        vocab = build_vocabulary([e.cfg for e in data], k=k)
+        c = M.ModelConfig(k=k)
+        params = M.init_params(c, seed=3)
+        batch = M.batch_graphs([(encode(e.cfg, vocab), e.cfg) for e in data])
+        labels = np.array([e.label for e in data], dtype=np.float64)
+
+        def forward_and_gradients():
+            tape = T.Tape()
+            pt = {n: tape.tensor(v) for n, v in params.items()}
+            logits = M.forward_batch(pt, batch, c)
+            return logits.data, T.gradients(M.bce_logits(logits, labels), list(pt.values()))
+
+        logits, grads = forward_and_gradients()
+        shared = T.message_step
+        monkeypatch.setattr(
+            T, "message_step", lambda h, e, *w: shared(h, kernels.Edges(e.src, e.dst, e.width), *w)
+        )
+        per_step_logits, per_step_grads = forward_and_gradients()
+        assert logits.tobytes() == per_step_logits.tobytes()
+        for name, a, b in zip(params, grads, per_step_grads):
+            assert a.tobytes() == b.tobytes(), name
+
+
 class TestLoss:
     def test_half_probability_gives_ln2(self):
         logits = T.Tensor([[0.0], [0.0]])
@@ -275,6 +307,26 @@ class TestTraining:
         for name in expected:
             assert np.array_equal(params[name], expected[name])
 
+    def test_validation_sees_every_adam_step(self, monkeypatch):
+        # validation wraps params once per run; Adam's in-place updates must
+        # reach it, so every validation forward reads the current params
+        train, valid, vocab = small_training_setup()
+        c = tiny_config(k=5, batch_size=8)
+        current, checked = {}, []
+
+        def step(self, params, grads, original=M.Adam.step):
+            current.update(params)
+            original(self, params, grads)
+
+        def validate(pt, graphs, config, original=M._infer):
+            checked.append(all(np.array_equal(pt[n].data, current[n]) for n in current))
+            return original(pt, graphs, config)
+
+        monkeypatch.setattr(M.Adam, "step", step)
+        monkeypatch.setattr(M, "_infer", validate)
+        M.train_model(c, train, valid, vocab, seed=1, epochs=3, patience=3)
+        assert checked == [True] * 3
+
     def test_checkpoint_roundtrip(self, tmp_path):
         train, valid, vocab = small_training_setup()
         c = tiny_config(k=5, hidden=8, steps=2, batch_size=8)
@@ -298,6 +350,18 @@ class TestTraining:
         cfgs = [cfg for cfg, _ in valid]
         graphs = [(encode(cfg, vocab, c.mask_dict()), cfg) for cfg in cfgs]
         assert np.array_equal(M.predict_many(ckpt, cfgs), M.infer(params, graphs, c))
+
+    def test_predict_wraps_params_once_per_checkpoint(self, monkeypatch):
+        data = synth_generate(6, seed=5)
+        c = tiny_config()
+        params = M.init_params(c, seed=0)
+        ckpt = M.Checkpoint(params, c, build_vocabulary([e.cfg for e in data], k=c.k), best_epoch=0)
+        assert all(ckpt.tensors[n].data is params[n] for n in params)
+        wrapped = []
+        monkeypatch.setattr(M, "_as_tensors", lambda *a: wrapped.append(a))
+        probs = [M.predict(ckpt, e.cfg) for e in data]
+        assert not wrapped
+        assert probs == M.predict_many(ckpt, [e.cfg for e in data]).tolist()
 
     def test_bad_checkpoint_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -64,11 +64,11 @@ class TestForward:
         bad = weights.copy()
         bad[5] = T.Tensor(np.ones((4, 4)))  # wr needs the aggregate width 3 in rows
         with pytest.raises(T.TensorError, match=r"message_step gru weights \(4, 4\)"):
-            T.message_step(h, src, dst, *bad)
+            fused_step(h, src, dst, *bad)
         bad = weights.copy()
         bad[0] = T.Tensor(np.ones((3, 3)))  # agg_w needs the state width 4 in rows
         with pytest.raises(T.TensorError, match=r"message_step aggregate weights \(3, 3\), \(1, 3\)"):
-            T.message_step(h, src, dst, *bad)
+            fused_step(h, src, dst, *bad)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(T.TensorError, match="non-finite output of scale"):
@@ -250,6 +250,11 @@ def edges(rng, n):
     return rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
 
 
+def fused_step(h, src, dst, *weights):
+    """T.message_step over the edges (src, dst), in step_chain's arguments."""
+    return T.message_step(h, kernels.Edges(src, dst, h.shape[1]), *weights)
+
+
 def step_chain(h, src, dst, agg_w, agg_b, *gru_weights):
     """A message step spelled out in primitive ops: the reference for T.message_step."""
     a = T.relu(T.matmul(T.edge_gather_sum(h, src, dst), agg_w, bias=agg_b))
@@ -269,7 +274,7 @@ class TestFusedOps:
         rng = np.random.default_rng(40)
         h, *weights = [T.Tensor(x) for x in step_inputs(rng, n, m, hdim)]
         src, dst = edges(rng, n)
-        fused = T.message_step(h, src, dst, *weights).data
+        fused = fused_step(h, src, dst, *weights).data
         assert np.array_equal(fused, step_chain(h, src, dst, *weights).data)
 
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
@@ -286,7 +291,7 @@ class TestFusedOps:
             out = step(out, src, dst, *tensors[1:])
             return T.gradients(T.sum_all(T.tanh(out)), tensors)
 
-        for i, (fused, chain) in enumerate(zip(grads(T.message_step), grads(step_chain))):
+        for i, (fused, chain) in enumerate(zip(grads(fused_step), grads(step_chain))):
             assert T.relative_error(fused, chain) <= 1e-12, f"input {i}"
 
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
@@ -294,7 +299,7 @@ class TestFusedOps:
         rng = np.random.default_rng(42)
         inputs = step_inputs(rng, n, m, hdim)
         src, dst = edges(rng, n)
-        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.message_step(t[0], src, dst, *t[1:]))), inputs)
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(fused_step(t[0], src, dst, *t[1:]))), inputs)
 
     @pytest.mark.parametrize("n, cols", [(5, 3), (5, 1), (1, 2)])
     def test_matmul_bias(self, n, cols):
@@ -311,7 +316,7 @@ class TestFusedOps:
         src, dst = edges(rng, 4)
         arrays[0] = arrays[0] * 1e10
         tensors = [T.Tensor(x) for x in arrays]
-        T.message_step(tensors[0], src, dst, *tensors[1:])  # large, but finite
+        fused_step(tensors[0], src, dst, *tensors[1:])  # large, but finite
         # message_step takes agg_w and agg_b where gru_chain takes its input a
         arrays[weight + 1] = arrays[weight + 1] * 1e300
         tensors = [T.Tensor(x) for x in arrays]
@@ -319,7 +324,7 @@ class TestFusedOps:
             with pytest.raises(T.TensorError, match="non-finite output of matmul"):
                 step_chain(tensors[0], src, dst, *tensors[1:])
             with pytest.raises(T.TensorError, match="non-finite .* pre-activation of message_step"):
-                T.message_step(tensors[0], src, dst, *tensors[1:])
+                fused_step(tensors[0], src, dst, *tensors[1:])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_aggregate_overflow_raises_where_chain_raises(self, sign):
@@ -335,7 +340,7 @@ class TestFusedOps:
             with pytest.raises(T.TensorError, match="non-finite output of matmul"):
                 step_chain(tensors[0], src, dst, *tensors[1:])
             with pytest.raises(T.TensorError, match="non-finite output of message_step aggregate"):
-                T.message_step(tensors[0], src, dst, *tensors[1:])
+                fused_step(tensors[0], src, dst, *tensors[1:])
 
     @pytest.mark.parametrize("cols", [3, 1])
     def test_matmul_bias_overflow_raises(self, cols):
@@ -350,6 +355,67 @@ class TestFusedOps:
                 T.matmul(x, w, bias=b)
 
 
+class TestMessageStepInPlace:
+    """message_step computes its sums, squashings and gradients in place:
+    nothing it is given, nor any array its rule keeps, may change."""
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = step_inputs(rng, 6, 3, 4)
+        return rng, arrays, *edges(rng, 6)
+
+    def test_leaves_state_and_weights_unchanged(self):
+        _, arrays, src, dst = self.inputs(60)
+        before = [a.copy() for a in arrays]
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]  # no copy: data is each array itself
+        T.gradients(T.sum_all(T.tanh(fused_step(tensors[0], src, dst, *tensors[1:]))), tensors)
+        for i, (a, b) in enumerate(zip(arrays, before)):
+            assert np.array_equal(a, b), f"input {i}"
+
+    def test_output_shares_no_memory_with_inputs(self):
+        _, arrays, src, dst = self.inputs(61)
+        tensors = [T.Tensor(a) for a in arrays]
+        index = kernels.Edges(src, dst, 4)
+        out = T.message_step(tensors[0], index, *tensors[1:]).data
+        for i, t in enumerate(tensors):
+            assert not np.shares_memory(out, t.data), f"input {i}"
+        for name in ("src", "dst", "into_dst", "into_src"):
+            assert not np.shares_memory(out, getattr(index, name)), name
+
+    def test_gradients_of_one_tape_twice_identical(self):
+        _, arrays, src, dst = self.inputs(62)
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]
+        out = fused_step(tensors[0], src, dst, *tensors[1:])
+        loss = T.sum_all(T.tanh(fused_step(out, src, dst, *tensors[1:])))
+        first = T.gradients(loss, tensors)
+        second = T.gradients(loss, tensors)
+        for i, (a, b) in enumerate(zip(first, second)):
+            assert np.array_equal(a, b), f"input {i}"
+
+    def test_rule_leaves_its_gradient_unchanged(self):
+        rng, arrays, src, dst = self.inputs(63)
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]
+        out = fused_step(tensors[0], src, dst, *tensors[1:])
+        ((_, _, rule),) = [op for op in tape._ops if op[0] == out.index]
+        g = rng.standard_normal(out.shape)
+        g0 = g.copy()
+        first = rule(g)
+        assert np.array_equal(g, g0)
+        second = rule(g)
+        assert np.array_equal(g, g0)
+        for i, (a, b) in enumerate(zip(first, second)):
+            assert np.array_equal(a, b), f"input {i}"
+
+    def test_edges_of_another_width_rejected(self):
+        _, arrays, src, dst = self.inputs(64)
+        tensors = [T.Tensor(a) for a in arrays]
+        with pytest.raises(T.TensorError, match=r"message_step edges built for width 3, state \(6, 4\)"):
+            T.message_step(tensors[0], kernels.Edges(src, dst, 3), *tensors[1:])
+
+
 def loop_scatter(x, index, n):
     """Reference scatter: out[index[r]] += x[r], one row at a time."""
     out = np.zeros((n, x.shape[1]))
@@ -358,12 +424,23 @@ def loop_scatter(x, index, n):
     return out
 
 
+def add_at(x, index, n):
+    """np.add.at reference scatter: out[index[r]] += x[r] in row order."""
+    out = np.zeros((n, x.shape[1]))
+    np.add.at(out, index, x)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # Every public op: its operand shapes and a call on operands of those shapes.
 TAPED_OPS = {
     "matmul": ([(3, 4), (4, 2)], T.matmul),
     "matmul-bias": ([(3, 4), (4, 2), (1, 2)], T.matmul),
     "message_step": ([(3, 4), (4, 2), (1, 2)] + [(2, 4), (4, 4), (1, 4)] * 3,
-                     lambda h, *weights: T.message_step(h, np.array([0, 1, 2]), np.array([1, 2, 1]), *weights)),
+                     lambda h, *weights: fused_step(h, np.array([0, 1, 2]), np.array([1, 2, 1]), *weights)),
     "embed_sum": ([(6, 3)], lambda w: T.embed_sum(np.array([[0, 5, -1], [2, 2, 1]]), w)),
     "add": ([(3, 2), (1, 2)], T.add),
     "hadamard": ([(3, 2), (3, 2)], T.hadamard),
@@ -403,21 +480,37 @@ class TestTapeLifetime:
 
 
 class TestKernels:
+    """edge_sum over the scatter positions kernels.Edges builds once per
+    batch, forward (into dst) and reverse (into src), against a row-by-row
+    loop and np.add.at."""
+
+    # (src, dst, nodes, width)
     EDGE_CASES = {
         "duplicates-and-isolated": (
             np.array([0, 1, 1, 0, 3, 0], dtype=np.int64),
             np.array([1, 2, 2, 1, 0, 3], dtype=np.int64),
+            5, 3,
         ),  # node 4 has no edges at all
-        "no-edges": (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+        # two 3-node graphs, the second's edges offset by 3 as batch_graphs
+        # stacks them; nodes 0 and 3 have no incoming edge
+        "two-graphs": (np.array([0, 1, 0, 3, 4, 4]), np.array([1, 2, 2, 4, 5, 5]), 6, 4),
+        "width-1": (np.array([0, 1, 3, 3, 2]), np.array([1, 2, 0, 1, 1]), 4, 1),
+        "no-edges": (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 5, 3),
     }
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_sum_matches_loop(self, case):
-        src, dst = self.EDGE_CASES[case]
-        h = np.random.default_rng(30).standard_normal((5, 3))
-        got = kernels.edge_sum(h, src, dst)
-        np.testing.assert_array_equal(got, loop_scatter(h[src], dst, 5))
-        assert not got[4].any()
+        src, dst, n, width = self.EDGE_CASES[case]
+        rng = np.random.default_rng(30)
+        h, g = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+        edges = kernels.Edges(src, dst, width)
+        forward = kernels.edge_sum(h, src, edges.into_dst)
+        reverse = kernels.edge_sum(g, dst, edges.into_src)
+        np.testing.assert_array_equal(forward, loop_scatter(h[src], dst, n))
+        np.testing.assert_array_equal(reverse, loop_scatter(g[dst], src, n))
+        assert same_bits(forward, add_at(h[src], dst, n))
+        assert same_bits(reverse, add_at(g[dst], src, n))
+        assert not forward[np.setdiff1d(np.arange(n), dst)].any()  # no incoming edge: a zero row
 
     @pytest.mark.parametrize("rows", [0, 1, 7])
     def test_segment_sum_matches_loop(self, rows):
@@ -433,9 +526,12 @@ class TestKernels:
         h = rng.standard_normal((300, 32))
         src = rng.integers(0, 300, 900)
         dst = rng.integers(0, 300, 900)
-        first = kernels.edge_sum(h, src, dst)
+        edges = kernels.Edges(src, dst, 32)
+        first = kernels.edge_sum(h, src, edges.into_dst)
+        assert same_bits(first, add_at(h[src], dst, 300))
+        assert same_bits(kernels.edge_sum(h, dst, edges.into_src), add_at(h[dst], src, 300))
         for _ in range(3):
-            assert np.array_equal(kernels.edge_sum(h, src, dst), first)
+            assert np.array_equal(kernels.edge_sum(h, src, edges.into_dst), first)
         seg = np.sort(rng.integers(0, 10, 300))
         first = kernels.segment_sum(h, seg, 10)
         assert np.array_equal(kernels.segment_sum(h, seg, 10), first)
