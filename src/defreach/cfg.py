@@ -4,6 +4,13 @@ A Cfg holds one function: an ordered list of Statement nodes with dense
 integer ids, a frozen set of directed edges with sorted successor and
 predecessor lists and a sorted edge array built from it once, and
 synthetic entry/exit nop nodes.
+
+``load_cfg`` checks an interchange document's schema field by field, each
+error naming its JSON path: ids, edge endpoints, entry and exit are ints
+(not booleans), every kind is known, and a node has a target exactly when
+its kind is a definition. ``Cfg.validate`` checks only the graph: entry and
+exit are node ids, every node is reachable from the entry, and the exit is
+reachable from every node.
 """
 
 from __future__ import annotations
@@ -39,15 +46,6 @@ class Statement:
     def is_definition(self) -> bool:
         return self.kind in DEFINITION_KINDS
 
-    def validate(self) -> None:
-        if self.kind not in STATEMENT_KINDS:
-            raise CfgError(f"unknown statement kind {self.kind!r}")
-        if self.is_definition() != (self.target is not None):
-            raise CfgError(
-                f"kind {self.kind!r} requires target "
-                f"{'present' if self.is_definition() else 'absent'}: {self.code!r}"
-            )
-
 
 @dataclass
 class Cfg:
@@ -78,8 +76,6 @@ class Cfg:
 
     def validate(self) -> None:
         n = len(self.nodes)
-        for stmt in self.nodes:
-            stmt.validate()
         if not (0 <= self.entry < n and 0 <= self.exit < n):
             raise CfgError(f"entry/exit id out of range for {n} nodes")
         reach = _closure(self.entry, self._succ)
@@ -155,7 +151,7 @@ def dump_cfg(cfg: Cfg) -> str:
             }
             for i, s in enumerate(cfg.nodes)
         ],
-        "edges": sorted([a, b] for a, b in cfg.edges),
+        "edges": cfg.edge_array.tolist(),
         "entry": cfg.entry,
         "exit": cfg.exit,
     }
@@ -205,6 +201,10 @@ def load_cfg(document: str) -> Cfg:
         for k, t in (("target", str), ("type", str), ("callee", str)):
             v = rec.get(k)
             _require(v is None or isinstance(v, t), f"{path}.{k}", "must be string or null")
+        if kind in DEFINITION_KINDS:
+            _require(rec.get("target") is not None, path + ".target", f"required for kind {kind!r}")
+        else:
+            _require(rec.get("target") is None, path + ".target", f"must be null for kind {kind!r}")
         for k in ("constants", "operators", "uses"):
             v = rec.get(k, [])
             _require(
@@ -229,7 +229,7 @@ def load_cfg(document: str) -> Cfg:
     for j, e in enumerate(doc["edges"]):
         path = f"$.edges[{j}]"
         _require(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e),
             path,
             "must be a [from, to] pair of ints",
         )
@@ -239,8 +239,8 @@ def load_cfg(document: str) -> Cfg:
         _require((a, b) not in edges, path, f"duplicate edge ({a}, {b})")
         edges.add((a, b))
 
-    _require(isinstance(doc["entry"], int), "$.entry", "must be an int")
-    _require(isinstance(doc["exit"], int), "$.exit", "must be an int")
+    _require(type(doc["entry"]) is int, "$.entry", "must be an int")
+    _require(type(doc["exit"]) is int, "$.exit", "must be an int")
     cfg = Cfg(
         function=doc["function"],
         nodes=nodes,

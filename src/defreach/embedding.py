@@ -55,8 +55,9 @@ class Vocabulary:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        for prop in PROPERTIES:
-            values = self.ranks.setdefault(prop, [])
+        # a copy, so that changing the caller's dict or lists cannot desync ``columns``
+        self.ranks = {prop: list(self.ranks.get(prop, [])) for prop in PROPERTIES}
+        for prop, values in self.ranks.items():
             if len(values) > self.k:
                 raise ValueError(f"{prop} rank list longer than k={self.k}")
             if len(set(values)) != len(values):
@@ -81,15 +82,13 @@ class Vocabulary:
         return len(PROPERTIES) * (self.k + RESERVED_SLOTS)
 
     def to_json(self) -> str:
-        doc = {"k": self.k}
-        doc.update({p: list(self.ranks[p]) for p in PROPERTIES})
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps({"k": self.k, **self.ranks}, indent=2) + "\n"
 
     @staticmethod
     def from_json(document: str, source: str = "vocabulary") -> "Vocabulary":
         doc = parse_json(document, source)
         ranks = {p: doc.get(p, []) for p in PROPERTIES} if isinstance(doc, dict) else None
-        if ranks is None or not isinstance(doc.get("k"), int) or not all(
+        if ranks is None or type(doc.get("k")) is not int or not all(
             isinstance(vs, list) and all(isinstance(v, str) for v in vs) for vs in ranks.values()
         ):
             raise ValueError(f"{source} must be a JSON object with an integer 'k' and a list of strings per property")

@@ -121,9 +121,9 @@ class _ExprInfo:
 
 
 class _Parser:
-    """Walks the token lists by index. The hot paths step ``self.i`` themselves
-    rather than through a helper method, which a scan-large sweep called about
-    170k times."""
+    """Walks the token lists by index, adding each statement's node and its
+    in-edges as it goes. The hot paths step ``self.i`` themselves rather than
+    through a helper method, which a scan-large sweep called about 170k times."""
 
     def __init__(self, source: str):
         self.source = source
@@ -131,6 +131,17 @@ class _Parser:
         self.i = 0
         self.depth = 0  # open blocks and nested expressions
         self.types: dict[str, str] = {}  # in-scope declarations
+        self.nodes = [Statement(kind="nop", code="<entry>")]  # in source order
+        self.edges: set[tuple[int, int]] = set()
+        self.returns: list[int] = []  # return nodes, each an in-edge of the exit
+
+    def add(self, stmt: Statement, preds: list[int]) -> int:
+        """Add ``stmt`` as the next node, with an edge from each of ``preds``."""
+        node = len(self.nodes)
+        self.nodes.append(stmt)
+        for p in preds:
+            self.edges.add((p, node))
+        return node
 
     # -- token helpers -------------------------------------------------
     def pos(self, i: int) -> tuple[int, int]:
@@ -190,19 +201,19 @@ class _Parser:
                 self.i += 1
         self.expect(")")
 
-        builder = _CfgBuilder(name)
-        dangling = self.parse_block(builder, [0])  # the entry node
+        dangling = self.parse_block([0])  # the entry node
         if self.kinds[self.i] != "eof":
             raise ParseError(
                 f"trailing input after function body: {self.texts[self.i]!r}",
                 *self.pos(self.i),
             )
-        cfg = builder.finish(dangling)
+        exit_id = self.add(Statement(kind="nop", code="<exit>"), dangling + self.returns)
+        cfg = Cfg(name, self.nodes, self.edges, 0, exit_id)
         cfg.validate()
         return cfg
 
     # -- statements ----------------------------------------------------
-    def parse_block(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
+    def parse_block(self, preds: list[int]) -> list[int]:
         """``{ statement* }``: returns the nodes control leaves the block from."""
         self.open_level(self.expect("{"))
         texts = self.texts
@@ -215,53 +226,53 @@ class _Parser:
             if not preds:  # every path through the previous statement returned
                 raise ParseError("unreachable statement after return", *self.pos(self.i))
             if text == "if":
-                preds = self.parse_if(builder, preds)
+                preds = self.parse_if(preds)
             elif text == "while":
-                preds = self.parse_while(builder, preds)
+                preds = self.parse_while(preds)
             elif text == "return":
-                self.parse_return(builder, preds)
+                self.parse_return(preds)
                 preds = []
             elif text in TYPE_KEYWORDS:
-                preds = [builder.add(self.parse_decl(), preds)]
+                preds = [self.add(self.parse_decl(), preds)]
             else:
-                preds = [builder.add(self.parse_simple(), preds)]
+                preds = [self.add(self.parse_simple(), preds)]
         self.i += 1  # the '}'
         self.depth -= 1
         return preds
 
-    def parse_condition(self, builder: "_CfgBuilder", preds: list[int]) -> int:
+    def parse_condition(self, preds: list[int]) -> int:
         """``( expr )`` after an if or a while keyword: adds the condition node."""
         self.i += 1  # the keyword
         self.expect("(")
         info = _ExprInfo()
         self.parse_expr(info)
         self.expect(")")
-        return builder.add(info.statement("condition"), preds)
+        return self.add(info.statement("condition"), preds)
 
-    def parse_if(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        cond_id = self.parse_condition(builder, preds)
-        then_out = self.parse_block(builder, [cond_id])
+    def parse_if(self, preds: list[int]) -> list[int]:
+        cond_id = self.parse_condition(preds)
+        then_out = self.parse_block([cond_id])
         if self.texts[self.i] == "else":
             self.i += 1
-            else_out = self.parse_block(builder, [cond_id])
+            else_out = self.parse_block([cond_id])
             return then_out + else_out
         return then_out + [cond_id]
 
-    def parse_while(self, builder: "_CfgBuilder", preds: list[int]) -> list[int]:
-        cond_id = self.parse_condition(builder, preds)
-        body_out = self.parse_block(builder, [cond_id])
+    def parse_while(self, preds: list[int]) -> list[int]:
+        cond_id = self.parse_condition(preds)
+        body_out = self.parse_block([cond_id])
         for v in body_out:  # back edge(s) to the loop header
-            builder.edges.add((v, cond_id))
+            self.edges.add((v, cond_id))
         return [cond_id]
 
-    def parse_return(self, builder: "_CfgBuilder", preds: list[int]) -> None:
+    def parse_return(self, preds: list[int]) -> None:
         self.i += 1  # the keyword
         info = _ExprInfo()
         if self.texts[self.i] != ";":
             self.parse_expr(info)
         self.expect(";")
         stmt = info.statement("return", "return " if info.text_parts else "return")
-        builder.returns.append(builder.add(stmt, preds))
+        self.returns.append(self.add(stmt, preds))
 
     def parse_decl(self) -> Statement:
         start = self.i
@@ -393,27 +404,6 @@ class _Parser:
             raise ParseError(
                 f"unexpected token {text or 'end of input'!r} in expression", *self.pos(i)
             )
-
-
-class _CfgBuilder:
-    """Collects statement nodes in source order and their edges; ``finish`` builds the Cfg."""
-
-    def __init__(self, function: str):
-        self.function = function
-        self.nodes = [Statement(kind="nop", code="<entry>")]
-        self.edges: set[tuple[int, int]] = set()
-        self.returns: list[int] = []
-
-    def add(self, stmt: Statement, preds: list[int]) -> int:
-        node = len(self.nodes)
-        self.nodes.append(stmt)
-        for p in preds:
-            self.edges.add((p, node))
-        return node
-
-    def finish(self, dangling: list[int]) -> Cfg:
-        exit_id = self.add(Statement(kind="nop", code="<exit>"), dangling + self.returns)
-        return Cfg(self.function, self.nodes, self.edges, 0, exit_id)
 
 
 def parse_function(source: str) -> Cfg:

@@ -101,6 +101,18 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="duplicates"):
             Vocabulary(k=3, ranks={"api": ["a", "a"]})
 
+    def test_boolean_k_rejected(self):
+        with pytest.raises(ValueError, match="integer 'k'"):
+            Vocabulary.from_json('{"k": true}')
+
+    def test_ranks_passed_in_are_copied(self):
+        ranks = {"api": ["malloc"]}
+        vocab = Vocabulary(k=2, ranks=ranks)
+        assert ranks == {"api": ["malloc"]}
+        ranks["api"].append("free")
+        assert vocab.ranks["api"] == ["malloc"] and vocab.slot("api", "free") == 1
+        assert Vocabulary.from_json(vocab.to_json()) == vocab
+
 
 class TestEncode:
     def make_vocab(self):

@@ -93,14 +93,26 @@ class TestInterchange:
             load_cfg('{"function": "f", "nodes": [42], "edges": [], "entry": 0, "exit": 0}')
         with pytest.raises(CfgError, match="missing field"):
             load_cfg('{"function": "f"}')
-        nodes = '[{"id": 0, "kind": "nop"}, {"id": 1, "kind": "nop"}]'
-        for bad, path in [
-            (nodes.replace('"id": 1', '"id": "a"'), r"\$\.nodes\[1\]\.id"),
-            (nodes.replace('"kind": "nop"}]', '"kind": ["nop"]}]'), r"\$\.nodes\[1\]\.kind"),
-            (nodes.replace('"kind": "nop"}]', '"kind": "nop", "code": 7}]'), r"\$\.nodes\[1\]\.code"),
+        doc = (
+            '{"function": "f", "nodes": [{"id": 0, "kind": "nop"}, {"id": 1, "kind": "nop"}], '
+            '"edges": [[0, 1]], "entry": 0, "exit": 1}'
+        )
+        load_cfg(doc)
+        for old, new, path in [
+            ('"id": 1', '"id": "a"', r"\$\.nodes\[1\]\.id"),
+            ('"kind": "nop"}]', '"kind": ["nop"]}]', r"\$\.nodes\[1\]\.kind"),
+            ('"kind": "nop"}]', '"kind": "nop", "code": 7}]', r"\$\.nodes\[1\]\.code"),
+            # a node has a target exactly when its kind is a definition
+            ('"kind": "nop"}]', '"kind": "assign"}]', r"\$\.nodes\[1\]\.target: required for kind 'assign'"),
+            ('"kind": "nop"}]', '"kind": "nop", "target": "x"}]', r"\$\.nodes\[1\]\.target: must be null"),
+            # JSON booleans are not ints
+            ("[[0, 1]]", "[[false, true]]", r"\$\.edges\[0\]: must be a \[from, to\] pair of ints"),
+            ('"entry": 0', '"entry": true', r"\$\.entry: must be an int"),
+            ('"exit": 1', '"exit": true', r"\$\.exit: must be an int"),
         ]:
+            assert doc.count(old) == 1
             with pytest.raises(CfgError, match=path):
-                load_cfg(f'{{"function": "f", "nodes": {bad}, "edges": [[0, 1]], "entry": 0, "exit": 1}}')
+                load_cfg(doc.replace(old, new))
 
     def test_random_roundtrip(self):
         from defreach.harness import synth_generate

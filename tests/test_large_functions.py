@@ -11,7 +11,7 @@ output on them must update these digests on purpose.
 import hashlib
 import random
 
-from defreach.cfg import dump_cfg
+from defreach.cfg import dump_cfg, load_cfg
 from defreach.dataflow import compute_gen_kill, solve
 from defreach.embedding import build_vocabulary, encode
 from defreach.harness import oracle_label
@@ -91,9 +91,19 @@ def large_function(rng: random.Random, target: int) -> str:
     return "\n".join([*lines, "  return v0;", "}", ""])
 
 
-def test_large_function_outputs_are_pinned():
+def pinned_cfgs() -> list:
     rng = random.Random(13)
-    cfgs = [parse_function(large_function(rng, rng.randint(600, 1500))) for _ in range(12)]
+    return [parse_function(large_function(rng, rng.randint(600, 1500))) for _ in range(12)]
+
+
+def test_large_function_graphs_meet_the_interchange_schema():
+    for cfg in pinned_cfgs():
+        doc = dump_cfg(cfg)
+        assert dump_cfg(load_cfg(doc)) == doc
+
+
+def test_large_function_outputs_are_pinned():
+    cfgs = pinned_cfgs()
     assert all(600 <= len(cfg.nodes) <= 1500 for cfg in cfgs), [len(cfg.nodes) for cfg in cfgs]
 
     graphs, masks, features = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
