@@ -141,17 +141,15 @@ STEP_PARAMS = (
 
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
     """Graph-level logits, shape (num_graphs, 1)."""
-    h = T.relu(T.add(T.embed_sum(batch.features, pt["proj_w"]), pt["proj_b"]))
+    h = T.project(batch.features, pt["proj_w"], pt["proj_b"])
     weights = [pt[name] for name in STEP_PARAMS]
     # the batch's scatter positions, built once for every step's forward and
     # backward; the rules on a tape keep them until the tape goes
     edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
     for _ in range(config.steps):
         h = T.message_step(h, edges, *weights)
-    gate = T.sigmoid(T.matmul(h, pt["att_gate_w"], bias=pt["att_gate_b"]))
-    feat = T.tanh(T.matmul(h, pt["att_feat_w"], bias=pt["att_feat_b"]))
-    pooled = T.segment_sum(T.scale_rows(feat, gate), batch.seg, batch.num_graphs)
-    y = pooled
+    y = T.readout(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
+                  batch.seg, batch.num_graphs)
     for i in range(config.output_layers):
         y = T.matmul(y, pt[f"cls{i}_w"], bias=pt[f"cls{i}_b"])
         if i < config.output_layers - 1:

@@ -1,22 +1,32 @@
 """Dense 2-D float64 tensors with a reverse-mode tape.
 
 Every primitive checks shapes explicitly and rejects non-finite outputs;
-the only broadcasts allowed are a 1-row bias in ``add`` and ``matmul``
-and the per-row gate in ``scale_rows``. Each tensor on a Tape has an
-integer slot on it. An op with an operand on a Tape appends one record
-to it: the output's slot, the inputs' slots, and a rule that maps the
+the only broadcasts allowed are a 1-row bias in ``add``, ``matmul`` and the
+fused primitives, and the per-row gate inside ``readout``. Each tensor on a
+Tape has an integer slot on it. An op with an operand on a Tape appends one
+record to it: the output's slot, the inputs' slots, and a rule that maps the
 output's gradient to one gradient per input. ``gradients`` replays the
 records in exact reverse order, adding each rule's gradients into the
 slots of the inputs that are on the tape.
 
-``message_step`` is a fused primitive: one record, and one hand-derived
-rule, for a message-passing step that the other primitives spell out as
-24 records (an edge sum, the aggregate layer, its relu and a 21-record GRU
-update). It checks the aggregate before its relu, the GRU's three
-pre-activations and its output, which raises on exactly the inputs where
-the chain of primitives would raise. ``edge_gather_sum`` stays a primitive
-of its own: it is the sparse propagation op that callers outside the
-model, such as the acceptance tests, build on.
+Three fused primitives each record one op, with one hand-derived rule, for
+a chain the other primitives would spell out in several records, with the
+chain's arithmetic in the chain's order, so their outputs are bit-identical
+to the chain's, and so are their gradients (but for one sum in
+``message_step``, see there):
+
+- ``project``, the input projection: a sum of weight rows named by slot
+  indices, a bias and a relu (3 records);
+- ``message_step``, a message-passing step: an edge sum, the aggregate
+  layer, its relu and a 21-record GRU update (24 records);
+- ``readout``, the gated attention readout: a gate and a feature layer,
+  their product and a per-graph sum (6 records).
+
+Each checks its intermediate values where the chain could first turn
+non-finite, which raises on exactly the inputs where the chain would, and
+names the stage. ``edge_gather_sum`` stays a primitive of its own: it is
+the sparse propagation op that callers outside the model, such as the
+acceptance tests, build on.
 
 A rule holds arrays, never tensors, so nothing on a tape refers back to
 the tensors recorded on it: a tape and its activations are freed by
@@ -126,22 +136,6 @@ def check_slots(slots: np.ndarray, rows: int) -> None:
         raise TensorError(f"slot outside [-1, {rows})")
 
 
-def embed_sum(slots: np.ndarray, w: Tensor) -> Tensor:
-    """out[i] = sum of w[slots[i, j]] over the columns j with slots[i, j] >= 0.
-
-    The product of one-hot rows with ``w``, taken without the rows: the
-    slots are the hot columns, -1 marks none. Columns are added in order
-    j = 0, 1, ..., the order of the hot columns in a one-hot row. The
-    slots are constant input, so only ``w`` gets a gradient.
-    """
-    w_rows = w.shape[0]
-    check_slots(slots, w_rows)
-    rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
-    hot = slots[rows, cols]
-    return _op(kernels.segment_sum(w.data[hot], rows, slots.shape[0]), "embed_sum", (w,),
-               lambda g: (kernels.segment_sum(g[rows], hot, w_rows),))
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[1] == 1:
         # BLAS computes a one-column product (gemv) with rounding that depends
@@ -199,14 +193,15 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
     update spelled out in ``matmul``, ``add``, ``sigmoid``, ``tanh``,
     ``hadamard``, ``scale`` and ``add_const``, in the same order, so the
     output is bit-identical to the chain's; each sum and squashing function
-    runs in place on a buffer of its own. Its gradients are too: the rule
-    adds h's GRU-state gradient and then its reversed-edge term, the order
-    ``gradients`` adds them in for the chain. So are its failures: a
-    non-finite value in the chain first appears in a sum or a product, and
-    it stays non-finite through every later ``+`` and product up to the
-    relu or a squashing function, so checking the aggregate before the relu
-    (which maps -inf to 0), the three GRU pre-activations and the output
-    raises exactly where the chain would.
+    runs in place on a buffer of its own. Its gradients are too, but for
+    the order of one sum: the rule adds a's gradient over the gates z, r,
+    c, where ``gradients`` adds the chain's c, r, z, so the gradients of
+    h, agg_w and agg_b agree with the chain's to rounding. Its failures are
+    the chain's: a non-finite value in the chain first appears in a sum or
+    a product, and it stays non-finite through every later ``+`` and
+    product up to the relu or a squashing function, so checking the
+    aggregate before the relu (which maps -inf to 0), the three GRU
+    pre-activations and the output raises exactly where the chain would.
     """
     n, d = h.shape
     m = agg_w.shape[1]
@@ -230,8 +225,7 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
     r = _gate(a, wrd, hd, urd, br.data, _sigmoid, "reset gate")
     rh = r * hd
     c = _gate(a, whd, rh, uhd, bh.data, np.tanh, "candidate")
-    out = z * -1.0
-    out += 1.0  # keep = 1 - z
+    out = np.subtract(1.0, z)  # keep
     out *= hd
     out += z * c
 
@@ -241,11 +235,9 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
         # summed, a, z, r and c; keep and r * h are recomputed, which holds
         # two arrays fewer per step on a tape.
         dz = g * c
-        t = g * hd
-        t *= -1.0
-        dz += t
+        dz -= g * hd
         dpc = g * z
-        np.multiply(c, c, out=t)
+        t = c * c
         np.subtract(1.0, t, out=t)
         dpc *= t
         drh = dpc @ uhd.T
@@ -261,8 +253,7 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
         dpre += dpr @ wrd.T
         dpre += dpc @ whd.T
         dpre *= a > 0
-        dh = z * -1.0
-        dh += 1.0
+        dh = np.subtract(1.0, z)
         dh *= g  # g * keep
         drh *= r
         dh += drh
@@ -280,6 +271,98 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
     return _op(out, "message_step", (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
 
 
+def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w + b) for the one-hot rows x whose hot columns are ``slots``,
+    recorded as one op.
+
+    The product is taken without the rows: row i is the sum of w[slots[i, j]]
+    over the columns j with slots[i, j] >= 0 (-1 marks none), added in order
+    j = 0, 1, ..., the order of the hot columns in a one-hot row. The slots
+    are constant input, so only ``w`` and ``b`` get gradients. The
+    arithmetic, the gradients and the failures are those of the row sum,
+    ``add`` and ``relu`` as three ops: the row sum is checked, then the sum
+    with the bias, before the relu (which maps -inf to 0).
+    """
+    w_rows = w.shape[0]
+    check_slots(slots, w_rows)
+    if b.shape != (1, w.shape[1]):
+        raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
+    n = slots.shape[0]
+    rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
+    hot = slots[rows, cols]
+    out = kernels.segment_sum(w.data[hot], rows, n)
+    if not np.isfinite(out).all():
+        raise TensorError("non-finite output of project row sum")
+    out += b.data
+    if not np.isfinite(out).all():
+        raise TensorError("non-finite output of project bias")
+    np.maximum(out, 0.0, out=out)  # relu in place: out > 0 exactly where the sum is
+
+    def rule(g):
+        dpre = g * (out > 0)
+        # ``add`` sums a bias's gradient over rows only when it broadcasts the bias
+        db = dpre if n == 1 else dpre.sum(axis=0, keepdims=True)
+        return kernels.segment_sum(dpre[rows], hot, w_rows), db
+
+    return _op(out, "project", (w, b), rule)
+
+
+def readout(h: Tensor, gate_w: Tensor, gate_b: Tensor, feat_w: Tensor, feat_b: Tensor,
+            seg: np.ndarray, num_graphs: int) -> Tensor:
+    """Gated attention pooling of the rows of ``h`` into ``num_graphs`` rows,
+    recorded as one op:
+
+        gate = sigmoid(h @ gate_w + gate_b), one column
+        feat = tanh(h @ feat_w + feat_b)
+        out[k] = sum of gate[i] * feat[i] over the rows i with seg[i] == k
+
+    The arithmetic is that of the chain ``matmul`` with a bias, ``sigmoid``,
+    ``matmul`` with a bias, ``tanh``, the per-row product and
+    ``segment_sum``, in that order, so output and gradients are
+    bit-identical to it. Only the two pre-activations can be non-finite
+    when h and the weights are not: each is checked, the gate's first,
+    which raises exactly where the chain would.
+    """
+    n, d = h.shape
+    m = feat_w.shape[1]
+    if gate_w.shape != (d, 1) or gate_b.shape != (1, 1) or feat_w.shape != (d, m) or feat_b.shape != (1, m):
+        raise TensorError(f"readout weights {gate_w.shape}, {gate_b.shape}, {feat_w.shape}, "
+                          f"{feat_b.shape} for state {h.shape}")
+    if seg.shape != (n,):
+        raise TensorError(f"readout segment ids of shape {seg.shape} for state {h.shape}")
+    hd, gwd, fwd = h.data, gate_w.data, feat_w.data
+    gate = _product(hd, gwd)
+    gate += gate_b.data
+    if not np.isfinite(gate).all():
+        raise TensorError("non-finite output of readout gate")
+    _sigmoid(gate, out=gate)
+    feat = _product(hd, fwd)
+    feat += feat_b.data
+    if not np.isfinite(feat).all():
+        raise TensorError("non-finite output of readout feature")
+    np.tanh(feat, out=feat)
+    pooled = kernels.segment_sum(feat * gate, seg, num_graphs)
+
+    def rule(g):
+        # g, gate, feat and h's data are read only; every gradient below is
+        # a fresh array, updated in place
+        dfeat = g[seg]  # the gradient of gate * feat, until scaled by gate
+        dgate = (dfeat * feat).sum(axis=1, keepdims=True)
+        dfeat *= gate
+        t = feat * feat
+        np.subtract(1.0, t, out=t)
+        dfeat *= t  # tanh'
+        s = np.subtract(1.0, gate)
+        s *= gate
+        dgate *= s  # sigmoid'
+        dh = dfeat @ fwd.T
+        dh += dgate @ gwd.T
+        return (dh, hd.T @ dgate, dgate.sum(axis=0, keepdims=True),
+                hd.T @ dfeat, dfeat.sum(axis=0, keepdims=True))
+
+    return _op(pooled, "readout", (h, gate_w, gate_b, feat_w, feat_b), rule)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     bias = b.shape == (1, a.shape[1]) and a.shape[0] != 1
     if not bias and a.shape != b.shape:
@@ -293,15 +376,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"hadamard shape mismatch: {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
     return _op(ad * bd, "hadamard", (a, b), lambda g: (g * bd, g * ad))
-
-
-def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of ``a`` by the scalar s[i, 0]."""
-    if s.shape != (a.shape[0], 1):
-        raise TensorError(f"scale_rows needs gate shape {(a.shape[0], 1)}, got {s.shape}")
-    ad, sd = a.data, s.data
-    return _op(ad * sd, "scale_rows", (a, s),
-               lambda g: (g * sd, (g * ad).sum(axis=1, keepdims=True)))
 
 
 def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:

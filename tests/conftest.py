@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from defreach import tensor as T
 from defreach.cfg import Cfg, Statement
 
 # Tier-1 runs hypothesis's default budget of 100 examples per test; CI runs
@@ -62,6 +63,33 @@ def random_slots(nrng: np.random.Generator, n_nodes: int, k: int) -> np.ndarray:
     columns, about a third of them -1 (masked or no definition)."""
     hot = np.arange(4) * (k + 2) + nrng.integers(0, k + 2, (n_nodes, 4))
     return np.where(nrng.random((n_nodes, 4)) < 0.3, -1, hot)
+
+
+def projection_chain(slots: np.ndarray, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """T.project spelled out in primitive ops: ``edge_gather_sum`` adds each
+    node's hot rows of w into that node's row, in column order, an identity
+    ``matmul`` keeps the node rows, then ``add`` the bias and ``relu``."""
+    n, rows_w = slots.shape[0], w.shape[0]
+    if n > rows_w:  # zero rows below w's, so that every node has a row to sum into
+        w = T.matmul(T.Tensor(np.eye(n, rows_w)), w)
+    rows, cols = np.nonzero(slots >= 0)
+    summed = T.edge_gather_sum(w, slots[rows, cols], rows)
+    return T.relu(T.add(T.matmul(T.Tensor(np.eye(n, summed.shape[0])), summed), b))
+
+
+def scale_rows(a: T.Tensor, s: T.Tensor) -> T.Tensor:
+    """Row i of ``a`` times s[i, 0], recorded as an op of its own. No public
+    primitive's rule sums a row as the gate's gradient does (numpy's
+    pairwise sum along axis 1), so the reference records it directly."""
+    ad, sd = a.data, s.data
+    return T._op(ad * sd, "scale_rows", (a, s), lambda g: (g * sd, (g * ad).sum(axis=1, keepdims=True)))
+
+
+def readout_chain(h, gate_w, gate_b, feat_w, feat_b, seg: np.ndarray, num_graphs: int) -> T.Tensor:
+    """T.readout spelled out in primitive ops."""
+    gate = T.sigmoid(T.matmul(h, gate_w, bias=gate_b))
+    feat = T.tanh(T.matmul(h, feat_w, bias=feat_b))
+    return T.segment_sum(scale_rows(feat, gate), seg, num_graphs)
 
 
 def brute_gen_kill(cfg: Cfg, deref_defines: bool = False):

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_cfg, random_slots
+from conftest import projection_chain, random_cfg, random_slots, readout_chain
 from defreach import kernels
 from defreach import model as M
 from defreach import tensor as T
@@ -135,16 +135,60 @@ class TestForward:
 class TestTapeRecords:
     @pytest.mark.parametrize("steps, layers", [(0, 1), (1, 1), (2, 3), (5, 3)])
     def test_records_per_forward_and_loss(self, steps, layers):
-        # projection 3 (embed_sum, bias, relu); per message step 1
-        # (message_step); readout 6; per classifier layer a matmul and, but
-        # for the last, a relu; the loss 6
+        # projection 1 (project); per message step 1 (message_step); readout
+        # 1 (readout); per classifier layer a matmul and, but for the last, a
+        # relu; the loss 6
         c = tiny_config(steps=steps, output_layers=layers)
         params = M.init_params(c, seed=0)
         graphs = random_graphs(c, seed=9, n_graphs=3)
         tape = T.Tape()
         pt = {k: tape.tensor(v) for k, v in params.items()}
         M.bce_logits(M.forward_batch(pt, M.batch_graphs(graphs), c), np.array([1.0, 0.0, 1.0]))
-        assert len(tape._ops) == 3 + steps + 6 + (2 * layers - 1) + 6
+        assert len(tape._ops) == 1 + steps + 1 + (2 * layers - 1) + 6
+
+
+def chain_forward(pt, batch, config):
+    """forward_batch with its projection and readout spelled out in primitive ops."""
+    h = projection_chain(batch.features, pt["proj_w"], pt["proj_b"])
+    edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
+    for _ in range(config.steps):
+        h = T.message_step(h, edges, *[pt[name] for name in M.STEP_PARAMS])
+    y = readout_chain(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
+                      batch.seg, batch.num_graphs)
+    for i in range(config.output_layers):
+        y = T.matmul(y, pt[f"cls{i}_w"], bias=pt[f"cls{i}_b"])
+        if i < config.output_layers - 1:
+            y = T.relu(y)
+    return y
+
+
+class TestFusedLayers:
+    """forward_batch's fused projection and readout against chain_forward."""
+
+    @pytest.mark.parametrize("k, hidden, steps, layers",
+                             [(20, 32, 5, 3), (1000, 32, 5, 3), (5, 1, 2, 1), (7, 8, 0, 2), (3, 4, 3, 4)])
+    def test_logits_and_gradients_bit_identical_to_chain(self, k, hidden, steps, layers):
+        data = synth_generate(40, seed=k)
+        vocab = build_vocabulary([e.cfg for e in data], k=k)
+        c = M.ModelConfig(k=k, hidden=hidden, steps=steps, output_layers=layers)
+        rng = np.random.default_rng(k)
+        # nonzero biases, so that the relus and the gates see both signs
+        params = {n: v + rng.standard_normal(v.shape) * 0.1 if n.endswith("_b") else v
+                  for n, v in M.init_params(c, seed=k).items()}
+        batch = M.batch_graphs([(encode(e.cfg, vocab), e.cfg) for e in data])
+        labels = np.array([e.label for e in data], dtype=np.float64)
+
+        def logits_and_gradients(forward):
+            tape = T.Tape()
+            pt = {n: tape.tensor(v) for n, v in params.items()}
+            logits = forward(pt, batch, c)
+            return logits.data, T.gradients(M.bce_logits(logits, labels), list(pt.values()))
+
+        logits, grads = logits_and_gradients(M.forward_batch)
+        chain_logits, chain_grads = logits_and_gradients(chain_forward)
+        assert logits.tobytes() == chain_logits.tobytes()
+        for name, a, b in zip(params, grads, chain_grads):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestBatch:

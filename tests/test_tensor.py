@@ -1,9 +1,11 @@
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+from conftest import projection_chain, readout_chain
 from defreach import kernels
 from defreach import tensor as T
 
@@ -195,7 +197,6 @@ class TestFiniteDifferenceChecks:
         b = rng.standard_normal((3, 4))
         check_scalar_fn(lambda t: T.sum_all(T.hadamard(T.sigmoid(t[0]), T.tanh(t[1]))), [a, b])
         check_scalar_fn(lambda t: T.sum_all(T.softplus(t[0])), [a])
-        check_scalar_fn(lambda t: T.sum_all(T.scale_rows(t[0], t[1])), [a, b[:, :1].copy()])
 
     def test_bias_broadcast(self):
         rng = np.random.default_rng(11)
@@ -441,10 +442,11 @@ TAPED_OPS = {
     "matmul-bias": ([(3, 4), (4, 2), (1, 2)], T.matmul),
     "message_step": ([(3, 4), (4, 2), (1, 2)] + [(2, 4), (4, 4), (1, 4)] * 3,
                      lambda h, *weights: fused_step(h, np.array([0, 1, 2]), np.array([1, 2, 1]), *weights)),
-    "embed_sum": ([(6, 3)], lambda w: T.embed_sum(np.array([[0, 5, -1], [2, 2, 1]]), w)),
+    "project": ([(6, 3), (1, 3)], lambda w, b: T.project(np.array([[0, 5, -1], [2, 2, 1]]), w, b)),
+    "readout": ([(4, 3), (3, 1), (1, 1), (3, 2), (1, 2)],
+                lambda h, *weights: T.readout(h, *weights, np.array([0, 0, 1, 1]), 2)),
     "add": ([(3, 2), (1, 2)], T.add),
     "hadamard": ([(3, 2), (3, 2)], T.hadamard),
-    "scale_rows": ([(3, 2), (3, 1)], T.scale_rows),
     "sigmoid": ([(3, 2)], T.sigmoid),
     "tanh": ([(3, 2)], T.tanh),
     "relu": ([(3, 2)], T.relu),
@@ -538,34 +540,211 @@ class TestKernels:
 
 
 class TestEmbedSum:
+    """The projection's sum of the weight rows named by slot indices, through T.project."""
+
     SLOTS = np.array([[0, 3, -1], [2, 2, 5], [-1, -1, -1], [5, 0, 3]], dtype=np.int64)
 
     def test_equals_one_hot_product(self):
-        w = np.random.default_rng(33).standard_normal((6, 3))
+        rng = np.random.default_rng(33)
+        w, b = rng.standard_normal((6, 3)), rng.standard_normal((1, 3))
         dense = np.zeros((4, 6))
         for i, row in enumerate(self.SLOTS):
             for s in row[row >= 0]:
                 dense[i, s] += 1.0
-        got = T.embed_sum(self.SLOTS, T.Tensor(w)).data
-        np.testing.assert_allclose(got, dense @ w, rtol=1e-15, atol=1e-15)
-        assert not got[2].any()
+        got = T.project(self.SLOTS, T.Tensor(w), T.Tensor(b)).data
+        np.testing.assert_allclose(got, np.maximum(dense @ w + b, 0.0), rtol=1e-15, atol=1e-15)
+        assert np.array_equal(got[2], np.maximum(b[0], 0.0))  # no hot slot: relu of the bias
 
     def test_gradient_check_with_empty_and_repeated_slots(self):
-        w = np.random.default_rng(34).standard_normal((6, 3))
-        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.embed_sum(self.SLOTS, t[0]))), [w])
+        rng = np.random.default_rng(34)
+        w, b = rng.standard_normal((6, 3)), rng.standard_normal((1, 3))
+        check_scalar_fn(lambda t: T.sum_all(T.tanh(T.project(self.SLOTS, t[0], t[1]))), [w, b])
 
     def test_non_finite_weight_rejected(self):
         w = np.ones((6, 3))
         w[5, 1] = np.inf
-        with pytest.raises(T.TensorError, match="non-finite output of embed_sum"):
-            T.embed_sum(self.SLOTS, T.Tensor(w))
+        with pytest.raises(T.TensorError, match="non-finite output of project row sum"):
+            T.project(self.SLOTS, T.Tensor(w), T.Tensor(np.zeros((1, 3))))
 
     @pytest.mark.parametrize("bad", [-2, 6])
     def test_slot_out_of_range_rejected(self, bad):
         slots = self.SLOTS.copy()
         slots[1, 1] = bad
         with pytest.raises(T.TensorError, match="slot outside"):
-            T.embed_sum(slots, T.Tensor(np.ones((6, 3))))
+            T.project(slots, T.Tensor(np.ones((6, 3))), T.Tensor(np.zeros((1, 3))))
+
+
+K = 3  # vocabulary size of the fused-op batches: 4 property blocks of K + 2 slots
+SEG = np.repeat([0, 1, 2], [4, 1, 6])  # three graphs of 4, 1 and 6 nodes; graph 3 is empty
+NUM_GRAPHS = 4
+
+
+def batch_slots(rng):
+    """Slots of SEG's 11 nodes: a node without definition, a masked property,
+    a slot repeated in one row, and NONE and UNKNOWN slots."""
+    slots = np.arange(4) * (K + 2) + rng.integers(0, K + 2, (len(SEG), 4))
+    slots[0] = -1  # no definition
+    slots[:, 2] = -1  # the constant property masked
+    slots[1, 1] = slots[1, 0]  # repeated
+    slots[2, 0], slots[3, 1] = 0, K + 2 + 1  # NONE of the api block, UNKNOWN of the datatype block
+    return slots
+
+
+def fused_inputs(rng, hidden):
+    """batch_slots, and each fused op's arrays in its argument order."""
+    arrays = {
+        "project": [rng.standard_normal((4 * (K + 2), hidden)), rng.standard_normal((1, hidden))],
+        "readout": [rng.standard_normal((len(SEG), hidden)), rng.standard_normal((hidden, 1)),
+                    rng.standard_normal((1, 1)), rng.standard_normal((hidden, hidden)),
+                    rng.standard_normal((1, hidden))],
+    }
+    return batch_slots(rng), arrays
+
+
+# Each fused op and its chain of primitives, as functions of the op's tensors.
+def fused_ops(slots):
+    return {
+        "project": (lambda w, b: T.project(slots, w, b), lambda w, b: projection_chain(slots, w, b)),
+        "readout": (lambda h, *w: T.readout(h, *w, SEG, NUM_GRAPHS),
+                    lambda h, *w: readout_chain(h, *w, SEG, NUM_GRAPHS)),
+    }
+
+
+def outcome(build, arrays):
+    """build's output and its inputs' gradients through a loss, or the TensorError it raised."""
+    tape = T.Tape()
+    tensors = [tape.tensor(a) for a in arrays]
+    try:
+        out = build(*tensors)
+    except T.TensorError as e:
+        return str(e)
+    return [out.data] + T.gradients(T.sum_all(T.tanh(out)), tensors)
+
+
+class TestProjectAndReadout:
+    """T.project and T.readout against their chains of primitive ops."""
+
+    @pytest.mark.parametrize("hidden", [1, 32])
+    @pytest.mark.parametrize("name", ["project", "readout"])
+    def test_output_and_gradients_bit_identical_to_chain(self, name, hidden):
+        slots, arrays = fused_inputs(np.random.default_rng(70), hidden)
+        fused, chain = fused_ops(slots)[name]
+        got, want = outcome(fused, arrays[name]), outcome(chain, arrays[name])
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), "output" if i == 0 else f"input {i - 1}"
+
+    def test_project_on_one_node_bit_identical_to_chain(self):
+        # With one row ``add`` does not broadcast the bias, so it passes its
+        # gradient on unsummed: -0.0 where the relu is off and the gradient
+        # negative, which a sum over the one row would turn into 0.0.
+        rng = np.random.default_rng(71)
+        arrays = [rng.standard_normal((6, 3)), np.array([[-9.0, 9.0, -9.0]])]
+        slots = np.array([[0, 3, -1, 5]])
+        got = outcome(lambda w, b: T.scale(T.project(slots, w, b), -1.0), arrays)
+        want = outcome(lambda w, b: T.scale(projection_chain(slots, w, b), -1.0), arrays)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), i
+
+    @pytest.mark.parametrize("hidden", [1, 3])
+    def test_finite_differences(self, hidden):
+        slots, arrays = fused_inputs(np.random.default_rng(72), hidden)
+        for name, (fused, _) in fused_ops(slots).items():
+            check_scalar_fn(lambda t: T.sum_all(T.tanh(fused(*t))), arrays[name])
+
+    # (scaled weights, scale): w, b or both by +-1e300, and by +-1e308, where
+    # a sum of two of these weights overflows
+    PROJECT_SCALES = [(which, scale) for which in ("w", "b", "both") for scale in (1e300, -1e300, 1e308, -1e308)]
+
+    @pytest.mark.parametrize("one_per_row", [False, True])
+    @pytest.mark.parametrize("which, scale", PROJECT_SCALES)
+    def test_project_overflow_raises_where_chain_raises(self, which, scale, one_per_row):
+        rng = np.random.default_rng(73)
+        slots = batch_slots(rng)
+        if one_per_row:  # each row sum is one weight, so only adding the bias can overflow
+            slots[:, 1:] = -1
+        w, b = rng.uniform(0.5, 1.5, (4 * (K + 2), 4)), rng.uniform(0.5, 1.5, (1, 4))
+        arrays = [w * scale if which != "b" else w, b * scale if which != "w" else b]
+        big = abs(scale) > 1e300
+        stage = ("project row sum" if big and which != "b" and not one_per_row
+                 else "project bias" if big and which == "both" else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = outcome(lambda w, b: projection_chain(slots, w, b), arrays)
+            fused = outcome(lambda w, b: T.project(slots, w, b), arrays)
+        if stage is None:
+            assert not isinstance(chain, str), chain
+            assert not isinstance(fused, str), fused
+        else:
+            chain_op = {"project row sum": "edge_gather_sum", "project bias": "add"}[stage]
+            assert chain == f"non-finite output of {chain_op}"
+            assert fused == f"non-finite output of {stage}"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    # gate_w gate_b feat_w feat_b by readout's arguments, and both weights
+    @pytest.mark.parametrize("scaled", [(1,), (2,), (3,), (4,), (1, 3)])
+    def test_readout_overflow_raises_where_chain_raises(self, scaled, sign):
+        arrays = fused_inputs(np.random.default_rng(74), 4)[1]["readout"]
+        arrays[0] = arrays[0] * 1e10
+        for i in scaled:
+            arrays[i] = arrays[i] * sign * 1e300
+        # a weight overflows its layer's product, the gate's first; a bias of 1e300 stays finite
+        stage = "gate" if 1 in scaled else "feature" if 3 in scaled else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = outcome(lambda *t: readout_chain(*t, SEG, NUM_GRAPHS), arrays)
+            fused = outcome(lambda *t: T.readout(*t, SEG, NUM_GRAPHS), arrays)
+            if stage == "feature":  # the chain's gate layer, before it, passes
+                T.matmul(T.Tensor(arrays[0]), T.Tensor(arrays[1]), bias=T.Tensor(arrays[2]))
+        if stage is None:
+            assert not isinstance(chain, str), chain
+            assert not isinstance(fused, str), fused
+        else:
+            assert chain == "non-finite output of matmul"
+            assert fused == f"non-finite output of readout {stage}"
+
+    def test_shape_errors_name_both_shapes(self):
+        slots = np.array([[0, 5, -1], [2, 2, 1]])
+        with pytest.raises(T.TensorError, match=r"project bias shape \(1, 4\) for weights \(6, 3\)"):
+            T.project(slots, T.Tensor(np.ones((6, 3))), T.Tensor(np.ones((1, 4))))
+        h = T.Tensor(np.ones((4, 3)))
+        weights = [T.Tensor(np.ones(shape)) for shape in [(3, 1), (1, 1), (3, 2), (1, 2)]]
+        seg = np.array([0, 0, 1, 1])
+        for i, bad in enumerate([(2, 1), (1, 2), (2, 2), (1, 3)]):
+            wrong = weights.copy()
+            wrong[i] = T.Tensor(np.ones(bad))
+            with pytest.raises(T.TensorError, match=rf"readout weights .*{re.escape(str(bad))}.* for state \(4, 3\)"):
+                T.readout(h, *wrong, seg, 2)
+        with pytest.raises(T.TensorError, match=r"readout segment ids of shape \(3,\) for state \(4, 3\)"):
+            T.readout(h, *weights, seg[:3], 2)
+
+
+class TestFusedInPlace:
+    """project and readout compute in place: nothing they are given, nor any
+    array their rules keep, may change."""
+
+    @pytest.mark.parametrize("name", ["project", "readout"])
+    def test_leaves_inputs_unchanged_and_gradients_repeat(self, name):
+        rng = np.random.default_rng(75)
+        slots, inputs = fused_inputs(rng, 4)
+        arrays = inputs[name]
+        before = [a.copy() for a in arrays], slots.copy(), SEG.copy()
+        fused, _ = fused_ops(slots)[name]
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]  # no copy: data is each array itself
+        out = fused(*tensors)
+        for i, t in enumerate(tensors):
+            assert not np.shares_memory(out.data, t.data), f"input {i}"
+        ((_, _, rule),) = tape._ops
+        g = rng.standard_normal(out.shape)
+        g0 = g.copy()
+        first, second = rule(g), rule(g)
+        assert np.array_equal(g, g0)
+        for i, (a, b) in enumerate(zip(first, second)):
+            assert np.array_equal(a, b), f"input {i}"
+        loss = T.sum_all(T.tanh(out))
+        for a, b in zip(T.gradients(loss, tensors), T.gradients(loss, tensors)):
+            assert np.array_equal(a, b)
+        for i, (a, b) in enumerate(zip(arrays, before[0])):
+            assert np.array_equal(a, b), f"input {i}"
+        assert np.array_equal(slots, before[1]) and np.array_equal(SEG, before[2])
 
 
 class TestSigmoid:
