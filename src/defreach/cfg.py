@@ -1,9 +1,10 @@
 """Statement-level control-flow graphs and the JSON interchange format.
 
 A Cfg holds one function: an ordered list of Statement nodes with dense
-integer ids, a frozen set of directed edges with sorted successor and
-predecessor lists and a sorted edge array built from it once, and
-synthetic entry/exit nop nodes.
+integer ids, synthetic entry/exit nop nodes, and each node's predecessor
+list, which the parser hands over as it adds the node. From those lists it
+builds sorted successor lists and a sorted (E, 2) edge array once; the set
+of edges is derived from that array when it is first asked for.
 
 ``load_cfg`` checks an interchange document's schema field by field, each
 error naming its JSON path: ids, edge endpoints, entry and exit are ints
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -39,8 +41,9 @@ class Statement:
     target: str | None = None
     decl_type: str | None = None
     callee: str | None = None
-    constants: list[str] = field(default_factory=list)
-    operators: list[str] = field(default_factory=list)
+    # tuples, which the collector stops tracking once it has seen they hold only strings
+    constants: tuple[str, ...] = ()
+    operators: tuple[str, ...] = ()
     uses: set[str] = field(default_factory=set)
 
     def is_definition(self) -> bool:
@@ -49,30 +52,48 @@ class Statement:
 
 @dataclass
 class Cfg:
-    """One function's graph; neither ``nodes`` nor ``edges`` changes after construction."""
+    """One function's graph, with the ids of each node's predecessors.
+
+    The Cfg takes ``preds`` over: it replaces each list of several ids with
+    its sorted, de-duplicated copy, and builds the successor lists and the
+    edge array from the lists once. Nothing changes after construction;
+    ``successors``/``predecessors`` hand out these lists, and callers must
+    not change them.
+    """
 
     function: str
     nodes: list[Statement]
-    edges: frozenset[tuple[int, int]]
+    preds: list[list[int]]
     entry: int
     exit: int
 
     def __post_init__(self) -> None:
-        self.edges = frozenset(self.edges)
         n = len(self.nodes)
-        # successors()/predecessors() hand out these lists: callers must not change them
-        self._succ: list[list[int]] = [[] for _ in range(n)]
-        self._pred: list[list[int]] = [[] for _ in range(n)]
-        ordered = sorted(self.edges)
-        for a, b in ordered:
-            if not (0 <= a < n and 0 <= b < n):
-                raise CfgError(f"dangling edge ({a}, {b}) with {n} nodes")
-            self._succ[a].append(b)
-            self._pred[b].append(a)
-        # the same sorted edges as an (E, 2) int64 array, for batching
-        flat = chain.from_iterable(ordered)
-        self.edge_array = np.fromiter(flat, dtype=np.int64, count=2 * len(ordered)).reshape(-1, 2)
-        self.edge_array.flags.writeable = False
+        preds = self.preds
+        if len(preds) != n:
+            raise CfgError(f"{len(preds)} predecessor lists for {n} nodes")
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for v, ps in enumerate(preds):
+            if len(ps) > 1:  # a join or a loop header; ``if (c) {}`` hands over [c, c]
+                ps = preds[v] = sorted(set(ps))
+            for p in ps:
+                if not 0 <= p < n:
+                    raise CfgError(f"dangling edge ({p}, {v}) with {n} nodes")
+                succ[p].append(v)  # v ascends, so each successor list comes out sorted
+        self._succ = succ
+        # the edges sorted by (source, target), as an (E, 2) int64 array for batching
+        sizes = [len(s) for s in succ]
+        count = sum(sizes)
+        edge_array = np.empty((count, 2), dtype=np.int64)
+        edge_array[:, 0] = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        edge_array[:, 1] = np.fromiter(chain.from_iterable(succ), dtype=np.int64, count=count)
+        edge_array.flags.writeable = False
+        self.edge_array = edge_array
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The directed edges as (source, target) pairs."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     def validate(self) -> None:
         n = len(self.nodes)
@@ -82,7 +103,7 @@ class Cfg:
         if not all(reach):
             missing = [v for v in range(n) if not reach[v]]
             raise CfgError(f"nodes unreachable from entry: {missing}")
-        co_reach = _closure(self.exit, self._pred)
+        co_reach = _closure(self.exit, self.preds)
         if not all(co_reach):
             stuck = [v for v in range(n) if not co_reach[v]]
             raise CfgError(f"exit unreachable from nodes: {stuck}")
@@ -91,7 +112,7 @@ class Cfg:
         return self._succ[v]
 
     def predecessors(self, v: int) -> list[int]:
-        return self._pred[v]
+        return self.preds[v]
 
     def reverse_postorder(self) -> list[int]:
         """Depth-first from the entry, then each unvisited id; successors in ascending order."""
@@ -131,6 +152,14 @@ def _closure(start: int, adjacency: list[list[int]]) -> list[bool]:
                 seen[m] = True
                 stack.append(m)
     return seen
+
+
+def predecessor_lists(num_nodes: int, edges) -> list[list[int]]:
+    """Per node, the sources of the ``(source, target)`` edges into it: ``Cfg``'s ``preds``."""
+    preds: list[list[int]] = [[] for _ in range(num_nodes)]
+    for a, b in edges:
+        preds[b].append(a)
+    return preds
 
 
 def dump_cfg(cfg: Cfg) -> str:
@@ -219,8 +248,8 @@ def load_cfg(document: str) -> Cfg:
                 target=rec.get("target"),
                 decl_type=rec.get("type"),
                 callee=rec.get("callee"),
-                constants=list(rec.get("constants", [])),
-                operators=list(rec.get("operators", [])),
+                constants=tuple(rec.get("constants", ())),
+                operators=tuple(rec.get("operators", ())),
                 uses=set(rec.get("uses", [])),
             )
         )
@@ -244,7 +273,7 @@ def load_cfg(document: str) -> Cfg:
     cfg = Cfg(
         function=doc["function"],
         nodes=nodes,
-        edges=edges,
+        preds=predecessor_lists(len(nodes), edges),
         entry=doc["entry"],
         exit=doc["exit"],
     )

@@ -1,14 +1,15 @@
 """Reaching-definitions analysis over a Cfg, with definition sets as int masks.
 
 Bit i of a mask is definition i of the DefinitionTable. Both solvers repeat
-one sweep, OUT[v] = GEN[v] | (OR of OUT[pred] & ~KILL[v]), over rows
-(v, predecessors of v, GEN[v], ~KILL[v]) built once per call, so each
-node's predecessor list is read from the Cfg once however many sweeps run:
+one sweep, IN[v] = OR of OUT[pred], OUT[v] = GEN[v] | (IN[v] & ~KILL[v]),
+over rows (v, predecessors of v, GEN[v], ~KILL[v]) built once per call, so
+each node's predecessor list is read from the Cfg once however many sweeps
+run:
   * ``solve`` -- round-robin sweeps in reverse postorder that update OUT in
     place (Gauss-Seidel) until a sweep changes nothing; on a reducible graph
     that takes at most d+2 sweeps, d the most back edges on any acyclic path
-    (production path); IN is one more sweep over the same predecessor
-    lists, with nothing generated or killed;
+    (production path). Every sweep stores IN as well, and the last one
+    reads only final OUTs, so it leaves the exact IN;
   * ``trace`` -- synchronous sweeps in node-id order, where every OUT of
     round r is computed from the round r-1 OUTs (Jacobi style), so each
     round's snapshot is reproducible exactly. It reaches its fixpoint within
@@ -102,16 +103,19 @@ def _rows(cfg: Cfg, state: DataflowState, order) -> list[tuple[int, list[int], i
     return [(v, cfg.predecessors(v), gen[v], ~kill[v]) for v in order]
 
 
-def _sweep(rows: list[tuple[int, list[int], int, int]], src: list[int], dst: list[int]) -> bool:
-    """dst[v] = GEN[v] | (OR of src[pred] & ~KILL[v]) for each row in turn;
-    returns whether any dst[v] changed. With ``src is dst`` a node sees the
-    OUTs its predecessors got earlier in the same sweep."""
+def _sweep(
+    rows: list[tuple[int, list[int], int, int]], src: list[int], dst: list[int], inb: list[int]
+) -> bool:
+    """inb[v] = OR of src[pred], dst[v] = GEN[v] | (inb[v] & ~KILL[v]) for each
+    row in turn; returns whether any dst[v] changed. With ``src is dst`` a
+    node sees the OUTs its predecessors got earlier in the same sweep."""
     changed = False
     for v, preds, gen, keep in rows:
-        inb = 0
+        acc = 0
         for u in preds:
-            inb |= src[u]
-        out = gen | (inb & keep)
+            acc |= src[u]
+        inb[v] = acc
+        out = gen | (acc & keep)
         if out != dst[v]:
             dst[v] = out
             changed = True
@@ -122,11 +126,9 @@ def solve(cfg: Cfg, state: DataflowState) -> DataflowState:
     """Least fixpoint of IN[v] = U OUT[pred], OUT[v] = GEN u (IN - KILL)."""
     rows = _rows(cfg, state, cfg.reverse_postorder())
     out = [0] * len(cfg.nodes)
-    while _sweep(rows, out, out):
-        pass
-    # IN is one more sweep, with nothing generated or killed, into a list of its own
     inb = [0] * len(cfg.nodes)
-    _sweep([(v, preds, 0, -1) for v, preds, _, _ in rows], out, inb)
+    while _sweep(rows, out, out, inb):
+        pass
     state.out = out
     state.inb = inb
     return state
@@ -152,10 +154,11 @@ def _trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[
 
     def snapshots() -> Iterator[list[int]]:
         snapshot = [0] * len(cfg.nodes)
+        inb = [0] * len(cfg.nodes)  # a trace reports OUT only
         yield snapshot
         for _ in range(rounds):
             out = snapshot.copy()
-            _sweep(rows, snapshot, out)
+            _sweep(rows, snapshot, out, inb)
             snapshot = out
             yield snapshot
 

@@ -172,17 +172,20 @@ def infer(
 
 def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig) -> np.ndarray:
     """``infer`` with the params already wrapped as off-tape tensors."""
-    for features, _ in graphs:
-        try:
-            T.check_slots(features, pt["proj_w"].shape[0])
-        except T.TensorError as e:
-            raise ValueError(f"feature width: {e}") from e
-        if features.shape[1] != len(PROPERTIES):
-            raise ValueError(f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
-    probs = [
-        forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
-        for lo in range(0, len(graphs), config.batch_size)
-    ]
+    try:
+        for features, _ in graphs:
+            T.check_slots(features)
+            if features.shape[1] != len(PROPERTIES):
+                raise ValueError(
+                    f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}"
+                )
+        # a slot outside the vocabulary is found by the projection, once per forward
+        probs = [
+            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
+            for lo in range(0, len(graphs), config.batch_size)
+        ]
+    except T.SlotError as e:
+        raise ValueError(f"feature width: {e}") from e
     return np.concatenate(probs) if probs else np.zeros(0)
 
 

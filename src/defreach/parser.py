@@ -117,13 +117,16 @@ class _ExprInfo:
         code = prefix + "".join(self.text_parts)
         # positional, in Statement's field order: this runs once per parsed node,
         # and passing keywords slowed parsing the scan-large functions by 1-4%
-        return Statement(kind, code, target, decl_type, callee, self.constants, self.operators, self.uses)
+        return Statement(
+            kind, code, target, decl_type, callee, tuple(self.constants), tuple(self.operators), self.uses
+        )
 
 
 class _Parser:
     """Walks the token lists by index, adding each statement's node and its
-    in-edges as it goes. The hot paths step ``self.i`` themselves rather than
-    through a helper method, which a scan-large sweep called about 170k times."""
+    predecessor list as it goes. The hot paths step ``self.i`` themselves
+    rather than through a helper method, which a scan-large sweep called
+    about 170k times."""
 
     def __init__(self, source: str):
         self.source = source
@@ -132,15 +135,18 @@ class _Parser:
         self.depth = 0  # open blocks and nested expressions
         self.types: dict[str, str] = {}  # in-scope declarations
         self.nodes = [Statement(kind="nop", code="<entry>")]  # in source order
-        self.edges: set[tuple[int, int]] = set()
+        self.preds: list[list[int]] = [[]]  # per node, the Cfg's predecessor lists
         self.returns: list[int] = []  # return nodes, each an in-edge of the exit
 
     def add(self, stmt: Statement, preds: list[int]) -> int:
-        """Add ``stmt`` as the next node, with an edge from each of ``preds``."""
+        """Add ``stmt`` as the next node, with an edge from each of ``preds``.
+
+        The node keeps the list itself: no caller uses it again, but for a
+        loop header, whose back edges ``parse_while`` appends to it.
+        """
         node = len(self.nodes)
         self.nodes.append(stmt)
-        for p in preds:
-            self.edges.add((p, node))
+        self.preds.append(preds)
         return node
 
     # -- token helpers -------------------------------------------------
@@ -208,7 +214,7 @@ class _Parser:
                 *self.pos(self.i),
             )
         exit_id = self.add(Statement(kind="nop", code="<exit>"), dangling + self.returns)
-        cfg = Cfg(name, self.nodes, self.edges, 0, exit_id)
+        cfg = Cfg(name, self.nodes, self.preds, 0, exit_id)
         cfg.validate()
         return cfg
 
@@ -261,8 +267,7 @@ class _Parser:
     def parse_while(self, preds: list[int]) -> list[int]:
         cond_id = self.parse_condition(preds)
         body_out = self.parse_block([cond_id])
-        for v in body_out:  # back edge(s) to the loop header
-            self.edges.add((v, cond_id))
+        self.preds[cond_id] += body_out  # back edge(s) to the loop header
         return [cond_id]
 
     def parse_return(self, preds: list[int]) -> None:

@@ -48,6 +48,10 @@ class TensorError(Exception):
     pass
 
 
+class SlotError(TensorError):
+    """Slot features that are not a 2-D integer array of values in [-1, rows)."""
+
+
 class Tensor:
     __slots__ = ("data", "tape", "index")
 
@@ -128,12 +132,11 @@ def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
     return out
 
 
-def check_slots(slots: np.ndarray, rows: int) -> None:
-    """Raise TensorError unless ``slots`` is a 2-D integer array of values in [-1, rows)."""
+def check_slots(slots: np.ndarray) -> None:
+    """Raise SlotError unless ``slots`` is a 2-D integer array; ``project``
+    checks the values, once per forward."""
     if slots.ndim != 2 or slots.dtype.kind not in "iu":
-        raise TensorError(f"slots must be a 2-D integer array, got {slots.dtype} {slots.shape}")
-    if slots.size and (slots.min() < -1 or slots.max() >= rows):
-        raise TensorError(f"slot outside [-1, {rows})")
+        raise SlotError(f"slots must be a 2-D integer array, got {slots.dtype} {slots.shape}")
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,7 +287,9 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     with the bias, before the relu (which maps -inf to 0).
     """
     w_rows = w.shape[0]
-    check_slots(slots, w_rows)
+    check_slots(slots)
+    if slots.size and (slots.min() < -1 or slots.max() >= w_rows):
+        raise SlotError(f"slot outside [-1, {w_rows})")
     if b.shape != (1, w.shape[1]):
         raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
     n = slots.shape[0]
@@ -379,9 +384,9 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _unary(a: Tensor, fwd, dfdy, op: str) -> Tensor:
+    """An elementwise op; none of them divides by zero or goes invalid on finite input."""
     x = a.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = fwd(x)
+    y = fwd(x)
     return _op(y, op, (a,), lambda g: (g * dfdy(x, y),))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from defreach import tensor as T
-from defreach.cfg import Cfg, Statement
+from defreach.cfg import Cfg, Statement, dump_cfg, load_cfg, predecessor_lists
 
 # Tier-1 runs hypothesis's default budget of 100 examples per test; CI runs
 # tests/test_fuzz.py and tests/test_frontend.py once more with
@@ -39,7 +39,7 @@ def random_cfg(
         if r < 0.55:
             var = rng.choice(variables)
             nodes.append(
-                Statement(kind="assign", code=f"{var} = {i}", target=var, constants=[str(i)])
+                Statement(kind="assign", code=f"{var} = {i}", target=var, constants=(str(i),))
             )
         elif r < 0.8:
             nodes.append(Statement(kind="condition", code="x > 0", uses={"x"}))
@@ -53,9 +53,25 @@ def random_cfg(
         b = rng.randrange(1, exit_id + 1)
         if a != b:
             edges.add((a, b))
-    cfg = Cfg(function="rand", nodes=nodes, edges=edges, entry=0, exit=exit_id)
+    cfg = Cfg(
+        function="rand", nodes=nodes, preds=predecessor_lists(len(nodes), edges), entry=0, exit=exit_id
+    )
     cfg.validate()
     return cfg
+
+
+def assert_adjacency_survives_interchange(cfg: Cfg) -> None:
+    """The parser's adjacency, built from the predecessor lists it hands over,
+    equals the adjacency ``load_cfg`` builds from the dumped edge list; every
+    list ascends strictly."""
+    loaded = load_cfg(dump_cfg(cfg))
+    nodes = range(len(cfg.nodes))
+    for name in ("successors", "predecessors"):
+        lists = [getattr(cfg, name)(v) for v in nodes]
+        assert lists == [getattr(loaded, name)(v) for v in nodes], name
+        assert all(a < b for adjacent in lists for a, b in zip(adjacent, adjacent[1:])), name
+    assert np.array_equal(cfg.edge_array, loaded.edge_array)
+    assert list(map(tuple, cfg.edge_array.tolist())) == sorted(cfg.edges)
 
 
 def random_slots(nrng: np.random.Generator, n_nodes: int, k: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg, random_slots
 from defreach import model as M
 from defreach import tensor as T
+from defreach.cfg import predecessor_lists
 from defreach.cli import main
 from defreach.dataflow import compute_gen_kill, solve, trace
 from defreach.embedding import build_vocabulary, encode, one_hot
@@ -240,7 +241,7 @@ def test_criterion_6_invariant_battery():
         relabeled = type(e.cfg)(
             function=e.cfg.function,
             nodes=[e.cfg.nodes[perm[i]] for i in range(len(e.cfg.nodes))],
-            edges=[(int(inv[s]), int(inv[d])) for s, d in e.cfg.edges],
+            preds=predecessor_lists(len(e.cfg.nodes), [(int(inv[s]), int(inv[d])) for s, d in e.cfg.edges]),
             entry=int(inv[e.cfg.entry]),
             exit=int(inv[e.cfg.exit]),
         )

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defreach.cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg
+from defreach.cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg, predecessor_lists
 from defreach.harness import synth_generate
 from defreach.parser import MAX_NESTING, ParseError, UnsupportedError, parse_function
 
-from conftest import FIG1_SRC
+from conftest import FIG1_SRC, assert_adjacency_survives_interchange
 
 
 class TestFig1:
@@ -23,12 +23,12 @@ class TestFig1:
     def test_properties_extracted_verbatim(self):
         cfg = parse_function(FIG1_SRC)
         v1, v2, v3, v4 = cfg.nodes[1:5]
-        assert (v1.target, v1.decl_type, v1.constants) == ("str", "char*", ["NULL"])
-        assert (v2.constants, v2.operators, v2.uses) == (["1"], [">"], {"argc"})
-        assert (v3.callee, v3.constants, v3.operators) == ("malloc", ["10"], ["*"])
+        assert (v1.target, v1.decl_type, v1.constants) == ("str", "char*", ("NULL",))
+        assert (v2.constants, v2.operators, v2.uses) == (("1",), (">",), {"argc"})
+        assert (v3.callee, v3.constants, v3.operators) == ("malloc", ("10",), ("*",))
         assert v3.decl_type == "char*"  # resolved from the in-scope declaration
         assert (v4.kind, v4.uses) == ("deref-use", {"argc", "str"})
-        assert v4.constants == ["10", "1"] and v4.operators == ["*", "-"]
+        assert v4.constants == ("10", "1") and v4.operators == ("*", "-")
 
     def test_branch_has_two_successors_then_first(self):
         cfg = parse_function(FIG1_SRC)
@@ -48,19 +48,56 @@ def test_while_golden_cfg():
         function="f",
         nodes=[
             Statement(kind="nop", code="<entry>"),
-            Statement(kind="condition", code="n > 0", constants=["0"], operators=[">"], uses={"n"}),
+            Statement(kind="condition", code="n > 0", constants=("0",), operators=(">",), uses={"n"}),
             Statement(
                 kind="assign", code="n = n - 1", target="n", decl_type="int",
-                constants=["1"], operators=["-"], uses={"n"},
+                constants=("1",), operators=("-",), uses={"n"},
             ),
             Statement(kind="nop", code="<exit>"),
         ],
-        edges={(0, 1), (1, 2), (2, 1), (1, 3)},
+        preds=predecessor_lists(4, [(0, 1), (1, 2), (2, 1), (1, 3)]),
         entry=0,
         exit=3,
     )
     assert cfg.structurally_equal(golden)
     assert (2, 1) in cfg.edges  # back edge from body to header
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "if (c) {}",  # the join after the branch gets the condition twice
+        "while (c) {}",  # a self-loop
+        "while (c) { if (d) { x = 1; } }",  # a back edge leaves d, whose successor x was added first
+        "if (c) { x = 1; } else { while (d) { x = 2; } } x = 3;",
+    ],
+)
+def test_parser_adjacency_equals_loaded_adjacency(body):
+    cfg = parse_function(f"void f(int c, int d, int x) {{ {body} }}")
+    assert_adjacency_survives_interchange(cfg)
+
+
+def test_parser_adjacency_equals_loaded_adjacency_on_the_synthetic_corpus():
+    for e in synth_generate(200, seed=0):
+        assert_adjacency_survives_interchange(e.cfg)
+
+
+def test_duplicate_and_unsorted_predecessors_are_merged():
+    cfg = parse_function("void f(int c) { if (c) {} }")
+    assert cfg.predecessors(2) == [1] and cfg.successors(1) == [2]
+    nodes = [Statement(kind="nop") for _ in range(4)]
+    cfg = Cfg(function="f", nodes=nodes, preds=[[], [0], [0], [2, 1, 2]], entry=0, exit=3)
+    assert cfg.predecessors(3) == [1, 2]
+    assert cfg.successors(0) == [1, 2]
+    assert cfg.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert cfg.edges == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+@pytest.mark.parametrize("preds", [[[], [2]], [[], [-1]]], ids=["past-the-end", "negative"])
+def test_dangling_predecessor_rejected(preds):
+    nodes = [Statement(kind="nop"), Statement(kind="nop")]
+    with pytest.raises(CfgError, match="dangling edge"):
+        Cfg(function="f", nodes=nodes, preds=preds, entry=0, exit=1)
 
 
 def test_parse_deterministic():
@@ -167,7 +204,7 @@ class TestErrors:
         with pytest.raises(ParseError, match="unexpected character 'é'"):
             parse_function("void f() { int é = 1; }")
         cfg = parse_function("void f() { int x٣ = ٣4; }")  # \w and \d are Unicode-aware
-        assert (cfg.nodes[1].target, cfg.nodes[1].constants) == ("x٣", ["٣4"])
+        assert (cfg.nodes[1].target, cfg.nodes[1].constants) == ("x٣", ("٣4",))
 
     @pytest.mark.parametrize(
         "source,line,col",

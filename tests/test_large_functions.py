@@ -8,8 +8,11 @@ reaching-definitions solver, the oracle or the encoder that alters any
 output on them must update these digests on purpose.
 """
 
+import gc
 import hashlib
 import random
+
+from conftest import assert_adjacency_survives_interchange
 
 from defreach.cfg import dump_cfg, load_cfg
 from defreach.dataflow import compute_gen_kill, solve
@@ -100,6 +103,27 @@ def test_large_function_graphs_meet_the_interchange_schema():
     for cfg in pinned_cfgs():
         doc = dump_cfg(cfg)
         assert dump_cfg(load_cfg(doc)) == doc
+
+
+def test_large_function_adjacency_equals_loaded_adjacency():
+    for cfg in pinned_cfgs():
+        assert_adjacency_survives_interchange(cfg)
+
+
+def test_parsed_node_leaves_four_objects_for_the_collector():
+    # a Statement, its uses set, its successor list and its predecessor list;
+    # constants and operators are tuples of strings, which the collector
+    # stops tracking. FIXED covers the Cfg, its instance dict where the
+    # interpreter keeps one, and its node, successor and predecessor lists.
+    FIXED = 8
+    source = large_function(random.Random(13), 700)
+    gc.collect()
+    before = len(gc.get_objects())
+    cfg = parse_function(source)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(cfg.nodes) >= 600
+    assert added <= 4 * len(cfg.nodes) + FIXED, (added, len(cfg.nodes))
 
 
 def test_large_function_outputs_are_pinned():

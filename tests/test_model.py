@@ -9,6 +9,7 @@ from conftest import projection_chain, random_cfg, random_slots, readout_chain
 from defreach import kernels
 from defreach import model as M
 from defreach import tensor as T
+from defreach.cfg import predecessor_lists
 from defreach.embedding import build_vocabulary, encode
 from defreach.harness import synth_generate, undersample
 
@@ -123,7 +124,7 @@ class TestForward:
         pruned = type(cfg)(
             function=cfg.function,
             nodes=cfg.nodes,
-            edges=[(cfg.entry, cfg.exit)],
+            preds=predecessor_lists(len(cfg.nodes), [(cfg.entry, cfg.exit)]),
             entry=cfg.entry,
             exit=cfg.exit,
         )

@@ -757,6 +757,29 @@ class TestSigmoid:
         assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
+class TestUnaryOps:
+    # every elementwise op the model records, with the constants it passes
+    OPS = {
+        "relu": T.relu,
+        "sigmoid": T.sigmoid,
+        "tanh": T.tanh,
+        "softplus": T.softplus,
+        "scale": lambda t: T.scale(t, -1.0),
+        "scale-mean": lambda t: T.scale(t, 1.0 / 32),
+        "add_const": lambda t: T.add_const(t, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_no_division_or_invalid_value_on_extreme_finite_input(self, name):
+        x = np.array([[-1e308, -745.0, -0.0, 0.0, 745.0, 1e308]])
+        tape = T.Tape()
+        with np.errstate(divide="raise", invalid="raise"):
+            y = self.OPS[name](tape.tensor(x))
+            (_, _, rule), = tape._ops
+            (g,) = rule(np.ones_like(x))
+        assert np.isfinite(y.data).all() and np.isfinite(g).all()
+
+
 class TestMatmulRows:
     @pytest.mark.parametrize("cols", [1, 8])
     def test_row_result_independent_of_position(self, cols):
