@@ -12,8 +12,9 @@ the dense 0/1 rows.
 
 A vocabulary builds its per-column tables once: for property j, a dict
 from each ranked value, and from None, to its hot column with the block
-offset ``j * (k + 2)`` already added. ``encode`` looks each definition's
-four values up in them, one dict lookup per property.
+offset ``j * (k + 2)`` already added, and the block's UNKNOWN column for
+any other value. ``encode`` looks each definition's four values up in
+them, one dict lookup per property.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class Vocabulary:
     k: int
     ranks: dict[str, list[str]]  # property -> values in rank order; fixed once constructed
     # per property, in PROPERTIES order: {None: the block's NONE column, ranked
-    # value: its column}; any other value takes the block's UNKNOWN column
+    # value: its column}; any other value takes the block's UNKNOWN column,
+    # which ``unknown`` holds per property
     columns: list[dict] = field(init=False, repr=False, compare=False)
+    unknown: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -67,6 +70,7 @@ class Vocabulary:
              **{v: self.offset(j) + RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
             for j, prop in enumerate(PROPERTIES)
         ]
+        self.unknown = tuple(self.offset(j) + SLOT_UNKNOWN for j in range(len(PROPERTIES)))
 
     def offset(self, j: int) -> int:
         """The first column of property j's block."""
@@ -75,7 +79,7 @@ class Vocabulary:
     def slot(self, prop: str, value: str | None) -> int:
         """Block-local hot slot for a property value."""
         j = PROPERTIES.index(prop)
-        return self.columns[j].get(value, self.offset(j) + SLOT_UNKNOWN) - self.offset(j)
+        return self.columns[j].get(value, self.unknown[j]) - self.offset(j)
 
     @property
     def row_width(self) -> int:
@@ -132,9 +136,7 @@ def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> 
     if all(masked):
         raise ValueError("mask must enable at least one property")
     api, datatype, constant, operator = vocab.columns
-    unknown_api, unknown_datatype, unknown_constant, unknown_operator = (
-        vocab.offset(j) + SLOT_UNKNOWN for j in range(len(PROPERTIES))
-    )
+    unknown_api, unknown_datatype, unknown_constant, unknown_operator = vocab.unknown
     none = (-1,) * len(PROPERTIES)
     flat: list[int] = []
     for stmt in cfg.nodes:

@@ -117,8 +117,11 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
     for (features, _), n in zip(graphs, sizes):
         if features.shape[0] != n:
             raise ValueError(f"feature rows {features.shape[0]} != nodes {n}")
-    offsets = np.cumsum([0] + sizes[:-1])
-    edges = np.concatenate([cfg.edge_array + off for (_, cfg), off in zip(graphs, offsets)])
+    parts, offset = [], 0
+    for (_, cfg), n in zip(graphs, sizes):
+        parts.append(cfg.edge_array + offset if offset else cfg.edge_array)
+        offset += n
+    edges = np.concatenate(parts)
     return GraphBatch(
         features=np.concatenate([features for features, _ in graphs], axis=0),
         src=edges[:, 0],
@@ -192,8 +195,7 @@ def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config
 def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
     """Saturation-safe mean cross-entropy from logits:
     softplus(-x) + (1 - y) * x, averaged over the batch."""
-    y = T.Tensor(labels.reshape(logits.shape))  # off the tape: labels get no gradient
-    one_minus_y = T.add_const(T.scale(y, -1.0), 1.0)
+    one_minus_y = T.Tensor(1.0 - labels.reshape(logits.shape))  # off the tape: labels get no gradient
     per = T.add(T.softplus(T.scale(logits, -1.0)), T.hadamard(one_minus_y, logits))
     return T.scale(T.sum_all(per), 1.0 / logits.shape[0])
 
@@ -211,13 +213,24 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # in place, with the arithmetic of m = b1 * m + (1 - b1) * g,
+        # v = b2 * v + (1 - b2) * g * g and p -= lr * update in the same order
         for n, g in grads.items():
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
-            update = (self.m[n] / bc1) / (np.sqrt(self.v[n] / bc2) + self.eps)
+            m, v = self.m[n], self.v[n]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            update = np.divide(v, bc2, out=g2)
+            np.sqrt(update, out=update)
+            update += self.eps
+            np.divide(m / bc1, update, out=update)
             if n.endswith("_w"):  # decoupled decay, weights only
-                update = update + self.wd * params[n]
-            params[n] -= self.lr * update
+                update += self.wd * params[n]
+            update *= self.lr
+            params[n] -= update
 
 
 @dataclass
@@ -322,11 +335,14 @@ class Checkpoint:
     config: ModelConfig
     vocab: Vocabulary
     best_epoch: int
-    # params wrapped once as off-tape tensors, for every predict
+    # derived once, for every predict: the params wrapped as off-tape tensors,
+    # and the config's feature mask
     tensors: dict[str, T.Tensor] = field(init=False, repr=False, compare=False)
+    mask: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tensors = _as_tensors(self.params, None)
+        self.mask = self.config.mask_dict()
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -389,8 +405,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
     """Probability per CFG: each encoded with the checkpoint's vocabulary and
     feature mask, then inferred with its params wrapped once."""
-    mask = ckpt.config.mask_dict()
-    return _infer(ckpt.tensors, [(encode(cfg, ckpt.vocab, mask), cfg) for cfg in cfgs], ckpt.config)
+    return _infer(ckpt.tensors, [(encode(cfg, ckpt.vocab, ckpt.mask), cfg) for cfg in cfgs], ckpt.config)
 
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:

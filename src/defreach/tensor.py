@@ -28,6 +28,15 @@ names the stage. ``edge_gather_sum`` stays a primitive of its own: it is
 the sparse propagation op that callers outside the model, such as the
 acceptance tests, build on.
 
+Every finiteness check is ``_finite``: one BLAS dot of the array with a
+buffer of zeros, where ``np.isfinite(x).all()`` takes a boolean pass and a
+reduction. ``0 * v`` is +-0 for every finite ``v`` and NaN for +-inf and
+NaN, so the dot is 0 exactly when every entry is finite. It is
+``np.vdot`` because ``np.dot`` and ``@`` check numpy's floating-point
+error state after the product and warn ("invalid value encountered in
+dot") on an infinite entry, where ``np.vdot`` leaves the error state
+alone, so a check never warns or raises under ``np.errstate``.
+
 A rule holds arrays, never tensors, so nothing on a tape refers back to
 the tensors recorded on it: a tape and its activations are freed by
 reference count when the last tensor recorded on it goes. A rule may work
@@ -53,23 +62,22 @@ class SlotError(TensorError):
 
 
 class Tensor:
-    __slots__ = ("data", "tape", "index")
+    # ``shape`` is stored, not read off ``data``: ``data`` is never rebound,
+    # and an in-place update (as Adam's) keeps its shape
+    __slots__ = ("data", "tape", "index", "shape")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise TensorError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
+        self.shape = arr.shape
         self.tape = tape
         if tape is None:
             self.index = -1
         else:
             self.index = tape._size
             tape._size += 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -112,6 +120,22 @@ def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     return [np.zeros_like(p.data) if g is None else g for p, g in zip(params, found)]
 
 
+# Zeros that every finiteness check dots against, never written. It grows to
+# twice the largest array checked and never shrinks. A check that races a
+# growth reads the old buffer or the new one, both all zeros.
+_zeros = np.zeros(0)
+
+
+def _finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` as one dot with zeros (see the module docstring)."""
+    global _zeros
+    n = x.size
+    if n > _zeros.size:
+        _zeros = np.zeros(2 * n)
+        _zeros.flags.writeable = False
+    return np.vdot(x, _zeros[:n]) == 0
+
+
 def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
     """The output of ``op``, recorded on its inputs' tape if they have one.
 
@@ -124,7 +148,7 @@ def _op(data: np.ndarray, op: str, inputs: tuple[Tensor, ...], rule) -> Tensor:
             if tape is not None and tape is not t.tape:
                 raise TensorError("operands recorded on different tapes")
             tape = t.tape
-    if not np.isfinite(data).all():
+    if not _finite(data):
         raise TensorError(f"non-finite output of {op}")
     out = Tensor(data, tape=tape)
     if tape is not None:
@@ -144,7 +168,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # BLAS computes a one-column product (gemv) with rounding that depends
         # on the row's position in ``a``; a row-wise dot gives every row the
         # same result wherever it sits in the batch.
-        return (a * b.T).sum(axis=1, keepdims=True)
+        return np.add.reduce(a * b.T, axis=1, keepdims=True)  # ndarray.sum without its Python wrapper
     return a @ b
 
 
@@ -163,7 +187,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _op(data, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
     if bias.shape != (1, b.shape[1]):
         raise TensorError(f"matmul bias shape {bias.shape} for product {data.shape}")
-    return _op(data + bias.data, "matmul", (a, b, bias),
+    data += bias.data  # the product is a fresh array
+    return _op(data, "matmul", (a, b, bias),
                lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
@@ -173,7 +198,7 @@ def _gate(x: np.ndarray, w: np.ndarray, y: np.ndarray, u: np.ndarray, b: np.ndar
     p = _product(x, w)
     p += _product(y, u)
     p += b
-    if not np.isfinite(p).all():
+    if not _finite(p):
         raise TensorError(f"non-finite {name} pre-activation of message_step")
     return f(p, out=p)
 
@@ -208,12 +233,17 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
     """
     n, d = h.shape
     m = agg_w.shape[1]
-    if agg_w.shape != (d, m) or agg_b.shape != (1, m):
-        raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} for state {h.shape}")
-    for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
-        if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
-            raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
-                              f"aggregate width {m} and state {h.shape}")
+    gru = (m, d), (d, d), (1, d)
+    shapes = (agg_w.shape, agg_b.shape, wz.shape, uz.shape, bz.shape, wr.shape, ur.shape, br.shape,
+              wh.shape, uh.shape, bh.shape)
+    if shapes != ((d, m), (1, m), *gru, *gru, *gru):  # one comparison; the checks below name the misfit
+        if agg_w.shape != (d, m) or agg_b.shape != (1, m):
+            raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} "
+                              f"for state {h.shape}")
+        for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
+            if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
+                raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
+                                  f"aggregate width {m} and state {h.shape}")
     if edges.width != d:
         raise TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
     hd, aggd = h.data, agg_w.data
@@ -221,7 +251,7 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
     summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
     a = _product(summed, aggd)
     a += agg_b.data
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise TensorError("non-finite output of message_step aggregate")
     np.maximum(a, 0.0, out=a)  # relu in place: its gradient needs only a > 0, true where pre > 0
     z = _gate(a, wzd, hd, uzd, bz.data, _sigmoid, "update gate")
@@ -288,7 +318,9 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """
     w_rows = w.shape[0]
     check_slots(slots)
-    if slots.size and (slots.min() < -1 or slots.max() >= w_rows):
+    # ufunc reductions: ndarray.min and max go through a Python wrapper
+    if slots.size and (np.minimum.reduce(slots, axis=None) < -1
+                       or np.maximum.reduce(slots, axis=None) >= w_rows):
         raise SlotError(f"slot outside [-1, {w_rows})")
     if b.shape != (1, w.shape[1]):
         raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
@@ -296,10 +328,10 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
     hot = slots[rows, cols]
     out = kernels.segment_sum(w.data[hot], rows, n)
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise TensorError("non-finite output of project row sum")
     out += b.data
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise TensorError("non-finite output of project bias")
     np.maximum(out, 0.0, out=out)  # relu in place: out > 0 exactly where the sum is
 
@@ -338,12 +370,12 @@ def readout(h: Tensor, gate_w: Tensor, gate_b: Tensor, feat_w: Tensor, feat_b: T
     hd, gwd, fwd = h.data, gate_w.data, feat_w.data
     gate = _product(hd, gwd)
     gate += gate_b.data
-    if not np.isfinite(gate).all():
+    if not _finite(gate):
         raise TensorError("non-finite output of readout gate")
     _sigmoid(gate, out=gate)
     feat = _product(hd, fwd)
     feat += feat_b.data
-    if not np.isfinite(feat).all():
+    if not _finite(feat):
         raise TensorError("non-finite output of readout feature")
     np.tanh(feat, out=feat)
     pooled = kernels.segment_sum(feat * gate, seg, num_graphs)

@@ -269,6 +269,33 @@ class TestLoss:
             else:
                 np.testing.assert_array_equal(v, before[n])
 
+    def test_in_place_step_bit_identical_to_reference(self):
+        # the step as plain expressions, each a fresh array
+        def reference(params, m, v, grads, t, lr, wd):
+            b1, b2, eps = M.Adam.beta1, M.Adam.beta2, M.Adam.eps
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                update = (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
+                if n.endswith("_w"):
+                    update = update + wd * params[n]
+                params[n] = params[n] - lr * update
+
+        rng = np.random.default_rng(3)
+        params = M.init_params(tiny_config(), seed=1)
+        ref = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(p) for n, p in params.items()}
+        v = {n: np.zeros_like(p) for n, p in params.items()}
+        opt = M.Adam(params, lr=0.01, weight_decay=0.1)
+        for t in range(1, 4):
+            grads = {n: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for n, p in params.items()}
+            opt.step(params, grads)
+            reference(ref, m, v, grads, t, 0.01, 0.1)
+            for n in params:
+                assert np.array_equal(params[n], ref[n]) and np.array_equal(opt.m[n], m[n]), (t, n)
+                assert np.array_equal(opt.v[n], v[n]), (t, n)
+
 
 class TestEndToEndGradient:
     def test_four_node_graph_gradient_check(self):

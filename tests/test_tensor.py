@@ -1,5 +1,6 @@
 import gc
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -792,3 +793,35 @@ class TestMatmulRows:
                 stacked = np.vstack([a, rng.standard_normal((pad, 32)), a])
                 out = T.matmul(T.Tensor(stacked), w).data
                 assert np.array_equal(out[:n], out[n + pad:]), (n, pad)
+
+
+class TestFinite:
+    SPECIAL = (np.inf, -np.inf, np.nan, 1.797e308, -1.797e308, 5e-324, -0.0)
+    # ascending sizes, so the zeros buffer grows along the way, then small
+    # arrays again, which read a prefix of the grown buffer
+    SHAPES = ((0, 4), (0, 1), (1, 1), (5, 1), (1, 32), (11, 32), (300, 32), (2770, 32), (3, 1), (11, 32))
+
+    def test_agrees_with_isfinite(self, monkeypatch):
+        monkeypatch.setattr(T, "_zeros", np.zeros(0))  # start from an empty buffer
+        rng = np.random.default_rng(0)
+        for rows, cols in self.SHAPES:
+            for _ in range(25):
+                x = rng.standard_normal((rows, cols)) * 10.0 ** float(rng.integers(-300, 300))
+                for _ in range(int(rng.integers(0, 4)) if x.size else 0):
+                    x.flat[rng.integers(x.size)] = rng.choice(self.SPECIAL)
+                expected = bool(np.isfinite(x).all())
+                # neither a floating-point error nor a warning, whatever x holds
+                with np.errstate(all="raise"), warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert T._finite(x) == expected, (rows, cols)
+                    assert T._finite(x.T) == expected, (rows, cols)
+                    # a non-finite entry leaves no error behind for the next ops
+                    np.add(np.ones(3), 1.0)
+                    np.ones((2, 3)) @ np.ones((3, 2))
+        assert T._zeros.size <= 2 * 2770 * 32
+
+    def test_every_special_value_alone(self):
+        for value in self.SPECIAL:
+            x = np.zeros((4, 3))
+            x[2, 1] = value
+            assert T._finite(x) == bool(np.isfinite(value)), value
