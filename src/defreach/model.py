@@ -101,6 +101,41 @@ def _as_tensors(params: dict[str, np.ndarray], tape: T.Tape | None) -> dict[str,
     return {n: T.Tensor(v, tape) for n, v in params.items()}
 
 
+class FlatParams(dict):
+    """Named arrays that are views into one flat float64 buffer, ``flat``.
+
+    The names keep the order of the shapes given. In the buffer the ``_w``
+    weights come first, so that they are ``flat[:decayed]``. Training keeps
+    its params, their gradients, Adam's moments and the best epoch's
+    snapshot in buffers of one layout, so that each is one array to step,
+    fill or copy.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        sizes = {n: math.prod(shape) for n, shape in shapes.items()}
+        self.flat = np.zeros(sum(sizes.values()))
+        self.decayed = sum(size for n, size in sizes.items() if n.endswith("_w"))
+        offsets, at = {}, 0
+        for n in sorted(shapes, key=lambda n: not n.endswith("_w")):  # stable: the weights, then the rest
+            offsets[n] = at
+            at += sizes[n]
+        for n, shape in shapes.items():
+            self[n] = self.flat[offsets[n] : offsets[n] + sizes[n]].reshape(shape)
+
+    @classmethod
+    def of(cls, params: dict[str, np.ndarray]) -> FlatParams:
+        """A copy of ``params`` in one flat buffer."""
+        store = cls({n: v.shape for n, v in params.items()})
+        for n, v in params.items():
+            store[n][...] = v
+        return store
+
+    def like(self) -> FlatParams:
+        """Zeros in this layout."""
+        return FlatParams({n: v.shape for n, v in self.items()})
+
+
 @dataclass
 class GraphBatch:
     """Disjoint union of CFGs: stacked slot features, offset edges, segment ids."""
@@ -131,9 +166,9 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
     )
 
 
-# tensor.message_step's weights, in its argument order: the aggregate layer's
-# weight and bias, then per GRU gate z, r, h the input weights, the state
-# weights and the bias.
+# tensor.message_step's weights, in T.StepWeights' argument order: the
+# aggregate layer's weight and bias, then per GRU gate z, r, h the input
+# weights, the state weights and the bias.
 STEP_PARAMS = (
     "agg_w", "agg_b",
     "gru_wz_w", "gru_uz_w", "gru_wz_b",
@@ -142,15 +177,23 @@ STEP_PARAMS = (
 )
 
 
-def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
-    """Graph-level logits, shape (num_graphs, 1)."""
+def _step_weights(pt: dict[str, T.Tensor]) -> T.StepWeights:
+    return T.StepWeights(*[pt[name] for name in STEP_PARAMS])
+
+
+def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig,
+                  weights: T.StepWeights | None = None) -> T.Tensor:
+    """Graph-level logits, shape (num_graphs, 1). ``weights`` are the message
+    steps' weights of ``pt`` prepared once; without them they are prepared
+    here, for this forward."""
     h = T.project(batch.features, pt["proj_w"], pt["proj_b"])
-    weights = [pt[name] for name in STEP_PARAMS]
+    if weights is None:
+        weights = _step_weights(pt)
     # the batch's scatter positions, built once for every step's forward and
     # backward; the rules on a tape keep them until the tape goes
     edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
     for _ in range(config.steps):
-        h = T.message_step(h, edges, *weights)
+        h = T.message_step(h, edges, weights)
     y = T.readout(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
                   batch.seg, batch.num_graphs)
     for i in range(config.output_layers):
@@ -160,8 +203,9 @@ def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfi
     return y
 
 
-def forward_probs(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig) -> T.Tensor:
-    return T.sigmoid(forward_batch(pt, batch, config))
+def forward_probs(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig,
+                  weights: T.StepWeights | None = None) -> T.Tensor:
+    return T.sigmoid(forward_batch(pt, batch, config, weights))
 
 
 def infer(
@@ -173,8 +217,10 @@ def infer(
     return _infer(_as_tensors(params, None), graphs, config)
 
 
-def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig) -> np.ndarray:
-    """``infer`` with the params already wrapped as off-tape tensors."""
+def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig,
+           weights: T.StepWeights | None = None) -> np.ndarray:
+    """``infer`` with the params already wrapped as off-tape tensors, and
+    their step weights prepared when ``weights`` is given."""
     try:
         for features, _ in graphs:
             T.check_slots(features)
@@ -184,7 +230,7 @@ def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config
                 )
         # a slot outside the vocabulary is found by the projection, once per forward
         probs = [
-            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config).data[:, 0]
+            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config, weights).data[:, 0]
             for lo in range(0, len(graphs), config.batch_size)
         ]
     except T.SlotError as e:
@@ -201,36 +247,48 @@ def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
 
 
 class Adam:
+    """Adam with decoupled weight decay on the weights (the ``_w`` params).
+
+    It steps ``FlatParams`` in place: ``m`` and ``v`` have the params'
+    layout, and ``step`` takes gradients in that layout too (``like()``).
+    A step is a fixed number of whole-buffer ops, whatever the number of
+    params, on one preallocated scratch buffer and on the gradients, which
+    it overwrites with the update once the moments have read them; the
+    decay is one slice. Each expression keeps its order of operations, so
+    every entry gets the arithmetic of a per-param step.
+    """
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float):
+    def __init__(self, params: FlatParams, lr: float, weight_decay: float):
         self.lr, self.wd = lr, weight_decay
-        self.m = {n: np.zeros_like(v) for n, v in params.items()}
-        self.v = {n: np.zeros_like(v) for n, v in params.items()}
+        self.m, self.v = params.like(), params.like()
+        self._s = np.empty_like(params.flat)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: FlatParams, grads: FlatParams) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        # in place, with the arithmetic of m = b1 * m + (1 - b1) * g,
-        # v = b2 * v + (1 - b2) * g * g and p -= lr * update in the same order
-        for n, g in grads.items():
-            m, v = self.m[n], self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            g2 = (1.0 - self.beta2) * g
-            g2 *= g
-            v *= self.beta2
-            v += g2
-            update = np.divide(v, bc2, out=g2)
-            np.sqrt(update, out=update)
-            update += self.eps
-            np.divide(m / bc1, update, out=update)
-            if n.endswith("_w"):  # decoupled decay, weights only
-                update += self.wd * params[n]
-            update *= self.lr
-            params[n] -= update
+        p, g, m, v, s = params.flat, grads.flat, self.m.flat, self.v.flat, self._s
+        # v = b2 * v + (1 - b2) * g * g
+        np.multiply(1.0 - self.beta2, g, out=s)
+        s *= g
+        v *= self.beta2
+        v += s
+        # m = b1 * m + (1 - b1) * g; g is not needed again, and holds the update
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=g)
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p), the decay on weights only
+        u = g
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        np.divide(np.divide(m, bc1, out=s), u, out=u)
+        w = params.decayed
+        u[:w] += np.multiply(self.wd, p[:w], out=s[:w])
+        u *= self.lr
+        p -= u
 
 
 @dataclass
@@ -262,15 +320,17 @@ def train_model(
     valid_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in valid_set]
     valid_labels = [lbl for _, lbl in valid_set]
 
-    params = init_params(config, seed)
+    params = FlatParams.of(init_params(config, seed))
     # validation's view of params: Adam updates the arrays in place, so these
     # tensors see every step without being wrapped again
     wrapped = _as_tensors(params, None)
+    grads = params.like()
+    into = list(grads.values())  # where gradients writes each param's gradient
     opt = Adam(params, config.learning_rate, config.l2_weight)
     rng = np.random.default_rng(seed)
     order = np.arange(len(train_set))
 
-    best_f1, best_epoch, best_params = -1.0, 0, {n: v.copy() for n, v in params.items()}
+    best_f1, best_epoch, best_params = -1.0, 0, FlatParams.of(params)
     history: list[EpochStats] = []
     since_best = 0
     for epoch in range(1, epochs + 1):
@@ -287,8 +347,8 @@ def train_model(
                 # backward, so its blocks are reused; freeing a tape right after
                 # its own backward cost about 12% at k=20 (glibc trims the heap top).
                 obj = bce_logits(logits, labels)
-                grads = T.gradients(obj, list(pt.values()))
-                opt.step(params, dict(zip(pt.keys(), grads)))
+                T.gradients(obj, list(pt.values()), into)
+                opt.step(params, grads)
                 epoch_loss += obj.item()
             probs = _infer(wrapped, valid_graphs, config)
         except T.TensorError as e:  # a non-finite value in this step or in validation after it
@@ -297,7 +357,7 @@ def train_model(
         history.append(EpochStats(epoch, epoch_loss / step, f1))
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
-            best_params = {n: v.copy() for n, v in params.items()}
+            np.copyto(best_params.flat, params.flat)
             since_best = 0
         else:
             since_best += 1
@@ -324,24 +384,35 @@ def save_checkpoint(
         },
         "best_epoch": best_epoch,
     }
+    # json.dumps encodes in one C call; json.dump streams through the pure-Python encoder
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
         f.write("\n")
 
 
 @dataclass
 class Checkpoint:
-    params: dict[str, np.ndarray]  # fixed once constructed
+    """A trained model for predicting: its params, which must not change once
+    it is constructed, its config and its vocabulary.
+
+    What every predict needs from them is derived once, here: the params
+    wrapped as off-tape tensors, the message steps' weights prepared with
+    the update and reset gates stacked (``tensor.StepWeights``, a copy, so
+    a change to ``params`` would not reach it) and the config's feature
+    mask.
+    """
+
+    params: dict[str, np.ndarray]
     config: ModelConfig
     vocab: Vocabulary
     best_epoch: int
-    # derived once, for every predict: the params wrapped as off-tape tensors,
-    # and the config's feature mask
     tensors: dict[str, T.Tensor] = field(init=False, repr=False, compare=False)
+    weights: T.StepWeights = field(init=False, repr=False, compare=False)
     mask: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tensors = _as_tensors(self.params, None)
+        self.weights = _step_weights(self.tensors)
         self.mask = self.config.mask_dict()
 
 
@@ -404,8 +475,10 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
     """Probability per CFG: each encoded with the checkpoint's vocabulary and
-    feature mask, then inferred with its params wrapped once."""
-    return _infer(ckpt.tensors, [(encode(cfg, ckpt.vocab, ckpt.mask), cfg) for cfg in cfgs], ckpt.config)
+    feature mask, then inferred with its params wrapped and its step weights
+    prepared once."""
+    graphs = [(encode(cfg, ckpt.vocab, ckpt.mask), cfg) for cfg in cfgs]
+    return _infer(ckpt.tensors, graphs, ckpt.config, ckpt.weights)
 
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:

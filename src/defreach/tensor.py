@@ -22,6 +22,21 @@ to the chain's, and so are their gradients (but for one sum in
 - ``readout``, the gated attention readout: a gate and a feature layer,
   their product and a per-graph sum (6 records).
 
+``message_step`` computes the GRU's update gate z and reset gate r
+together: both read the same two inputs, a and h, so their pre-activations
+go into the two halves of one (2, n, d) buffer, from the weights that
+``StepWeights`` stacks once for every step that uses them (``model``
+prepares them once per forward, and a checkpoint once for all its
+predicts). One product for a @ W_zr, one for h @ U_zr, one bias add, one
+finiteness check and one sigmoid cover both gates, and the rule takes one
+batched product per gradient term. That is bit-identical to a product per
+gate: ``np.matmul`` over a stack axis calls BLAS once per (n, d) slab,
+with the operands, transposes and shapes a 2-D product of that slab passes
+it, so each slab holds that product's result; with one state column (d =
+1) ``_product`` takes row-wise dots instead, slab by slab, as it does for
+a 2-D one-column product. The rule adds the gates' terms in the per-gate
+order.
+
 Each checks its intermediate values where the chain could first turn
 non-finite, which raises on exactly the inputs where the chain would, and
 names the stage. ``edge_gather_sum`` stays a primitive of its own: it is
@@ -96,33 +111,52 @@ class Tape:
         return Tensor(data, tape=self)
 
 
-def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
-    """d loss / d param per param; zeros where the loss does not depend on it."""
+def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """d loss / d param per param; zeros where the loss does not depend on it.
+
+    Each param's gradient is summed in its array of ``out``, one array of
+    the param's shape per param, which is returned; without ``out`` the
+    arrays are new.
+    """
     tape = loss.tape
     if tape is None:
         raise TensorError("loss was not recorded on a tape")
     if loss.data.size != 1:
         raise TensorError(f"backward from non-scalar shape {loss.shape}")
+    if out is None:
+        out = [np.empty_like(p.data) for p in params]
+    into = {p.index: o for p, o in zip(params, out) if p.tape is tape}
     grads: list[np.ndarray | None] = [None] * tape._size
     grads[loss.index] = np.ones((1, 1))
-    for out, inputs, rule in reversed(tape._ops):
-        g = grads[out]
+    for slot, inputs, rule in reversed(tape._ops):
+        g = grads[slot]
         if g is None:  # the loss does not depend on this output
             continue
         for i, gi in zip(inputs, rule(g)):
             if i < 0:  # a constant operand, off the tape
                 continue
-            if grads[i] is None:
-                grads[i] = gi.copy()  # a copy: ``add`` hands the same array to both operands
-            else:
+            # the first gradient is copied: ``add`` hands the same array to both operands
+            if grads[i] is not None:
                 grads[i] += gi
-    found = [grads[p.index] if p.tape is tape else None for p in params]
-    return [np.zeros_like(p.data) if g is None else g for p, g in zip(params, found)]
+            elif i in into:
+                grads[i] = into[i]
+                np.copyto(grads[i], gi)
+            else:
+                grads[i] = gi.copy()
+    for p, o in zip(params, out):
+        g = grads[p.index] if p.tape is tape else None
+        if g is None:
+            o.fill(0.0)
+        elif g is not o:  # a param listed twice
+            np.copyto(o, g)
+    return out
 
 
 # Zeros that every finiteness check dots against, never written. It grows to
-# twice the largest array checked and never shrinks. A check that races a
-# growth reads the old buffer or the new one, both all zeros.
+# the largest array checked and never shrinks; the largest is a stacked
+# (2, n, d) gate buffer, which a buffer of twice its size would double
+# again. A check that races a growth reads the old buffer or the new one,
+# both all zeros.
 _zeros = np.zeros(0)
 
 
@@ -131,7 +165,7 @@ def _finite(x: np.ndarray) -> bool:
     global _zeros
     n = x.size
     if n > _zeros.size:
-        _zeros = np.zeros(2 * n)
+        _zeros = np.zeros(n)
         _zeros.flags.writeable = False
     return np.vdot(x, _zeros[:n]) == 0
 
@@ -163,13 +197,14 @@ def check_slots(slots: np.ndarray) -> None:
         raise SlotError(f"slots must be a 2-D integer array, got {slots.dtype} {slots.shape}")
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.shape[1] == 1:
+def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b, or one a @ b[i] per slab of a stack b of shape (k, m, d)."""
+    if b.shape[-1] == 1:
         # BLAS computes a one-column product (gemv) with rounding that depends
         # on the row's position in ``a``; a row-wise dot gives every row the
         # same result wherever it sits in the batch.
-        return np.add.reduce(a * b.T, axis=1, keepdims=True)  # ndarray.sum without its Python wrapper
-    return a @ b
+        return np.add.reduce(a * b.swapaxes(-1, -2), axis=-1, keepdims=True, out=out)
+    return np.matmul(a, b, out=out)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -192,22 +227,40 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
-def _gate(x: np.ndarray, w: np.ndarray, y: np.ndarray, u: np.ndarray, b: np.ndarray, f, name: str):
-    """f(x @ w + y @ u + b) for a GRU gate of ``message_step``, summed and
-    squashed in one buffer; raises when the pre-activation is not finite."""
-    p = _product(x, w)
-    p += _product(y, u)
-    p += b
-    if not _finite(p):
-        raise TensorError(f"non-finite {name} pre-activation of message_step")
-    return f(p, out=p)
+class StepWeights:
+    """The 11 weights of ``message_step``, prepared once for every step that
+    uses them: their shapes compared with each other, and the update and
+    reset gates' weights stacked.
+
+    ``fits`` is whether the shapes are those of an aggregate layer from
+    state width ``width`` (the rows of ``agg_w``) and a GRU over its output.
+    When they fit, ``w_zr`` (2, m, d), ``u_zr`` (2, d, d) and ``b_zr``
+    (2, 1, d) hold the z gate's weights, then the r gate's. They are copies:
+    build new StepWeights when the weights change, as ``model.forward_batch``
+    does once per forward.
+    """
+
+    __slots__ = ("tensors", "width", "fits", "w_zr", "u_zr", "b_zr")
+
+    def __init__(self, agg_w: Tensor, agg_b: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
+                 wr: Tensor, ur: Tensor, br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor):
+        self.tensors = (agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh)
+        d, m = agg_w.shape
+        gru = (m, d), (d, d), (1, d)
+        self.width = d
+        self.fits = tuple(t.shape for t in self.tensors) == ((d, m), (1, m), *gru, *gru, *gru)
+        if self.fits:
+            self.w_zr = np.array((wz.data, wr.data))
+            self.u_zr = np.array((uz.data, ur.data))
+            self.b_zr = np.array((bz.data, br.data))
+        else:  # message_step names the misfit against the state it is given
+            self.w_zr = self.u_zr = self.b_zr = None
 
 
-def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
-                 wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor, br: Tensor,
-                 wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tensor:
     """One message-passing step of state ``h`` over the edges (src, dst),
-    recorded as one op:
+    recorded as one op; ``weights`` holds agg_w, agg_b, then wz, uz, bz,
+    wr, ur, br, wh, uh and bh:
 
         a = relu(s @ agg_w + agg_b), s[v] = sum over edges (u, v) of h[u]
         z = sigmoid(a @ wz + h @ uz + bz)
@@ -216,27 +269,28 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
         out = (1 - z) * h + z * c
 
     ``edges`` holds the scatter positions of rows as wide as ``h``, built
-    once for every step over the same edges. The arithmetic is that of the
-    chain ``edge_gather_sum``, ``matmul`` with a bias, ``relu`` and the GRU
-    update spelled out in ``matmul``, ``add``, ``sigmoid``, ``tanh``,
-    ``hadamard``, ``scale`` and ``add_const``, in the same order, so the
-    output is bit-identical to the chain's; each sum and squashing function
-    runs in place on a buffer of its own. Its gradients are too, but for
-    the order of one sum: the rule adds a's gradient over the gates z, r,
-    c, where ``gradients`` adds the chain's c, r, z, so the gradients of
-    h, agg_w and agg_b agree with the chain's to rounding. Its failures are
-    the chain's: a non-finite value in the chain first appears in a sum or
-    a product, and it stays non-finite through every later ``+`` and
-    product up to the relu or a squashing function, so checking the
-    aggregate before the relu (which maps -inf to 0), the three GRU
-    pre-activations and the output raises exactly where the chain would.
+    once for every step over the same edges. z and r are computed together
+    in one (2, n, d) buffer from the stacked weights (see the module
+    docstring). The arithmetic is that of the chain ``edge_gather_sum``,
+    ``matmul`` with a bias, ``relu`` and the GRU update spelled out in
+    ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``hadamard``, ``scale`` and
+    ``add_const``, in the same order, so the output is bit-identical to the
+    chain's; each sum and squashing function runs in place, and a stacked
+    temporary is written over once a later value can use it. Its gradients
+    are too, but for the order of one sum: the rule adds a's gradient over
+    the gates z, r, c, where ``gradients`` adds the chain's c, r, z, so the
+    gradients of h, agg_w and agg_b agree with the chain's to rounding. Its
+    failures are the chain's: a non-finite value in the chain first appears
+    in a sum or a product, and it stays non-finite through every later
+    ``+`` and product up to the relu or a squashing function, so checking
+    the aggregate before the relu (which maps -inf to 0), the GRU
+    pre-activations (the update gate's, then the reset gate's, then the
+    candidate's) and the output raises exactly where the chain would.
     """
     n, d = h.shape
-    m = agg_w.shape[1]
-    gru = (m, d), (d, d), (1, d)
-    shapes = (agg_w.shape, agg_b.shape, wz.shape, uz.shape, bz.shape, wr.shape, ur.shape, br.shape,
-              wh.shape, uh.shape, bh.shape)
-    if shapes != ((d, m), (1, m), *gru, *gru, *gru):  # one comparison; the checks below name the misfit
+    agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh = weights.tensors
+    if not weights.fits or weights.width != d:  # the checks below name the misfit
+        m = agg_w.shape[1]
         if agg_w.shape != (d, m) or agg_b.shape != (1, m):
             raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} "
                               f"for state {h.shape}")
@@ -246,62 +300,77 @@ def message_step(h: Tensor, edges: kernels.Edges, agg_w: Tensor, agg_b: Tensor,
                                   f"aggregate width {m} and state {h.shape}")
     if edges.width != d:
         raise TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
-    hd, aggd = h.data, agg_w.data
-    wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
+    hd, aggd, whd, uhd = h.data, agg_w.data, wh.data, uh.data
+    w_zr, u_zr = weights.w_zr, weights.u_zr
     summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
     a = _product(summed, aggd)
     a += agg_b.data
     if not _finite(a):
         raise TensorError("non-finite output of message_step aggregate")
     np.maximum(a, 0.0, out=a)  # relu in place: its gradient needs only a > 0, true where pre > 0
-    z = _gate(a, wzd, hd, uzd, bz.data, _sigmoid, "update gate")
-    r = _gate(a, wrd, hd, urd, br.data, _sigmoid, "reset gate")
+    zr = _product(a, w_zr)  # z's pre-activation in zr[0], r's in zr[1]
+    buf = _product(hd, u_zr)
+    zr += buf
+    zr += weights.b_zr
+    if not _finite(zr):
+        gate = "reset" if _finite(zr[0]) else "update"
+        raise TensorError(f"non-finite {gate} gate pre-activation of message_step")
+    _sigmoid(zr, out=zr)
+    z, r = zr[0], zr[1]  # indexing: unpacking iterates over the stack
     rh = r * hd
-    c = _gate(a, whd, rh, uhd, bh.data, np.tanh, "candidate")
-    out = np.subtract(1.0, z)  # keep
+    c, out = buf[0], buf[1]  # h @ U_zr's buffer, once added, holds c and the output
+    _product(a, whd, out=c)
+    c += _product(rh, uhd)
+    c += bh.data
+    if not _finite(c):
+        raise TensorError("non-finite candidate pre-activation of message_step")
+    np.tanh(c, out=c)
+    np.subtract(1.0, z, out=out)  # keep
     out *= hd
     out += z * c
 
     def rule(g):
         # g, and every array the rule closes over, is read only: each
-        # gradient below is a fresh array, updated in place. The rule keeps
-        # summed, a, z, r and c; keep and r * h are recomputed, which holds
-        # two arrays fewer per step on a tape.
-        dz = g * c
-        dz -= g * hd
+        # gradient below is a fresh array, updated in place, or written into
+        # one the rule allocated and no longer needs. The rule keeps summed,
+        # a, zr and c; keep and r * h are recomputed, which holds two arrays
+        # fewer per step on a tape.
+        dzr = np.empty_like(zr)  # the gradients of z's and r's pre-activations
+        dpz, dpr = dzr[0], dzr[1]
+        np.multiply(g, c, out=dpz)
+        t = np.multiply(g, hd)
+        dpz -= t
         dpc = g * z
-        t = c * c
+        np.multiply(c, c, out=t)
         np.subtract(1.0, t, out=t)
         dpc *= t
         drh = dpc @ uhd.T
-        dpr = drh * hd
-        np.subtract(1.0, r, out=t)
-        np.multiply(r, t, out=t)
-        dpr *= t
-        np.subtract(1.0, z, out=t)
-        np.multiply(z, t, out=t)
-        dpz = dz  # dz is not needed again
-        dpz *= t
-        dpre = dpz @ wzd.T
-        dpre += dpr @ wrd.T
-        dpre += dpc @ whd.T
+        np.multiply(drh, hd, out=dpr)
+        s = np.subtract(1.0, zr)
+        s *= zr
+        dzr *= s  # sigmoid' of both gates
+        p = np.matmul(dzr, w_zr.transpose(0, 2, 1))
+        dpre = p[0]  # z's term, then r's, then c's
+        dpre += p[1]
+        dpre += np.matmul(dpc, whd.T, out=p[1])
         dpre *= a > 0
         dh = np.subtract(1.0, z)
         dh *= g  # g * keep
         drh *= r
         dh += drh
-        dh += dpr @ urd.T
-        dh += dpz @ uzd.T
-        dh += kernels.edge_sum(dpre @ aggd.T, edges.dst, edges.into_src)
+        q = np.matmul(dzr, u_zr.transpose(0, 2, 1), out=s)
+        dh += q[1]  # r's term, then z's
+        dh += q[0]
+        dh += kernels.edge_sum(np.matmul(dpre, aggd.T, out=drh), edges.dst, edges.into_src)
         rh = np.multiply(r, hd, out=t)
+        dw, du, db = np.matmul(a.T, dzr), np.matmul(hd.T, dzr), dzr.sum(axis=1, keepdims=True)
         return (
             dh, summed.T @ dpre, dpre.sum(axis=0, keepdims=True),
-            a.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
-            a.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
+            dw[0], du[0], db[0], dw[1], du[1], db[1],
             a.T @ dpc, rh.T @ dpc, dpc.sum(axis=0, keepdims=True),
         )
 
-    return _op(out, "message_step", (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
+    return _op(out, "message_step", (h, *weights.tensors), rule)
 
 
 def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:

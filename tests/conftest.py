@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from defreach import kernels
 from defreach import tensor as T
 from defreach.cfg import Cfg, Statement, dump_cfg, load_cfg, predecessor_lists
 
@@ -106,6 +107,79 @@ def readout_chain(h, gate_w, gate_b, feat_w, feat_b, seg: np.ndarray, num_graphs
     gate = T.sigmoid(T.matmul(h, gate_w, bias=gate_b))
     feat = T.tanh(T.matmul(h, feat_w, bias=feat_b))
     return T.segment_sum(scale_rows(feat, gate), seg, num_graphs)
+
+
+def _gate_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with one product per gate; a one-column product as row-wise dots."""
+    if b.shape[1] == 1:
+        return np.add.reduce(a * b.T, axis=1, keepdims=True)
+    return a @ b
+
+
+def _gate(x, w, y, u, b, f, name):
+    p = _gate_product(x, w)
+    p += _gate_product(y, u)
+    p += b
+    if not T._finite(p):
+        raise T.TensorError(f"non-finite {name} pre-activation of message_step")
+    return f(p, out=p)
+
+
+def per_gate_step(h, edges, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh) -> T.Tensor:
+    """T.message_step with each GRU gate in buffers of its own: two 2-D
+    products, a bias, a check and a squashing function per gate, and a rule
+    that takes each gate's products apart. The reference for the stacked
+    update and reset gates of T.message_step, whose outputs, gradients and
+    errors must be bit for bit these."""
+    n, d = h.shape
+    m = agg_w.shape[1]
+    if agg_w.shape != (d, m) or agg_b.shape != (1, m):
+        raise T.TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} for state {h.shape}")
+    for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
+        if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
+            raise T.TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
+                                f"aggregate width {m} and state {h.shape}")
+    if edges.width != d:
+        raise T.TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
+    hd, aggd = h.data, agg_w.data
+    wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
+    summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
+    a = _gate_product(summed, aggd)
+    a += agg_b.data
+    if not T._finite(a):
+        raise T.TensorError("non-finite output of message_step aggregate")
+    np.maximum(a, 0.0, out=a)
+    z = _gate(a, wzd, hd, uzd, bz.data, T._sigmoid, "update gate")
+    r = _gate(a, wrd, hd, urd, br.data, T._sigmoid, "reset gate")
+    rh = r * hd
+    c = _gate(a, whd, rh, uhd, bh.data, np.tanh, "candidate")
+    out = np.subtract(1.0, z)
+    out *= hd
+    out += z * c
+
+    def rule(g):
+        dz = g * c - g * hd
+        dpc = g * z * (1.0 - c * c)
+        drh = dpc @ uhd.T
+        dpr = drh * hd * (r * (1.0 - r))
+        dpz = dz * (z * (1.0 - z))
+        dpre = dpz @ wzd.T
+        dpre += dpr @ wrd.T
+        dpre += dpc @ whd.T
+        dpre *= a > 0
+        dh = (1.0 - z) * g
+        dh += drh * r
+        dh += dpr @ urd.T
+        dh += dpz @ uzd.T
+        dh += kernels.edge_sum(dpre @ aggd.T, edges.dst, edges.into_src)
+        return (
+            dh, summed.T @ dpre, dpre.sum(axis=0, keepdims=True),
+            a.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),
+            a.T @ dpr, hd.T @ dpr, dpr.sum(axis=0, keepdims=True),
+            a.T @ dpc, (r * hd).T @ dpc, dpc.sum(axis=0, keepdims=True),
+        )
+
+    return T._op(out, "message_step", (h, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh), rule)
 
 
 def brute_gen_kill(cfg: Cfg, deref_defines: bool = False):

@@ -1,17 +1,20 @@
+import dataclasses
 import gc
+import io
+import json
 import random
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import projection_chain, random_cfg, random_slots, readout_chain
+from conftest import per_gate_step, projection_chain, random_cfg, random_slots, readout_chain
 from defreach import kernels
 from defreach import model as M
 from defreach import tensor as T
 from defreach.cfg import predecessor_lists
 from defreach.embedding import build_vocabulary, encode
-from defreach.harness import synth_generate, undersample
+from defreach.harness import compute_metrics, synth_generate, undersample
 
 
 def tiny_config(**kw):
@@ -153,7 +156,7 @@ def chain_forward(pt, batch, config):
     h = projection_chain(batch.features, pt["proj_w"], pt["proj_b"])
     edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
     for _ in range(config.steps):
-        h = T.message_step(h, edges, *[pt[name] for name in M.STEP_PARAMS])
+        h = T.message_step(h, edges, T.StepWeights(*[pt[name] for name in M.STEP_PARAMS]))
     y = readout_chain(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
                       batch.seg, batch.num_graphs)
     for i in range(config.output_layers):
@@ -258,11 +261,11 @@ class TestLoss:
         # with zero gradients the Adam moments stay zero, so the whole
         # update is the decoupled decay lr * wd * w, applied to weights only
         params = M.init_params(tiny_config(), seed=0)
-        params = {n: v + 0.5 for n, v in params.items()}
+        params = M.FlatParams.of({n: v + 0.5 for n, v in params.items()})
         before = {n: v.copy() for n, v in params.items()}
         lr, wd = 0.1, 0.5
         opt = M.Adam(params, lr=lr, weight_decay=wd)
-        opt.step(params, {n: np.zeros_like(v) for n, v in params.items()})
+        opt.step(params, params.like())
         for n, v in params.items():
             if n.endswith("_w"):
                 np.testing.assert_allclose(v, before[n] - lr * wd * before[n], rtol=1e-12)
@@ -283,14 +286,14 @@ class TestLoss:
                 params[n] = params[n] - lr * update
 
         rng = np.random.default_rng(3)
-        params = M.init_params(tiny_config(), seed=1)
+        params = M.FlatParams.of(M.init_params(tiny_config(), seed=1))
         ref = {n: p.copy() for n, p in params.items()}
         m = {n: np.zeros_like(p) for n, p in params.items()}
         v = {n: np.zeros_like(p) for n, p in params.items()}
         opt = M.Adam(params, lr=0.01, weight_decay=0.1)
         for t in range(1, 4):
             grads = {n: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for n, p in params.items()}
-            opt.step(params, grads)
+            opt.step(params, M.FlatParams.of(grads))
             reference(ref, m, v, grads, t, 0.01, 0.1)
             for n in params:
                 assert np.array_equal(params[n], ref[n]) and np.array_equal(opt.m[n], m[n]), (t, n)
@@ -336,6 +339,112 @@ def small_training_setup(seed=0):
     return train, valid, vocab
 
 
+def per_gate_forward(pt, batch, config):
+    """forward_batch with per-gate message steps (conftest.per_gate_step)."""
+    h = T.project(batch.features, pt["proj_w"], pt["proj_b"])
+    edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
+    for _ in range(config.steps):
+        h = per_gate_step(h, edges, *[pt[name] for name in M.STEP_PARAMS])
+    y = T.readout(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
+                  batch.seg, batch.num_graphs)
+    for i in range(config.output_layers):
+        y = T.matmul(y, pt[f"cls{i}_w"], bias=pt[f"cls{i}_b"])
+        if i < config.output_layers - 1:
+            y = T.relu(y)
+    return y
+
+
+def reference_training(config, train_set, valid_set, vocab, seed, epochs, patience):
+    """train_model spelled out with a separate array per param, per-gate
+    message steps and one Adam step per param, each as plain expressions."""
+    mask = config.mask_dict()
+    train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
+    train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
+    valid_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in valid_set]
+    params = M.init_params(config, seed)
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    b1, b2, eps, lr, wd = M.Adam.beta1, M.Adam.beta2, M.Adam.eps, config.learning_rate, config.l2_weight
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(train_set))
+    best_f1, best_epoch, best = -1.0, 0, {n: p.copy() for n, p in params.items()}
+    losses, since_best, t = [], 0, 0
+    for epoch in range(1, epochs + 1):
+        rng.shuffle(order)
+        total, steps = 0.0, 0
+        for lo in range(0, len(order), config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            tape = T.Tape()
+            pt = {n: tape.tensor(p) for n, p in params.items()}
+            obj = M.bce_logits(per_gate_forward(pt, M.batch_graphs([train_graphs[i] for i in idx]), config),
+                               train_labels[idx].reshape(-1, 1))
+            t += 1
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n, g in zip(pt, T.gradients(obj, list(pt.values()))):
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                update = (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
+                if n.endswith("_w"):
+                    update = update + wd * params[n]
+                params[n] = params[n] - lr * update
+            total += obj.item()
+            steps += 1
+        wrapped = {n: T.Tensor(p) for n, p in params.items()}
+        probs = np.concatenate([
+            T.sigmoid(per_gate_forward(wrapped, M.batch_graphs(valid_graphs[lo : lo + config.batch_size]),
+                                       config)).data[:, 0]
+            for lo in range(0, len(valid_graphs), config.batch_size)
+        ])
+        f1 = compute_metrics(probs.tolist(), [lbl for _, lbl in valid_set]).f1
+        losses.append((total / steps, f1))
+        if f1 > best_f1:
+            best_f1, best_epoch, best = f1, epoch, {n: p.copy() for n, p in params.items()}
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    return best, best_epoch, losses
+
+
+class TestTrainingBitIdentical:
+    """train_model, with its flat parameter store, whole-buffer Adam steps
+    and stacked update and reset gates, against reference_training."""
+
+    @pytest.mark.parametrize("config, epochs, patience", [
+        (dict(k=5, hidden=8, steps=2, output_layers=2, batch_size=8), 4, 10),
+        (dict(k=7, hidden=1, steps=3, output_layers=1, batch_size=16, learning_rate=0.05, l2_weight=0.1), 6, 2),
+    ])
+    def test_params_best_epoch_and_losses(self, config, epochs, patience):
+        train, valid, vocab = small_training_setup()
+        vocab = build_vocabulary([cfg for cfg, _ in train], k=config["k"])
+        c = M.ModelConfig(**config)
+        params, best_epoch, history = M.train_model(c, train, valid, vocab, seed=3, epochs=epochs, patience=patience)
+        ref_params, ref_epoch, ref_losses = reference_training(c, train, valid, vocab, 3, epochs, patience)
+        assert best_epoch == ref_epoch
+        assert [(e.train_loss, e.valid_f1) for e in history] == ref_losses
+        assert list(params) == list(ref_params)
+        for n in params:
+            assert params[n].tobytes() == ref_params[n].tobytes(), n
+
+
+class TestFlatParams:
+    def test_named_views_with_the_weights_first(self):
+        shapes = M.param_shapes(tiny_config())
+        store = M.FlatParams(shapes)
+        assert list(store) == list(shapes)
+        weights = sum(np.prod(shape) for n, shape in shapes.items() if n.endswith("_w"))
+        assert store.decayed == weights and store.flat.size == sum(np.prod(s) for s in shapes.values())
+        for n, shape in shapes.items():
+            view = store[n]
+            assert view.shape == shape and np.shares_memory(view, store.flat)
+            offset = (view.__array_interface__["data"][0] - store.flat.__array_interface__["data"][0]) // 8
+            assert (offset + view.size <= weights) == n.endswith("_w"), n
+        copy = M.FlatParams.of({n: np.full(shape, i, dtype=np.float64) for i, (n, shape) in enumerate(shapes.items())})
+        assert all((copy[n] == i).all() for i, n in enumerate(shapes))
+        assert not copy.like().flat.any() and list(copy.like()) == list(shapes)
+
+
 class TestTraining:
     def test_training_is_deterministic(self):
         train, valid, vocab = small_training_setup()
@@ -358,10 +467,10 @@ class TestTraining:
         def holding():
             return sum(1 for ref in tapes if ref() is not None and ref()._ops)
 
-        def counting_gradients(loss, params, original=T.gradients):
+        def counting_gradients(loss, params, out=None, original=T.gradients):
             tapes.append(weakref.ref(loss.tape))
             live_counts.append(holding())
-            grads = original(loss, params)
+            grads = original(loss, params, out)
             live_counts.append(holding())
             return grads
 
@@ -423,6 +532,22 @@ class TestTraining:
         graphs = [(encode(cfg, vocab, c.mask_dict()), cfg) for cfg in cfgs]
         assert np.array_equal(M.predict_many(ckpt, cfgs), M.infer(params, graphs, c))
 
+    def test_checkpoint_bytes_are_one_shot_json(self, tmp_path):
+        c = tiny_config()
+        params = M.init_params(c, seed=4)
+        path = tmp_path / "model.json"
+        M.save_checkpoint(str(path), params, c, "vocab.json", 3)
+        doc = {
+            "version": 1,
+            "config": dataclasses.asdict(c),
+            "vocab_path": "vocab.json",
+            "params": {n: {"shape": list(v.shape), "data": v.ravel().tolist()} for n, v in params.items()},
+            "best_epoch": 3,
+        }
+        streamed = io.StringIO()
+        json.dump(doc, streamed)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode() == (streamed.getvalue() + "\n").encode()
+
     def test_predict_wraps_params_once_per_checkpoint(self, monkeypatch):
         data = synth_generate(6, seed=5)
         c = tiny_config()
@@ -467,10 +592,10 @@ class TestTraining:
             M.infer(params, [(make(len(cfg.nodes)), cfg)], c)
 
     def test_adam_converges_on_quadratic(self):
-        params = {"w_w": np.array([[4.0]])}
+        params = M.FlatParams.of({"w_w": np.array([[4.0]])})
         opt = M.Adam(params, lr=0.1, weight_decay=0.0)
         for _ in range(300):
-            opt.step(params, {"w_w": 2.0 * params["w_w"]})
+            opt.step(params, M.FlatParams.of({"w_w": 2.0 * params["w_w"]}))
         assert abs(params["w_w"][0, 0]) < 1e-2
 
     def test_classify_threshold(self):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import projection_chain, readout_chain
+from conftest import per_gate_step, projection_chain, readout_chain
 from defreach import kernels
 from defreach import tensor as T
 
@@ -107,6 +107,18 @@ class TestGradients:
         loss = T.sum_all(x)
         grads = T.gradients(loss, [x, stray])
         np.testing.assert_array_equal(grads[1], [[0.0]])
+
+    def test_gradients_written_into_out(self):
+        rng = np.random.default_rng(5)
+        tape = T.Tape()
+        x, w, unused = leaf(tape, rng, 3, 4), leaf(tape, rng, 4, 2), leaf(tape, rng, 2, 2)
+        loss = T.sum_all(T.tanh(T.matmul(T.add(x, x), w)))
+        out = [np.full(t.shape, np.nan) for t in (x, w, unused)]
+        returned = T.gradients(loss, [x, w, unused], out)
+        assert all(r is o for r, o in zip(returned, out))
+        for a, b in zip(out, T.gradients(loss, [x, w, unused])):
+            assert a.tobytes() == b.tobytes()
+        assert not out[2].any()
 
     def test_operands_on_different_tapes_rejected(self):
         a, b = T.Tape().tensor([[1.0]]), T.Tape().tensor([[2.0]])
@@ -254,7 +266,7 @@ def edges(rng, n):
 
 def fused_step(h, src, dst, *weights):
     """T.message_step over the edges (src, dst), in step_chain's arguments."""
-    return T.message_step(h, kernels.Edges(src, dst, h.shape[1]), *weights)
+    return T.message_step(h, kernels.Edges(src, dst, h.shape[1]), T.StepWeights(*weights))
 
 
 def step_chain(h, src, dst, agg_w, agg_b, *gru_weights):
@@ -357,6 +369,118 @@ class TestFusedOps:
                 T.matmul(x, w, bias=b)
 
 
+def stacked_case(name, rng):
+    """State, weights and edges of a stacked-gates case: (n, m, d) rows,
+    aggregate width and state width, and its edges."""
+    n, m, d = STACKED_CASES[name]
+    arrays = step_inputs(rng, n, m, d)
+    arrays[2] = arrays[2] + 0.3  # agg_b: relus on both sides of zero
+    if name == "one-row":
+        src = dst = np.zeros(0, dtype=np.int64)
+    elif name == "isolated-node":  # node n - 1 has no edge in or out
+        src, dst = rng.integers(0, n - 1, 2 * n), rng.integers(0, n - 1, 2 * n)
+    else:
+        src, dst = edges(rng, n)
+    return arrays, src, dst
+
+
+# (rows, aggregate width, state width): the model's hidden widths (32, 1, 8
+# and 4, aggregate as wide as the state), two other aggregate widths, a
+# one-row graph without edges and a graph with an isolated node
+STACKED_CASES = {
+    "hidden-32": (40, 32, 32), "hidden-1": (9, 1, 1), "hidden-8": (17, 8, 8), "hidden-4": (11, 4, 4),
+    "aggregate-3-state-5": (7, 3, 5), "aggregate-3-state-1": (5, 3, 1),
+    "one-row": (1, 6, 6), "isolated-node": (8, 5, 5),
+}
+
+
+def stacked_and_reference(arrays, src, dst):
+    """The output of two steps and the 12 gradients through a loss, from
+    T.message_step and from per_gate_step."""
+    results = []
+    for step in (lambda h, e, *w: T.message_step(h, e, T.StepWeights(*w)), per_gate_step):
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]
+        e = kernels.Edges(src, dst, arrays[0].shape[1])
+        out = step(step(tensors[0], e, *tensors[1:]), e, *tensors[1:])
+        results.append([out.data] + T.gradients(T.sum_all(T.tanh(out)), tensors))
+    return results
+
+
+def step_outcome(step, arrays, src, dst):
+    """The type and message of what one step raises, or None."""
+    tensors = [T.Tensor(a) for a in arrays]
+    try:
+        step(tensors[0], kernels.Edges(src, dst, arrays[0].shape[1]), *tensors[1:])
+    except T.TensorError as e:
+        return type(e), str(e)
+    return None
+
+
+def stacked(h, e, *weights):
+    return T.message_step(h, e, T.StepWeights(*weights))
+
+
+class TestStackedGates:
+    """T.message_step computes the update and reset gates in one stacked
+    buffer. Its output, its 12 gradients and its errors must be bit for bit
+    those of per_gate_step, which takes each gate apart."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CASES))
+    def test_output_and_gradients_bit_identical(self, name):
+        arrays, src, dst = stacked_case(name, np.random.default_rng(80))
+        fused, reference = stacked_and_reference(arrays, src, dst)
+        assert len(fused) == 13
+        for i, (a, b) in enumerate(zip(fused, reference)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"output and gradients, entry {i}"
+
+    # (index in step_inputs' order, scale): a weight (agg_w, wz uz, wr ur, wh
+    # uh) scaled to overflow, or a bias (agg_b, bz, br, bh) with infinities
+    OVERFLOWS = ([(i, s) for i in (1, 3, 4, 6, 7, 9, 10) for s in (1e300, -1e300)]
+                 + [(i, s) for i in (2, 5, 8, 11) for s in (np.inf, -np.inf)])
+
+    @pytest.mark.parametrize("index, scale", OVERFLOWS)
+    def test_overflow_raises_as_the_reference(self, index, scale):
+        arrays, src, dst = stacked_case("hidden-4", np.random.default_rng(81))
+        arrays[0] = np.abs(arrays[0]) * 1e10
+        arrays[index] = np.abs(arrays[index]) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = step_outcome(stacked, arrays, src, dst)
+            assert raised is not None and raised == step_outcome(per_gate_step, arrays, src, dst)
+
+    @pytest.mark.parametrize("overflowing, gate", [((3, 6), "update"), ((4, 7), "update"), ((6,), "reset"),
+                                                    ((7,), "reset"), ((5, 8), "update"), ((8,), "reset")])
+    def test_update_gate_reported_before_reset_gate(self, overflowing, gate):
+        arrays, src, dst = stacked_case("hidden-4", np.random.default_rng(82))
+        arrays[0] = np.abs(arrays[0]) * 1e10
+        for index in overflowing:
+            arrays[index] = np.abs(arrays[index]) * (np.inf if index in (5, 8) else 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = step_outcome(stacked, arrays, src, dst)
+            assert raised == (T.TensorError, f"non-finite {gate} gate pre-activation of message_step")
+            assert raised == step_outcome(per_gate_step, arrays, src, dst)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_shape_errors_as_the_reference(self, index):
+        arrays, src, dst = stacked_case("aggregate-3-state-5", np.random.default_rng(83))
+        rows, cols = arrays[index].shape
+        # one row too many; for the state, one column: any number of rows fits
+        arrays[index] = np.ones((rows, cols + 1) if index == 0 else (rows + 1, cols))
+        raised = step_outcome(stacked, arrays, src, dst)
+        assert raised is not None and raised == step_outcome(per_gate_step, arrays, src, dst)
+
+    def test_weights_prepared_once_serve_every_step(self):
+        arrays, src, dst = stacked_case("hidden-8", np.random.default_rng(84))
+        tensors = [T.Tensor(a) for a in arrays]
+        weights = T.StepWeights(*tensors[1:])
+        assert weights.fits and weights.w_zr.shape == (2, 8, 8) and weights.b_zr.shape == (2, 1, 8)
+        e = kernels.Edges(src, dst, 8)
+        h = tensors[0]
+        for _ in range(3):
+            h, ref = T.message_step(h, e, weights), per_gate_step(h, e, *tensors[1:])
+            assert h.data.tobytes() == ref.data.tobytes()
+
+
 class TestMessageStepInPlace:
     """message_step computes its sums, squashings and gradients in place:
     nothing it is given, nor any array its rule keeps, may change."""
@@ -379,7 +503,7 @@ class TestMessageStepInPlace:
         _, arrays, src, dst = self.inputs(61)
         tensors = [T.Tensor(a) for a in arrays]
         index = kernels.Edges(src, dst, 4)
-        out = T.message_step(tensors[0], index, *tensors[1:]).data
+        out = T.message_step(tensors[0], index, T.StepWeights(*tensors[1:])).data
         for i, t in enumerate(tensors):
             assert not np.shares_memory(out, t.data), f"input {i}"
         for name in ("src", "dst", "into_dst", "into_src"):
@@ -415,7 +539,7 @@ class TestMessageStepInPlace:
         _, arrays, src, dst = self.inputs(64)
         tensors = [T.Tensor(a) for a in arrays]
         with pytest.raises(T.TensorError, match=r"message_step edges built for width 3, state \(6, 4\)"):
-            T.message_step(tensors[0], kernels.Edges(src, dst, 3), *tensors[1:])
+            T.message_step(tensors[0], kernels.Edges(src, dst, 3), T.StepWeights(*tensors[1:]))
 
 
 def loop_scatter(x, index, n):
