@@ -8,10 +8,10 @@ of edges is derived from that array when it is first asked for.
 
 ``load_cfg`` checks an interchange document's schema field by field, each
 error naming its JSON path: ids, edge endpoints, entry and exit are ints
-(not booleans), every kind is known, and a node has a target exactly when
-its kind is a definition. ``Cfg.validate`` checks only the graph: entry and
-exit are node ids, every node is reachable from the entry, and the exit is
-reachable from every node.
+(not booleans) naming nodes, every kind is known, and a node has a target
+exactly when its kind is a definition. ``Cfg.validate`` checks only the
+graph: entry and exit are node ids, every node is reachable from the entry,
+and the exit is reachable from every node.
 """
 
 from __future__ import annotations
@@ -268,8 +268,9 @@ def load_cfg(document: str) -> Cfg:
         _require((a, b) not in edges, path, f"duplicate edge ({a}, {b})")
         edges.add((a, b))
 
-    _require(type(doc["entry"]) is int, "$.entry", "must be an int")
-    _require(type(doc["exit"]) is int, "$.exit", "must be an int")
+    for key in ("entry", "exit"):
+        _require(type(doc[key]) is int, f"$.{key}", "must be an int")
+        _require(0 <= doc[key] < len(nodes), f"$.{key}", f"id {doc[key]} out of range for {len(nodes)} nodes")
     cfg = Cfg(
         function=doc["function"],
         nodes=nodes,

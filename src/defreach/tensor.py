@@ -54,11 +54,12 @@ alone, so a check never warns or raises under ``np.errstate``.
 
 A rule holds arrays, never tensors, so nothing on a tape refers back to
 the tensors recorded on it: a tape and its activations are freed by
-reference count when the last tensor recorded on it goes. A rule may work
-in place only on arrays it allocates itself: it must not write into ``g``,
-which ``gradients`` still holds as the output's gradient, nor into the
-arrays it closes over, which may be an operand's data or shared with
-another record, so that replaying a tape twice gives the same gradients.
+reference count when the last tensor recorded on it goes. A rule writes
+neither into ``g`` nor into the arrays it closes over, which may be an
+operand's data or shared with another record, so that replaying a tape
+twice gives the same gradients. It hands over every array it returns: none
+is ``g``, an input's data or an array the rule keeps, and no two share
+memory, so ``gradients`` owns them and adds into them without a copy.
 """
 
 from __future__ import annotations
@@ -114,9 +115,11 @@ class Tape:
 def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """d loss / d param per param; zeros where the loss does not depend on it.
 
-    Each param's gradient is summed in its array of ``out``, one array of
-    the param's shape per param, which is returned; without ``out`` the
-    arrays are new.
+    A slot's first gradient is the array its rule hands over (see the
+    module docstring), and later ones are added into it. Each param's
+    gradient is then copied into its array of ``out``, one array of the
+    param's shape per param, which is returned; without ``out`` the arrays
+    are new.
     """
     tape = loss.tape
     if tape is None:
@@ -125,7 +128,6 @@ def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None =
         raise TensorError(f"backward from non-scalar shape {loss.shape}")
     if out is None:
         out = [np.empty_like(p.data) for p in params]
-    into = {p.index: o for p, o in zip(params, out) if p.tape is tape}
     grads: list[np.ndarray | None] = [None] * tape._size
     grads[loss.index] = np.ones((1, 1))
     for slot, inputs, rule in reversed(tape._ops):
@@ -135,20 +137,13 @@ def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None =
         for i, gi in zip(inputs, rule(g)):
             if i < 0:  # a constant operand, off the tape
                 continue
-            # the first gradient is copied: ``add`` hands the same array to both operands
-            if grads[i] is not None:
-                grads[i] += gi
-            elif i in into:
-                grads[i] = into[i]
-                np.copyto(grads[i], gi)
+            if grads[i] is None:
+                grads[i] = gi
             else:
-                grads[i] = gi.copy()
+                grads[i] += gi
     for p, o in zip(params, out):
         g = grads[p.index] if p.tape is tape else None
-        if g is None:
-            o.fill(0.0)
-        elif g is not o:  # a param listed twice
-            np.copyto(o, g)
+        np.copyto(o, 0.0 if g is None else g)
     return out
 
 
@@ -474,7 +469,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not bias and a.shape != b.shape:
         raise TensorError(f"add shape mismatch: {a.shape} + {b.shape}")
     return _op(a.data + b.data, "add", (a, b),
-               lambda g: (g, g.sum(axis=0, keepdims=True) if bias else g))
+               lambda g: (g.copy(), g.sum(axis=0, keepdims=True) if bias else g.copy()))
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

@@ -263,6 +263,20 @@ class TestErrors:
             code, _, err = run(capsys, "split", "--data", data_dir, "--fractions", fractions)
             assert code == 2 and "error:" in err, fractions
 
+    def test_vocab_build_on_a_directory_without_graphs_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "empty"
+        corpus.mkdir()
+        code, out, err = run(capsys, "vocab", "build", "--corpus", corpus, "--k", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: no CFG documents or sources found in {corpus}\n"
+
+    def test_empty_mask_exits_2(self, tmp_path, fig1_file, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(Vocabulary(k=2, ranks={}).to_json())
+        code, out, err = run(capsys, "encode", fig1_file, "--vocab", path, "--mask", ",")
+        assert code == 2 and out == ""
+        assert err == "error: mask must enable at least one property\n"
+
     def test_checkpoint_missing_field_exits_2(self, tmp_path, fig1_file, capsys):
         ckpt = tmp_path / "model.json"
         ckpt.write_text('{"version": 1}')

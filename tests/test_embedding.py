@@ -101,6 +101,14 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="duplicates"):
             Vocabulary(k=3, ranks={"api": ["a", "a"]})
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            Vocabulary(k=0, ranks={})
+
+    def test_rank_list_longer_than_k_rejected(self):
+        with pytest.raises(ValueError, match=r"^datatype rank list longer than k=1$"):
+            Vocabulary(k=1, ranks={"datatype": ["int", "char*"]})
+
     def test_boolean_k_rejected(self):
         with pytest.raises(ValueError, match="integer 'k'"):
             Vocabulary.from_json('{"k": true}')

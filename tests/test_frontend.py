@@ -100,6 +100,27 @@ def test_dangling_predecessor_rejected(preds):
         Cfg(function="f", nodes=nodes, preds=preds, entry=0, exit=1)
 
 
+def test_wrong_number_of_predecessor_lists_rejected():
+    nodes = [Statement(kind="nop"), Statement(kind="nop")]
+    with pytest.raises(CfgError, match=r"^1 predecessor lists for 2 nodes$"):
+        Cfg(function="f", nodes=nodes, preds=[[]], entry=0, exit=1)
+
+
+def test_entry_or_exit_out_of_range_rejected():
+    nodes = [Statement(kind="nop"), Statement(kind="nop")]
+    for entry, exit_ in ((0, 2), (-1, 1)):
+        cfg = Cfg(function="f", nodes=nodes, preds=[[], [0]], entry=entry, exit=exit_)
+        with pytest.raises(CfgError, match=r"^entry/exit id out of range for 2 nodes$"):
+            cfg.validate()
+
+
+def test_self_loop_sink_cannot_reach_exit():
+    nodes = [Statement(kind="nop") for _ in range(4)]
+    cfg = Cfg(function="f", nodes=nodes, preds=[[], [0], [1, 2], [1]], entry=0, exit=3)
+    with pytest.raises(CfgError, match=r"^exit unreachable from nodes: \[2\]$"):
+        cfg.validate()
+
+
 def test_parse_deterministic():
     assert dump_cfg(parse_function(FIG1_SRC)) == dump_cfg(parse_function(FIG1_SRC))
 
@@ -146,6 +167,11 @@ class TestInterchange:
             ("[[0, 1]]", "[[false, true]]", r"\$\.edges\[0\]: must be a \[from, to\] pair of ints"),
             ('"entry": 0', '"entry": true', r"\$\.entry: must be an int"),
             ('"exit": 1', '"exit": true', r"\$\.exit: must be an int"),
+            # entry and exit name nodes
+            ('"exit": 1', '"exit": 5', r"\$\.exit: id 5 out of range for 2 nodes"),
+            ('"entry": 0', '"entry": -1', r"\$\.entry: id -1 out of range for 2 nodes"),
+            ('[{"id": 0, "kind": "nop"}, {"id": 1, "kind": "nop"}], "edges": [[0, 1]]', '[], "edges": []',
+             r"\$\.entry: id 0 out of range for 0 nodes"),
         ]:
             assert doc.count(old) == 1
             with pytest.raises(CfgError, match=path):
@@ -171,6 +197,26 @@ class TestErrors:
         with pytest.raises(ParseError, match="end of input") as exc:
             parse_function("void f() {\n  int x = 1;\n  ")
         assert (exc.value.line, exc.value.col) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("f() { return; }", "1:1: expected return type, found 'f'"),
+            ("void f(int n { return; }", "1:14: expected ')', found '{'"),
+            ("void (int n) { return; }", "1:6: expected identifier, found '('"),
+            ("void f(int n, x) { return; }", "1:15: expected parameter type, found 'x'"),
+            ("void f() { 3 = x; }", "1:12: unexpected token '3'"),
+            ("void f() { int y = 2, z = 3; }", "1:21: unsupported construct: multiple declarators in one declaration"),
+            ("void f() { int y, z = 3; }", "1:17: unsupported construct: multiple declarators in one declaration"),
+        ],
+        ids=["no-return-type", "unclosed-parameters", "no-name", "untyped-parameter", "number-statement",
+             "second-declarator", "uninitialised-first-declarator"],
+    )
+    def test_error_message_and_position(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse_function(source)
+        assert str(exc.value) == message
+        assert f"{exc.value.line}:{exc.value.col}: " == message[: message.index(" ") + 1]
 
     @pytest.mark.parametrize(
         "source,construct",

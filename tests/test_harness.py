@@ -146,6 +146,15 @@ class TestSplits:
             split(data, "mixed", (0.5, 0.1, 0.1), seed=0)
 
 
+    def test_cross_regime_needs_a_project_to_hold_out(self):
+        data = synth_generate(20, seed=10)
+        one = [e for e in data if e.project == data[0].project]
+        with pytest.raises(ValueError, match=r"^cross regime needs >= 2 projects, found 1$"):
+            split(one, "cross", (0.8, 0.1, 0.1), seed=0)
+        with pytest.raises(ValueError, match=r"^cross regime could not hold out any project$"):
+            split(data, "cross", (1.0, 0.0, 0.0), seed=0)
+
+
 class TestUndersample:
     def test_balances_to_minority_count(self):
         data = synth_generate(100, seed=12, vulnerable_fraction=0.3)
@@ -195,6 +204,12 @@ class TestMetrics:
             labels = [rng.randrange(2) for _ in range(n)]
             m = compute_metrics(probs, labels)
             assert (m.tp, m.fp, m.tn, m.fn) == brute_confusion(probs, labels)
+
+    def test_length_mismatch_and_empty_input_rejected(self):
+        with pytest.raises(ValueError, match=r"^length mismatch: 1 predictions, 2 labels$"):
+            compute_metrics([0.5], [1, 0])
+        with pytest.raises(ValueError, match=r"^empty input$"):
+            compute_metrics([], [])
 
     def test_threshold_is_inclusive(self):
         m = compute_metrics([0.5], [1])

@@ -43,6 +43,12 @@ class TestConfig:
             M.ModelConfig(steps=-1)
         assert M.ModelConfig(steps=M.MAX_STEPS).steps == 64
 
+    def test_k_and_hidden_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            M.ModelConfig(k=0)
+        with pytest.raises(ValueError, match=r"^hidden and output_layers must be >= 1$"):
+            M.ModelConfig(hidden=0)
+
 
 class TestInit:
     def test_deterministic_per_seed(self):
@@ -204,6 +210,13 @@ class TestBatch:
         nodes = sum(len(e.cfg.nodes) for e in data)
         assert batch.features.shape == (nodes, 4)
         assert batch.features.nbytes <= 32 * nodes
+
+
+    def test_feature_rows_must_match_nodes(self):
+        cfg = synth_generate(1, seed=3)[0].cfg
+        n = len(cfg.nodes)
+        with pytest.raises(ValueError, match=rf"^feature rows {n - 1} != nodes {n}$"):
+            M.batch_graphs([(np.zeros((n - 1, 4), dtype=np.int64), cfg)])
 
 
 class TestBatchScatter:

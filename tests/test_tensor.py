@@ -60,6 +60,8 @@ class TestForward:
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
         with pytest.raises(T.TensorError, match=r"\(2, 3\) \+ \(3, 2\)"):
             T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
+        with pytest.raises(T.TensorError, match=r"^hadamard shape mismatch: \(2, 3\) \* \(3, 2\)$"):
+            T.hadamard(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
         with pytest.raises(T.TensorError, match=r"bias shape \(1, 3\) for product \(2, 2\)"):
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), bias=T.Tensor(np.ones((1, 3))))
         h, *weights = [T.Tensor(x) for x in step_inputs(np.random.default_rng(0), n=2, m=3, hdim=4)]
@@ -80,6 +82,10 @@ class TestForward:
     def test_only_2d(self):
         with pytest.raises(T.TensorError):
             T.Tensor(np.ones(3))
+
+    def test_item_of_non_scalar_rejected(self):
+        with pytest.raises(T.TensorError, match=r"^item\(\) on non-scalar shape \(2, 3\)$"):
+            T.Tensor(np.ones((2, 3))).item()
 
 
 class TestGradients:
@@ -949,3 +955,145 @@ class TestFinite:
             x = np.zeros((4, 3))
             x[2, 1] = value
             assert T._finite(x) == bool(np.isfinite(value)), value
+
+
+def rule_case(name, rng):
+    """An op that records a rule, as a function of its tensors, and its input arrays."""
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    src, dst = edges(rng, 4)
+    slots, fused = fused_inputs(rng, 3)
+    cases = {
+        "add": (T.add, [x, y]),
+        "add-bias": (T.add, [x, rng.standard_normal((1, 3))]),
+        "hadamard": (T.hadamard, [x, y]),
+        "matmul": (T.matmul, [x, rng.standard_normal((3, 2))]),
+        "matmul-bias": (lambda a, b, c: T.matmul(a, b, bias=c),
+                        [x, rng.standard_normal((3, 2)), rng.standard_normal((1, 2))]),
+        "sigmoid": (T.sigmoid, [x]),
+        "tanh": (T.tanh, [x]),
+        "relu": (T.relu, [x]),
+        "softplus": (T.softplus, [x]),
+        "scale": (lambda a: T.scale(a, -2.0), [x]),
+        "add_const": (lambda a: T.add_const(a, 0.5), [x]),
+        "sum_all": (T.sum_all, [x]),
+        "edge_gather_sum": (lambda h: T.edge_gather_sum(h, src, dst), [x]),
+        "segment_sum": (lambda a: T.segment_sum(a, np.array([0, 2, 2, 0]), 3), [x]),
+        "project-one-node": (lambda w, b: T.project(slots[1:2], w, b), fused["project"]),
+        "project": (lambda w, b: T.project(slots, w, b), fused["project"]),
+        "message_step": (lambda h, *w: fused_step(h, src, dst, *w), step_inputs(rng, 4, 3, 5)),
+        "readout": (lambda h, *w: T.readout(h, *w, SEG, NUM_GRAPHS), fused["readout"]),
+    }
+    return cases[name]
+
+
+RULE_OPS = ["add", "add-bias", "hadamard", "matmul", "matmul-bias", "sigmoid", "tanh", "relu",
+            "softplus", "scale", "add_const", "sum_all", "edge_gather_sum", "segment_sum",
+            "project-one-node", "project", "message_step", "readout"]
+
+
+class TestRuleOwnership:
+    """Every rule hands over the arrays it returns, which ``gradients``
+    adopts as they are (see the tensor module's docstring)."""
+
+    @pytest.mark.parametrize("name", RULE_OPS)
+    def test_rule_returns_fresh_arrays_and_repeats(self, name):
+        rng = np.random.default_rng(80)
+        build, arrays = rule_case(name, rng)
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]  # no copy: data is each array itself
+        out = build(*tensors)
+        ((slot, inputs, rule),) = tape._ops
+        assert slot == out.index and inputs == tuple(t.index for t in tensors)
+        g = rng.standard_normal(out.shape)
+        g0 = g.copy()
+        first = rule(g)
+        assert [a.shape for a in first] == [a.shape for a in arrays]
+        held = {"g": g, "output": out.data, **{f"input {j}": a for j, a in enumerate(arrays)}}
+        for i, gi in enumerate(first):
+            others = {**held, **{f"gradient {j}": first[j] for j in range(i)}}
+            for what, other in others.items():
+                assert not np.shares_memory(gi, other), f"gradient {i} shares memory with {what}"
+        assert g.tobytes() == g0.tobytes()
+        second = rule(g)
+        for i, (a, b) in enumerate(zip(first, second)):
+            assert a.tobytes() == b.tobytes(), f"gradient {i}"
+
+
+def numeric_grads(build, arrays, i):
+    """Central differences of build(tensors) -> scalar in arrays[i]."""
+    def f(v):
+        inputs = [T.Tensor(a) for a in arrays]
+        inputs[i] = T.Tensor(v)
+        return build(*inputs).item()
+
+    return T.numeric_gradient(f, arrays[i].copy())
+
+
+class TestGradientCases:
+    """Slots that get more than one gradient, or that are both intermediate
+    and param, against finite differences."""
+
+    def check(self, build, arrays, got):
+        for i, a in enumerate(arrays):
+            err = T.relative_error(got[i], numeric_grads(build, arrays, i))
+            assert err < 1e-6, f"input {i}: relative error {err:.3e}"
+
+    def test_param_listed_twice(self):
+        rng = np.random.default_rng(81)
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
+
+        def build(x, w):
+            return T.sum_all(T.tanh(T.matmul(T.sigmoid(x), w)))
+
+        tape = T.Tape()
+        x, w = (tape.tensor(a) for a in arrays)
+        got = T.gradients(build(x, w), [x, w, x])
+        self.check(build, arrays, got[:2])
+        assert got[2].tobytes() == got[0].tobytes() and got[2] is not got[0]
+
+    def test_add_of_one_operand_twice(self):
+        rng = np.random.default_rng(82)
+        arrays = [rng.standard_normal((3, 2))]
+
+        def build(x):
+            return T.sum_all(T.tanh(T.add(x, x)))
+
+        tape = T.Tape()
+        x = tape.tensor(arrays[0])
+        self.check(build, arrays, T.gradients(build(x), [x]))
+
+    def test_add_output_feeds_two_consumers(self):
+        rng = np.random.default_rng(83)
+        arrays = [rng.standard_normal((4, 3)), rng.standard_normal((1, 3))]
+
+        def build(x, b):
+            y = T.add(x, b)
+            return T.sum_all(T.hadamard(T.tanh(y), T.sigmoid(y)))
+
+        tape = T.Tape()
+        tensors = [tape.tensor(a) for a in arrays]
+        self.check(build, arrays, T.gradients(build(*tensors), tensors))
+
+    def test_intermediate_listed_as_param(self):
+        # y = x + b, and x also feeds a sigmoid recorded before y, whose
+        # gradient reaches x after add's: adding it must leave y's gradient
+        # (and b's) alone
+        rng = np.random.default_rng(84)
+        x0, b0 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        s0 = T.sigmoid(T.Tensor(x0)).data
+
+        def build(x, b):
+            s = T.sigmoid(x)
+            return T.sum_all(T.hadamard(T.tanh(T.add(x, b)), s))
+
+        def tail(y):  # the loss as a function of y, with x held
+            return T.sum_all(T.hadamard(T.tanh(y), T.Tensor(s0)))
+
+        tape = T.Tape()
+        x, b = tape.tensor(x0), tape.tensor(b0)
+        s = T.sigmoid(x)
+        y = T.add(x, b)
+        loss = T.sum_all(T.hadamard(T.tanh(y), s))
+        got = T.gradients(loss, [x, b, y])
+        self.check(build, [x0, b0], got[:2])
+        assert T.relative_error(got[2], numeric_grads(tail, [x0 + b0], 0)) < 1e-6
