@@ -55,23 +55,21 @@ def cmd_dfa(args) -> int:
         ],
     }
     bits = functools.partial(dataflow.bit_string, width=table.width)
+    nodes = range(len(cfg.nodes))
     if args.trace is None:
         dataflow.solve(cfg, state)
-        report["nodes"] = [
-            {"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
-            for v in range(len(cfg.nodes))
-        ]
-        _write(json.dumps(report, indent=2) + "\n", args.output)
-        return 0
-    # A trace holds rounds x nodes bit strings, so each round is written as it
+        key, items = "nodes", ({"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
+                               for v in nodes)
+    else:  # _trace_rounds checks the count here, before the output is opened
+        key, items = "trace", ({str(v): bits(snap[v]) for v in nodes}
+                               for snap in dataflow._trace_rounds(cfg, state, args.trace))
+    # A trace holds rounds x nodes bit strings, so each item is written as it
     # is computed; the text is what json.dumps(report, indent=2) gives with the
-    # rounds as report["trace"].
-    snapshots = dataflow._trace_rounds(cfg, state, args.trace)  # checks the count first
+    # items, never none, as report[key].
     with _opened(args.output) as f:
-        f.write(json.dumps(report, indent=2)[:-2] + ',\n  "trace": [')
-        for i, snap in enumerate(snapshots):
-            text = json.dumps({str(v): bits(snap[v]) for v in range(len(cfg.nodes))}, indent=2)
-            f.write(("," if i else "") + "\n    " + text.replace("\n", "\n    "))
+        f.write(json.dumps(report, indent=2)[:-2] + f',\n  "{key}": [')
+        for i, item in enumerate(items):
+            f.write(("," if i else "") + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
         f.write("\n  ]\n}\n")
     return 0
 

@@ -96,7 +96,10 @@ class Vocabulary:
             isinstance(vs, list) and all(isinstance(v, str) for v in vs) for vs in ranks.values()
         ):
             raise ValueError(f"{source} must be a JSON object with an integer 'k' and a list of strings per property")
-        return Vocabulary(k=doc["k"], ranks=ranks)
+        try:
+            return Vocabulary(k=doc["k"], ranks=ranks)
+        except ValueError as e:
+            raise ValueError(f"{source}: {e}") from e
 
 
 def build_vocabulary(corpus: list[Cfg], k: int) -> Vocabulary:
@@ -133,8 +136,6 @@ def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> 
     if mask is None:
         mask = FULL_MASK
     masked = [not mask.get(p) for p in PROPERTIES]
-    if all(masked):
-        raise ValueError("mask must enable at least one property")
     api, datatype, constant, operator = vocab.columns
     unknown_api, unknown_datatype, unknown_constant, unknown_operator = vocab.unknown
     none = (-1,) * len(PROPERTIES)

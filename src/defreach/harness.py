@@ -325,7 +325,7 @@ def split(
         held = [e for e in dataset if e.project in held_projects]
         rng.shuffle(held)
         denom = fractions[1] + fractions[2]
-        n_valid = round(len(held) * (fractions[1] / denom)) if denom else 0
+        n_valid = round(len(held) * (fractions[1] / denom))
         return train, held[:n_valid], held[n_valid:]
     raise ValueError(f"unknown regime {regime!r}")
 
@@ -406,7 +406,8 @@ def load_dataset(directory: str) -> list[Example]:
         cfg = _read_graph(os.path.join(directory, rec["path"]), load_cfg)
         label = LABELS.index(rec["label"])
         if oracle_label(cfg) != label:
-            raise ValueError(f"example {rec['id']}: stored label {rec['label']} fails re-validation")
+            raise ValueError(f"{manifest_path}: examples[{i}] ({rec['id']}): "
+                             f"stored label {rec['label']} fails re-validation")
         source_path = os.path.join(directory, rec["id"] + ".c")
         source = ""
         if os.path.exists(source_path):

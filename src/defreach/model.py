@@ -314,6 +314,8 @@ def train_model(
         raise ValueError(f"patience must be >= 1, got {patience}")
     if not train_set:
         raise ValueError("empty training split")
+    if vocab.k != config.k:
+        raise ValueError(f"vocabulary k={vocab.k} does not match config k={config.k}")
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
     train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)

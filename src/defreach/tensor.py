@@ -268,19 +268,20 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
     in one (2, n, d) buffer from the stacked weights (see the module
     docstring). The arithmetic is that of the chain ``edge_gather_sum``,
     ``matmul`` with a bias, ``relu`` and the GRU update spelled out in
-    ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``hadamard``, ``scale`` and
-    ``add_const``, in the same order, so the output is bit-identical to the
-    chain's; each sum and squashing function runs in place, and a stacked
-    temporary is written over once a later value can use it. Its gradients
-    are too, but for the order of one sum: the rule adds a's gradient over
-    the gates z, r, c, where ``gradients`` adds the chain's c, r, z, so the
-    gradients of h, agg_w and agg_b agree with the chain's to rounding. Its
-    failures are the chain's: a non-finite value in the chain first appears
-    in a sum or a product, and it stays non-finite through every later
-    ``+`` and product up to the relu or a squashing function, so checking
-    the aggregate before the relu (which maps -inf to 0), the GRU
-    pre-activations (the update gate's, then the reset gate's, then the
-    candidate's) and the output raises exactly where the chain would.
+    ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``hadamard`` and ``scale``
+    (``1 - z`` is ``scale`` by -1, then ``add`` of an off-tape constant), in
+    the same order, so the output is bit-identical to the chain's; each sum
+    and squashing function runs in place, and a stacked temporary is written
+    over once a later value can use it. Its gradients are too, but for the
+    order of one sum: the rule adds a's gradient over the gates z, r, c,
+    where ``gradients`` adds the chain's c, r, z, so the gradients of h,
+    agg_w and agg_b agree with the chain's to rounding. Its failures are the
+    chain's: a non-finite value in the chain first appears in a sum or a
+    product, and it stays non-finite through every later ``+`` and product
+    up to the relu or a squashing function, so checking the aggregate before
+    the relu (which maps -inf to 0), the GRU pre-activations (the update
+    gate's, then the reset gate's, then the candidate's) and the output
+    raises exactly where the chain would.
     """
     n, d = h.shape
     agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh = weights.tensors
@@ -521,10 +522,6 @@ def softplus(a: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     return _unary(a, lambda x: x * c, lambda x, y: np.full_like(x, c), "scale")
-
-
-def add_const(a: Tensor, c: float) -> Tensor:
-    return _unary(a, lambda x: x + c, lambda x, y: np.ones_like(x), "add_const")
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -63,25 +63,35 @@ class TestParseAndDfa:
             ["100", "100", "010", "111"],
         ]
 
-    @pytest.mark.parametrize("rounds", [0, 3])
+    @pytest.mark.parametrize("rounds", [None, 0, 3])
     def test_dfa_trace_text_is_the_whole_report_dumped(self, fig1_file, tmp_path, capsys, rounds):
-        # the rounds are written one at a time; the text must still be
-        # json.dumps of the whole report, as when it was built in memory
+        # the nodes or rounds are written one at a time; the text must still
+        # be json.dumps of the whole report, as when it was built in memory
+        # (rounds None is solve mode, without --trace)
         cfg = harness.read_cfg(str(fig1_file))
         table, state = dataflow.compute_gen_kill(cfg, deref_defines=True)
         report = {
             "function": cfg.function,
             "definitions": [{"id": d.def_id, "node": d.node, "variable": d.variable} for d in table.entries],
-            "trace": [
-                {str(v): dataflow.bit_string(snap[v], table.width) for v in range(len(cfg.nodes))}
-                for snap in dataflow.trace(cfg, state, rounds)
-            ],
         }
+
+        def bits(x):
+            return dataflow.bit_string(x, table.width)
+
+        if rounds is None:
+            dataflow.solve(cfg, state)
+            report["nodes"] = [{"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
+                               for v in range(len(cfg.nodes))]
+            argv = ["dfa", fig1_file, "--deref-defines"]
+        else:
+            report["trace"] = [{str(v): bits(snap[v]) for v in range(len(cfg.nodes))}
+                               for snap in dataflow.trace(cfg, state, rounds)]
+            argv = ["dfa", fig1_file, "--trace", rounds, "--deref-defines"]
         expected = json.dumps(report, indent=2) + "\n"
-        code, out, _ = run(capsys, "dfa", fig1_file, "--trace", rounds, "--deref-defines")
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and out == expected
-        path = tmp_path / "trace.json"
-        code, out, _ = run(capsys, "dfa", fig1_file, "--trace", rounds, "--deref-defines", "-o", path)
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *argv, "-o", path)
         assert code == 0 and out == "" and path.read_text() == expected
 
 
@@ -437,8 +447,9 @@ class TestErrors:
             ([], "lists of ids"),
             ({"train": [], "valid": []}, "lists of ids"),
             ({"train": ["nope"], "valid": [], "test": []}, "'nope'"),
+            ({"train": [], "valid": [], "test": []}, "error: empty training split\n"),
         ],
-        ids=["not-object", "missing-part", "unknown-id"],
+        ids=["not-object", "missing-part", "unknown-id", "empty-train"],
     )
     def test_bad_split_file_exits_2(self, tmp_path, capsys, doc, problem):
         data_dir = tmp_path / "d"
@@ -498,3 +509,31 @@ class TestErrors:
         path.write_text(json.dumps(vocab))
         code, _, err = run(capsys, "encode", fig1_file, "--vocab", path)
         assert code == 2 and "error:" in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "vocab,problem",
+        [
+            ({"k": 0}, "k must be >= 1"),
+            ({"k": 2, "api": ["a", "b", "c"]}, "api rank list longer than k=2"),
+            ({"k": 2, "operator": ["+", "+"]}, "operator rank list has duplicates"),
+        ],
+        ids=["k-zero", "ranks-longer-than-k", "duplicate-ranks"],
+    )
+    def test_invalid_vocabulary_names_its_file(self, tmp_path, fig1_file, capsys, vocab, problem):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(vocab))
+        code, out, err = run(capsys, "encode", fig1_file, "--vocab", path)
+        assert code == 2 and out == "" and err == f"error: {path}: {problem}\n"
+
+    def test_tampered_label_names_the_manifest_and_record(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        rec = manifest["examples"][1]
+        rec["label"] = "safe" if rec["label"] == "vulnerable" else "vulnerable"
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "split", "--data", data_dir)
+        assert code == 2 and out == ""
+        assert err == (f"error: {manifest_path}: examples[1] ({rec['id']}): "
+                       f"stored label {rec['label']} fails re-validation\n")

@@ -521,6 +521,21 @@ class TestTraining:
         M.train_model(c, train, valid, vocab, seed=1, epochs=3, patience=3)
         assert checked == [True] * 3
 
+    def test_empty_training_set_rejected(self):
+        _, valid, vocab = small_training_setup()
+        with pytest.raises(ValueError, match=r"^empty training split$"):
+            M.train_model(tiny_config(k=5), [], valid, vocab, seed=1, epochs=1)
+
+    def test_vocabulary_k_mismatch_rejected_before_encoding(self, monkeypatch):
+        # a vocabulary's columns run past a config's smaller k, which would
+        # otherwise surface as a slot error at the first training step
+        train, valid, vocab = small_training_setup()
+        encoded = []
+        monkeypatch.setattr(M, "encode", lambda *a: encoded.append(a))
+        with pytest.raises(ValueError, match=r"^vocabulary k=5 does not match config k=2$"):
+            M.train_model(tiny_config(k=2), train, valid, vocab, seed=1, epochs=1)
+        assert encoded == []
+
     def test_checkpoint_roundtrip(self, tmp_path):
         train, valid, vocab = small_training_setup()
         c = tiny_config(k=5, hidden=8, steps=2, batch_size=8)

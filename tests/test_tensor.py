@@ -254,7 +254,7 @@ def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     z = T.sigmoid(T.add(T.add(T.matmul(a, wz), T.matmul(h, uz)), bz))
     r = T.sigmoid(T.add(T.add(T.matmul(a, wr), T.matmul(h, ur)), br))
     cand = T.tanh(T.add(T.add(T.matmul(a, wh), T.matmul(T.hadamard(r, h), uh)), bh))
-    keep = T.add_const(T.scale(z, -1.0), 1.0)
+    keep = T.add(T.scale(z, -1.0), T.Tensor(np.ones(z.shape)))
     return T.add(T.hadamard(keep, h), T.hadamard(z, cand))
 
 
@@ -583,7 +583,6 @@ TAPED_OPS = {
     "relu": ([(3, 2)], T.relu),
     "softplus": ([(3, 2)], T.softplus),
     "scale": ([(3, 2)], lambda a: T.scale(a, 2.0)),
-    "add_const": ([(3, 2)], lambda a: T.add_const(a, 1.5)),
     "sum_all": ([(3, 2)], T.sum_all),
     "edge_gather_sum": ([(4, 2)],
                         lambda h: T.edge_gather_sum(h, np.array([0, 1, 3]), np.array([1, 2, 0]))),
@@ -897,7 +896,6 @@ class TestUnaryOps:
         "softplus": T.softplus,
         "scale": lambda t: T.scale(t, -1.0),
         "scale-mean": lambda t: T.scale(t, 1.0 / 32),
-        "add_const": lambda t: T.add_const(t, 1.0),
     }
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -974,7 +972,6 @@ def rule_case(name, rng):
         "relu": (T.relu, [x]),
         "softplus": (T.softplus, [x]),
         "scale": (lambda a: T.scale(a, -2.0), [x]),
-        "add_const": (lambda a: T.add_const(a, 0.5), [x]),
         "sum_all": (T.sum_all, [x]),
         "edge_gather_sum": (lambda h: T.edge_gather_sum(h, src, dst), [x]),
         "segment_sum": (lambda a: T.segment_sum(a, np.array([0, 2, 2, 0]), 3), [x]),
@@ -987,7 +984,7 @@ def rule_case(name, rng):
 
 
 RULE_OPS = ["add", "add-bias", "hadamard", "matmul", "matmul-bias", "sigmoid", "tanh", "relu",
-            "softplus", "scale", "add_const", "sum_all", "edge_gather_sum", "segment_sum",
+            "softplus", "scale", "sum_all", "edge_gather_sum", "segment_sum",
             "project-one-node", "project", "message_step", "readout"]
 
 
