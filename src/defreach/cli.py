@@ -47,22 +47,20 @@ def cmd_parse(args) -> int:
 
 def cmd_dfa(args) -> int:
     cfg = harness.read_cfg(args.file)
-    table, state = dataflow.compute_gen_kill(cfg, deref_defines=args.deref_defines)
+    definitions, state = dataflow.compute_gen_kill(cfg, deref_defines=args.deref_defines)
     report = {
         "function": cfg.function,
-        "definitions": [
-            {"id": d.def_id, "node": d.node, "variable": d.variable} for d in table.entries
-        ],
+        "definitions": [{"id": d.def_id, "node": d.node, "variable": d.variable} for d in definitions],
     }
-    bits = functools.partial(dataflow.bit_string, width=table.width)
+    bits = functools.partial(dataflow.bit_string, width=len(definitions))
     nodes = range(len(cfg.nodes))
     if args.trace is None:
         dataflow.solve(cfg, state)
         key, items = "nodes", ({"id": v, "in": bits(state.inb[v]), "out": bits(state.out[v])}
                                for v in nodes)
-    else:  # _trace_rounds checks the count here, before the output is opened
+    else:  # trace_rounds checks the count here, before the output is opened
         key, items = "trace", ({str(v): bits(snap[v]) for v in nodes}
-                               for snap in dataflow._trace_rounds(cfg, state, args.trace))
+                               for snap in dataflow.trace_rounds(cfg, state, args.trace))
     # A trace holds rounds x nodes bit strings, so each item is written as it
     # is computed; the text is what json.dumps(report, indent=2) gives with the
     # items, never none, as report[key].
@@ -131,9 +129,15 @@ def _apply_split(dataset, split_path: str | None, seed: int):
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in parts):
             raise ValueError(f"split file {split_path} must map train, valid and test to lists of ids")
         by_id = {e.id: e for e in dataset}
-        unknown = [i for ids in parts for i in ids if i not in by_id]
+        listed = [i for ids in parts for i in ids]
+        unknown = [i for i in listed if i not in by_id]
         if unknown:
             raise ValueError(f"split file {split_path} names an id not in the dataset: {unknown[0]!r}")
+        seen = set()
+        for i in listed:  # within a part or across parts: either would train or score it twice
+            if i in seen:
+                raise ValueError(f"split file {split_path} lists an id more than once: {i!r}")
+            seen.add(i)
         return tuple([by_id[i] for i in ids] for ids in parts)
     return harness.split(dataset, "mixed", (0.8, 0.1, 0.1), seed)
 

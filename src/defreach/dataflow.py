@@ -1,6 +1,6 @@
 """Reaching-definitions analysis over a Cfg, with definition sets as int masks.
 
-Bit i of a mask is definition i of the DefinitionTable. Both solvers repeat
+Bit i of a mask is the definition with ``def_id`` i. Both solvers repeat
 one sweep, IN[v] = OR of OUT[pred], OUT[v] = GEN[v] | (IN[v] & ~KILL[v]),
 over rows (v, predecessors of v, GEN[v], ~KILL[v]) built once per call, so
 each node's predecessor list is read from the Cfg once however many sweeps
@@ -44,15 +44,6 @@ class Definition(NamedTuple):
 
 
 @dataclass
-class DefinitionTable:
-    entries: list[Definition] = field(default_factory=list)
-
-    @property
-    def width(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
 class DataflowState:
     """Per-node definition masks, indexed by node id."""
 
@@ -67,8 +58,8 @@ def bit_string(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1] if width else ""
 
 
-def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionTable, DataflowState]:
-    """Build the definition table and per-node GEN/KILL masks.
+def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[list[Definition], DataflowState]:
+    """The definitions in node order, the i-th with ``def_id`` i, and per-node GEN/KILL masks.
 
     GEN[v] is the definition made at v (if any); KILL[v] is every *other*
     definition of the same variable (self-kill excluded -- equivalent under
@@ -94,7 +85,7 @@ def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[DefinitionT
         entries.append(Definition(len(entries), node, variable))
     for _, node, variable in entries:
         kill[node] = by_variable[variable] ^ gen[node]  # the variable's other definitions
-    return DefinitionTable(entries), DataflowState(gen=gen, kill=kill)
+    return entries, DataflowState(gen=gen, kill=kill)
 
 
 def _rows(cfg: Cfg, state: DataflowState, order) -> list[tuple[int, list[int], int, int]]:
@@ -136,10 +127,10 @@ def solve(cfg: Cfg, state: DataflowState) -> DataflowState:
 
 def trace(cfg: Cfg, state: DataflowState, rounds: int) -> list[list[int]]:
     """Per-round OUT snapshots of synchronous full sweeps; snapshot 0 is all zeros."""
-    return list(_trace_rounds(cfg, state, rounds))
+    return list(trace_rounds(cfg, state, rounds))
 
 
-def _trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[int]]:
+def trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[int]]:
     """``trace``'s snapshots one at a time, each computed when it is asked for.
 
     ``rounds`` is checked here, before the first snapshot, so a caller that
@@ -165,7 +156,7 @@ def _trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[
     return snapshots()
 
 
-def analyze(cfg: Cfg) -> tuple[DefinitionTable, DataflowState]:
+def analyze(cfg: Cfg) -> tuple[list[Definition], DataflowState]:
     """GEN/KILL plus the round-robin fixpoint in one call."""
-    table, state = compute_gen_kill(cfg)
-    return table, solve(cfg, state)
+    definitions, state = compute_gen_kill(cfg)
+    return definitions, solve(cfg, state)

@@ -32,10 +32,6 @@ class Example:
     cfg: Cfg
     label: int  # 1 = vulnerable
 
-    @property
-    def label_name(self) -> str:
-        return LABELS[self.label]
-
 
 @dataclass
 class Metrics:
@@ -94,10 +90,10 @@ def f1_from_pr(precision: float, recall: float) -> float:
 
 def oracle_label(cfg: Cfg) -> int:
     """1 iff a NULL-constant definition reaches a dereference of its variable."""
-    table, state = analyze(cfg)
+    definitions, state = analyze(cfg)
     null_defs = [
         d
-        for d in table.entries
+        for d in definitions
         if "NULL" in cfg.nodes[d.node].constants and cfg.nodes[d.node].callee is None
     ]
     for node, stmt in enumerate(cfg.nodes):
@@ -381,7 +377,7 @@ def save_dataset(examples: list[Example], directory: str) -> None:
         with open(os.path.join(directory, f"{e.id}.c"), "w") as f:
             f.write(e.source)
         manifest["examples"].append(
-            {"id": e.id, "project": e.project, "label": e.label_name, "path": path}
+            {"id": e.id, "project": e.project, "label": LABELS[e.label], "path": path}
         )
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)

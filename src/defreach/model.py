@@ -148,12 +148,18 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
-    sizes = [len(cfg.nodes) for _, cfg in graphs]
-    for (features, _), n in zip(graphs, sizes):
+    """The union of (slots, cfg) graphs, each checked as it is added: its
+    slots a 2-D integer array (``tensor.check_slots``) with a column per
+    property and a row per node. The projection checks the slot values."""
+    sizes, parts, offset = [], [], 0
+    for features, cfg in graphs:
+        T.check_slots(features)
+        if features.shape[1] != len(PROPERTIES):
+            raise ValueError(f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
+        n = len(cfg.nodes)
         if features.shape[0] != n:
             raise ValueError(f"feature rows {features.shape[0]} != nodes {n}")
-    parts, offset = [], 0
-    for (_, cfg), n in zip(graphs, sizes):
+        sizes.append(n)
         parts.append(cfg.edge_array + offset if offset else cfg.edge_array)
         offset += n
     edges = np.concatenate(parts)
@@ -222,13 +228,6 @@ def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config
     """``infer`` with the params already wrapped as off-tape tensors, and
     their step weights prepared when ``weights`` is given."""
     try:
-        for features, _ in graphs:
-            T.check_slots(features)
-            if features.shape[1] != len(PROPERTIES):
-                raise ValueError(
-                    f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}"
-                )
-        # a slot outside the vocabulary is found by the projection, once per forward
         probs = [
             forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config, weights).data[:, 0]
             for lo in range(0, len(graphs), config.batch_size)
@@ -420,8 +419,8 @@ class Checkpoint:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint and its vocabulary, checking that the params have
-    exactly the names and shapes ``param_shapes(config)`` gives and that the
-    vocabulary's ``k`` is the config's."""
+    exactly the names and shapes ``param_shapes(config)`` gives and finite
+    values, and that the vocabulary's ``k`` is the config's."""
     with open(path) as f:
         doc = parse_json(f.read(), f"checkpoint {path}")
     if not isinstance(doc, dict):
@@ -458,6 +457,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"checkpoint {path}: param {name} data is not a list of numbers: {e}") from e
         if data.shape != (shape[0] * shape[1],):
             raise ValueError(f"checkpoint {path}: param {name} needs {shape[0] * shape[1]} values")
+        if not np.isfinite(data).all():  # json reads NaN, Infinity and 1e400
+            raise ValueError(f"checkpoint {path}: param {name} holds a non-finite value")
         params[name] = data.reshape(shape)
     vocab_path, best_epoch = doc["vocab_path"], doc["best_epoch"]
     if not isinstance(vocab_path, str):

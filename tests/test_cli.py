@@ -72,11 +72,11 @@ class TestParseAndDfa:
         table, state = dataflow.compute_gen_kill(cfg, deref_defines=True)
         report = {
             "function": cfg.function,
-            "definitions": [{"id": d.def_id, "node": d.node, "variable": d.variable} for d in table.entries],
+            "definitions": [{"id": d.def_id, "node": d.node, "variable": d.variable} for d in table],
         }
 
         def bits(x):
-            return dataflow.bit_string(x, table.width)
+            return dataflow.bit_string(x, len(table))
 
         if rounds is None:
             dataflow.solve(cfg, state)
@@ -459,6 +459,40 @@ class TestErrors:
         code, _, err = run(capsys, "train", "--data", data_dir, "--split", split_path,
                            "-o", tmp_path / "model.json")
         assert code == 2 and "error:" in err and problem in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "doc,repeated",
+        [
+            ({"train": ["ex00000", "ex00001", "ex00000"], "valid": [], "test": ["ex00002"]}, "ex00000"),
+            ({"train": ["ex00000", "ex00001"], "valid": ["ex00001"], "test": ["ex00000"]}, "ex00001"),
+        ],
+        ids=["within-a-part", "across-parts"],
+    )
+    def test_split_file_repeating_an_id_exits_2(self, tmp_path, capsys, command, doc, repeated):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(doc))
+        ckpt = tmp_path / "model.json"
+        if command == "train":
+            argv = ["train", "--data", data_dir, "--split", split_path, "-o", ckpt]
+        else:
+            self._write_checkpoint(ckpt)
+            argv = ["eval", "--ckpt", ckpt, "--data", data_dir, "--split", split_path]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: split file {split_path} lists an id more than once: {repeated!r}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_param_exits_2(self, tmp_path, fig1_file, capsys, literal):
+        # Python's json reads all three, the last as inf
+        ckpt = tmp_path / "model.json"
+        self._write_checkpoint(ckpt, lambda d: d["params"]["cls0_b"]["data"].__setitem__(1, "here"))
+        ckpt.write_text(ckpt.read_text().replace('"here"', literal))
+        code, out, err = run(capsys, "predict", fig1_file, "--ckpt", ckpt)
+        assert code == 2 and out == ""
+        assert err == f"error: checkpoint {ckpt}: param cls0_b holds a non-finite value\n"
 
     DEEP_JSON = "[" * 100000 + "]" * 100000
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from defreach.dataflow import MAX_TRACE_ROUNDS, bit_string, compute_gen_kill, solve, trace
+from defreach.harness import synth_generate
 from defreach.parser import parse_function
 
 from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg
@@ -24,8 +25,8 @@ def fig1_cfg():
 class TestGenKill:
     def test_fig1(self, fig1_cfg):
         table, state = compute_gen_kill(fig1_cfg, deref_defines=True)
-        assert [(d.node, d.variable) for d in table.entries[:2]] == [(1, "str"), (3, "str")]
-        assert table.entries[2].node == 4  # anonymous definition at the dereference
+        assert [(d.node, d.variable) for d in table[:2]] == [(1, "str"), (3, "str")]
+        assert table[2].node == 4  # anonymous definition at the dereference
         bits = [(bit_string(g, 3), bit_string(k, 3)) for g, k in zip(state.gen, state.kill)]
         assert bits[1] == ("100", "010") and bits[3] == ("010", "100") and bits[4] == ("001", "000")
         assert state.gen[2] == 0 and state.kill[2] == 0
@@ -33,19 +34,27 @@ class TestGenKill:
     def test_no_definitions(self):
         cfg = parse_function("void f(int n) { return; }")
         table, state = compute_gen_kill(cfg)
-        assert table.width == 0 and bit_string(0, table.width) == ""
+        assert len(table) == 0 and bit_string(0, len(table)) == ""
         assert not any(state.gen) and not any(state.kill)
 
     def test_two_defs_same_variable(self):
         cfg = parse_function("void f() { int x = 1; int y = 2; x = 3; }")
         table, state = compute_gen_kill(cfg)
-        x_defs = [d for d in table.entries if d.variable == "x"]
+        x_defs = [d for d in table if d.variable == "x"]
         assert len(x_defs) == 2
         for d in x_defs:
             other = next(e for e in x_defs if e is not d)
             assert state.kill[d.node] == 1 << other.def_id
-        (y_def,) = (d for d in table.entries if d.variable == "y")
+        (y_def,) = (d for d in table if d.variable == "y")
         assert state.kill[y_def.node] == 0
+
+    @pytest.mark.parametrize("deref_defines", [False, True])
+    def test_definition_i_has_id_i(self, deref_defines):
+        # what makes len(definitions) the width of every mask
+        for e in synth_generate(60, seed=3):
+            definitions, state = compute_gen_kill(e.cfg, deref_defines=deref_defines)
+            assert all(d.def_id == i for i, d in enumerate(definitions))
+            assert all(g < 1 << len(definitions) for g in state.gen)
 
     def test_matches_brute_force_grouping(self):
         rng = random.Random(5)
@@ -53,7 +62,7 @@ class TestGenKill:
             cfg = random_cfg(rng)
             table, state = compute_gen_kill(cfg)
             defs, gen, kill = brute_gen_kill(cfg)
-            assert [(d.def_id, d.node, d.variable) for d in table.entries] == defs
+            assert [(d.def_id, d.node, d.variable) for d in table] == defs
             for v in range(len(cfg.nodes)):
                 assert set_of(state.gen[v]) == gen[v]
                 assert set_of(state.kill[v]) == kill[v]

@@ -94,7 +94,7 @@ class TestOracle:
             for node, stmt in enumerate(e.cfg.nodes):
                 if stmt.kind != "deref-use":
                     continue
-                for dfn in table.entries:
+                for dfn in table:
                     if (
                         dfn.variable in stmt.uses
                         and state.inb[node] >> dfn.def_id & 1

@@ -218,6 +218,25 @@ class TestBatch:
         with pytest.raises(ValueError, match=rf"^feature rows {n - 1} != nodes {n}$"):
             M.batch_graphs([(np.zeros((n - 1, 4), dtype=np.int64), cfg)])
 
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda n: np.zeros((n, 5), dtype=np.int64), ValueError, "feature width: need 4 slot columns, got 5"),
+            (lambda n: np.zeros((n, 4)), T.SlotError, "slots must be a 2-D integer array, got float64 ({n}, 4)"),
+            (lambda n: np.zeros(n, dtype=np.int64), T.SlotError, "slots must be a 2-D integer array, got int64 ({n},)"),
+            (lambda n: np.zeros((n + 1, 4), dtype=np.int64), ValueError, "feature rows {m} != nodes {n}"),
+        ],
+        ids=["five-columns", "float", "one-d", "rows-not-nodes"],
+    )
+    def test_each_graph_checked_as_it_is_batched(self, make, error, message):
+        # the malformed graph comes after a valid one, so the check runs per graph
+        good, bad = (e.cfg for e in synth_generate(2, seed=3))
+        vocab = build_vocabulary([good], k=3)
+        n = len(bad.nodes)
+        with pytest.raises(Exception) as caught:
+            M.batch_graphs([(encode(good, vocab), good), (make(n), bad)])
+        assert caught.type is error and str(caught.value) == message.format(n=n, m=n + 1)
+
 
 class TestBatchScatter:
     """forward_batch builds its batch's scatter positions once (kernels.Edges)

@@ -669,7 +669,7 @@ class TestKernels:
         assert np.array_equal(kernels.segment_sum(h, seg, 10), first)
 
 
-class TestEmbedSum:
+class TestProject:
     """The projection's sum of the weight rows named by slot indices, through T.project."""
 
     SLOTS = np.array([[0, 3, -1], [2, 2, 5], [-1, -1, -1], [5, 0, 3]], dtype=np.int64)
