@@ -185,13 +185,12 @@ def cmd_eval(args) -> int:
     dataset = harness.load_dataset(args.data)
     if args.split:
         _, _, dataset = _apply_split(dataset, args.split, 0)
+        if not dataset:
+            raise ValueError(f"split file {args.split} has an empty test part")
     start = time.perf_counter()
     probs = model.predict_many(ckpt, [e.cfg for e in dataset])
     elapsed = time.perf_counter() - start
-    metrics = harness.compute_metrics(probs.tolist(), [e.label for e in dataset])
-    report = metrics.to_dict()
-    if metrics.degenerate:
-        report["degenerate"] = True
+    report = harness.compute_metrics(probs.tolist(), [e.label for e in dataset]).to_dict()
     if args.timing:
         report["ms_per_example"] = elapsed * 1000.0 / len(dataset)
     _write(json.dumps(report, indent=2) + "\n", args.output)

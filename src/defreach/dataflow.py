@@ -16,8 +16,10 @@ run:
     about n + 1 rounds for n nodes and repeats that snapshot from then on;
     it runs at most ``MAX_TRACE_ROUNDS`` rounds.
 
-``compute_gen_kill(deref_defines=True)`` treats dereference statements as
-introducing an anonymous definition; ``analyze`` never does.
+``compute_gen_kill`` keeps each variable's definitions as one mask beside
+GEN and KILL (``DataflowState.by_variable``), so IN[v] & by_variable[x] is
+the set of x's definitions that reach v. With ``deref_defines=True`` it
+treats dereference statements as anonymous definitions; ``analyze`` never does.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class DataflowState:
 
     gen: list[int]
     kill: list[int]
+    by_variable: dict[str, int]  # variable -> mask of all its definitions
     inb: list[int] = field(default_factory=list)
     out: list[int] = field(default_factory=list)
 
@@ -59,7 +62,7 @@ def bit_string(mask: int, width: int) -> str:
 
 
 def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[list[Definition], DataflowState]:
-    """The definitions in node order, the i-th with ``def_id`` i, and per-node GEN/KILL masks.
+    """The definitions in node order, the i-th with ``def_id`` i, and the masks.
 
     GEN[v] is the definition made at v (if any); KILL[v] is every *other*
     definition of the same variable (self-kill excluded -- equivalent under
@@ -85,7 +88,7 @@ def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[list[Defini
         entries.append(Definition(len(entries), node, variable))
     for _, node, variable in entries:
         kill[node] = by_variable[variable] ^ gen[node]  # the variable's other definitions
-    return entries, DataflowState(gen=gen, kill=kill)
+    return entries, DataflowState(gen=gen, kill=kill, by_variable=by_variable)
 
 
 def _rows(cfg: Cfg, state: DataflowState, order) -> list[tuple[int, list[int], int, int]]:

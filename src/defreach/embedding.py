@@ -2,19 +2,15 @@
 
 Each definition contributes four properties: the API called, the declared
 datatype, the first constant, and the first operator of the defining
-expression. A vocabulary ranks the k most frequent values per property
-over a training corpus; each property owns a block of k + 2 one-hot
-columns (slot 0 = NONE, slot 1 = UNKNOWN, slots 2..k+1 = ranked values).
+expression. ``_property_values`` is the one place they are read off a
+statement: ``build_vocabulary`` counts them and ``encode`` looks them up.
+A vocabulary ranks the k most frequent values per property over a
+training corpus; each property owns a block of k + 2 one-hot columns
+(slot 0 = NONE, slot 1 = UNKNOWN, slots 2..k+1 = ranked values).
 ``encode`` returns each node's hot column per property, its slot index
 ``j * (k + 2) + slot``, rather than the dense row: -1 marks a masked
 property and every column of a non-definition node. ``one_hot`` renders
 the dense 0/1 rows.
-
-A vocabulary builds its per-column tables once: for property j, a dict
-from each ranked value, and from None, to its hot column with the block
-offset ``j * (k + 2)`` already added, and the block's UNKNOWN column for
-any other value. ``encode`` looks each definition's four values up in
-them, one dict lookup per property.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfg import Cfg, parse_json
+from .cfg import Cfg, Statement, parse_json
 
 PROPERTIES = ("api", "datatype", "constant", "operator")
 SLOT_NONE = 0
@@ -33,16 +29,17 @@ SLOT_UNKNOWN = 1
 RESERVED_SLOTS = 2
 
 
-def _definitions(cfg: Cfg):
-    """(node, values) per definition node, the four values in PROPERTIES order."""
-    for node, stmt in enumerate(cfg.nodes):
-        if stmt.is_definition():
-            yield node, (
-                stmt.callee,
-                stmt.decl_type,
-                stmt.constants[0] if stmt.constants else None,
-                stmt.operators[0] if stmt.operators else None,
-            )
+def _property_values(stmt: Statement) -> tuple[str | None, str | None, str | None, str | None]:
+    """A definition's four values in PROPERTIES order: the callee, the
+    declared type, the first constant and the first operator, None where
+    the statement has none. Private, so perfbench's tracer, which wraps
+    every public function, does not time each definition on its own."""
+    return (
+        stmt.callee,
+        stmt.decl_type,
+        stmt.constants[0] if stmt.constants else None,
+        stmt.operators[0] if stmt.operators else None,
+    )
 
 
 @dataclass
@@ -106,10 +103,11 @@ def build_vocabulary(corpus: list[Cfg], k: int) -> Vocabulary:
     """Rank property values by (frequency desc, value asc) over the corpus."""
     counts = {p: Counter() for p in PROPERTIES}
     for cfg in corpus:
-        for _, values in _definitions(cfg):
-            for prop, value in zip(PROPERTIES, values):
-                if value is not None:
-                    counts[prop][value] += 1
+        for stmt in cfg.nodes:
+            if stmt.is_definition():
+                for prop, value in zip(PROPERTIES, _property_values(stmt)):
+                    if value is not None:
+                        counts[prop][value] += 1
     ranks = {}
     for prop in PROPERTIES:
         ordered = sorted(counts[prop].items(), key=lambda kv: (-kv[1], kv[0]))
@@ -136,19 +134,15 @@ def encode(cfg: Cfg, vocab: Vocabulary, mask: dict[str, bool] | None = None) -> 
     if mask is None:
         mask = FULL_MASK
     masked = [not mask.get(p) for p in PROPERTIES]
-    api, datatype, constant, operator = vocab.columns
+    api, datatype, constant, operator = (column.get for column in vocab.columns)
     unknown_api, unknown_datatype, unknown_constant, unknown_operator = vocab.unknown
     none = (-1,) * len(PROPERTIES)
     flat: list[int] = []
     for stmt in cfg.nodes:
-        if stmt.is_definition():  # the values _definitions yields, looked up in their columns
-            constants, operators = stmt.constants, stmt.operators
-            flat += (
-                api.get(stmt.callee, unknown_api),
-                datatype.get(stmt.decl_type, unknown_datatype),
-                constant.get(constants[0] if constants else None, unknown_constant),
-                operator.get(operators[0] if operators else None, unknown_operator),
-            )
+        if stmt.is_definition():
+            a, t, c, o = _property_values(stmt)
+            flat += (api(a, unknown_api), datatype(t, unknown_datatype),
+                     constant(c, unknown_constant), operator(o, unknown_operator))
         else:
             flat += none
     slots = np.array(flat, dtype=np.int64).reshape(len(cfg.nodes), len(PROPERTIES))

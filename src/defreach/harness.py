@@ -2,8 +2,9 @@
 
 Every generated program is labeled by the exact analysis: vulnerable iff
 some NULL-valued definition of a pointer reaches a dereference of that
-pointer. Labels are validated at generation time and again on load; a
-mislabeled template is a hard error, never an emitted example.
+pointer, one AND of masks per (dereference, used variable). Labels are
+validated at generation time and again on load; a mislabeled template is a
+hard error, never an emitted example.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
 from .dataflow import analyze
@@ -35,25 +36,21 @@ class Example:
 
 @dataclass
 class Metrics:
+    precision: float
+    recall: float
+    f1: float
     tp: int
     fp: int
     tn: int
     fn: int
-    precision: float
-    recall: float
-    f1: float
     degenerate: bool = False  # a zero-denominator convention was applied
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
+        """The fields in order, ``degenerate`` only when it is set."""
+        report = asdict(self)
+        if not self.degenerate:
+            del report["degenerate"]
+        return report
 
 
 def classify(prob: float) -> int:
@@ -81,7 +78,7 @@ def compute_metrics(probs: list[float], labels: list[int]) -> Metrics:
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = f1_from_pr(precision, recall)
     degenerate = tp + fp == 0 or tp + fn == 0 or precision + recall == 0
-    return Metrics(tp, fp, tn, fn, precision, recall, f1, degenerate)
+    return Metrics(precision, recall, f1, tp, fp, tn, fn, degenerate)
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -89,18 +86,20 @@ def f1_from_pr(precision: float, recall: float) -> float:
 
 
 def oracle_label(cfg: Cfg) -> int:
-    """1 iff a NULL-constant definition reaches a dereference of its variable."""
+    """1 iff a NULL-constant definition that calls nothing reaches a
+    dereference of its variable: iff IN[v] & nulls & by_variable[x] != 0 for
+    a ``deref-use`` node v and a variable x it uses, nulls being those
+    definitions' GEN bits."""
     definitions, state = analyze(cfg)
-    null_defs = [
-        d
-        for d in definitions
-        if "NULL" in cfg.nodes[d.node].constants and cfg.nodes[d.node].callee is None
-    ]
-    for node, stmt in enumerate(cfg.nodes):
-        if stmt.kind != "deref-use":
-            continue
-        for d in null_defs:
-            if d.variable in stmt.uses and state.inb[node] >> d.def_id & 1:
+    nodes, masks = cfg.nodes, state.by_variable
+    nulls = 0
+    for d in definitions:
+        if "NULL" in nodes[d.node].constants and nodes[d.node].callee is None:
+            nulls |= state.gen[d.node]
+    for stmt, inb in zip(nodes, state.inb):
+        if stmt.kind == "deref-use":
+            reaching = inb & nulls
+            if reaching and any(reaching & masks.get(x, 0) for x in stmt.uses):
                 return 1
     return 0
 

@@ -147,18 +147,22 @@ class GraphBatch:
     num_graphs: int
 
 
-def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]]) -> GraphBatch:
+def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]], first: int = 0) -> GraphBatch:
     """The union of (slots, cfg) graphs, each checked as it is added: its
     slots a 2-D integer array (``tensor.check_slots``) with a column per
-    property and a row per node. The projection checks the slot values."""
+    property and a row per node, or a ValueError naming its position
+    (``first`` for graphs[0]). The projection checks the slot values."""
     sizes, parts, offset = [], [], 0
-    for features, cfg in graphs:
-        T.check_slots(features)
+    for i, (features, cfg) in enumerate(graphs, first):
+        try:
+            T.check_slots(features)
+        except T.SlotError as e:
+            raise ValueError(f"graph {i}: feature width: {e}") from e
         if features.shape[1] != len(PROPERTIES):
-            raise ValueError(f"feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
+            raise ValueError(f"graph {i}: feature width: need {len(PROPERTIES)} slot columns, got {features.shape[1]}")
         n = len(cfg.nodes)
         if features.shape[0] != n:
-            raise ValueError(f"feature rows {features.shape[0]} != nodes {n}")
+            raise ValueError(f"graph {i}: feature rows {features.shape[0]} != nodes {n}")
         sizes.append(n)
         parts.append(cfg.edge_array + offset if offset else cfg.edge_array)
         offset += n
@@ -229,7 +233,7 @@ def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config
     their step weights prepared when ``weights`` is given."""
     try:
         probs = [
-            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size]), config, weights).data[:, 0]
+            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size], lo), config, weights).data[:, 0]
             for lo in range(0, len(graphs), config.batch_size)
         ]
     except T.SlotError as e:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,54 @@ def brute_gen_kill(cfg: Cfg, deref_defines: bool = False):
         gen[node] = {did}
         kill[node] = {d for d, _, v in defs if v == var and d != did}
     return defs, gen, kill
+
+
+def gen_by_variable(cfg: Cfg, gen: list[int], deref_defines: bool = False) -> dict[str, int]:
+    """Per variable, the OR of the GEN masks of its definitions, grouped as
+    ``brute_gen_kill`` groups them."""
+    masks: dict[str, int] = {}
+    for _, node, var in brute_gen_kill(cfg, deref_defines)[0]:
+        masks[var] = masks.get(var, 0) | gen[node]
+    return masks
+
+
+def pairwise_label(cfg: Cfg, reaches) -> int:
+    """The oracle label pair by pair: 1 iff some deref-use node v and some
+    NULL-constant definition d that calls nothing, of a variable v uses,
+    have ``reaches(d, v)`` (d's id in IN[v])."""
+    defs, _, _ = brute_gen_kill(cfg)
+    for v, stmt in enumerate(cfg.nodes):
+        if stmt.kind != "deref-use":
+            continue
+        for d, node, var in defs:
+            source = cfg.nodes[node]
+            if var in stmt.uses and "NULL" in source.constants and source.callee is None and reaches(d, v):
+                return 1
+    return 0
+
+
+def null_dereference_core(w, vulnerable: bool) -> None:
+    """A core shape for ``harness._CORE_SHAPES`` that mislabels on purpose:
+    it writes a NULL dereference whatever label it is asked for."""
+    w.lines += ["char *p = NULL;", "p[0];"]
+
+
+def with_nulls_and_derefs(rng: random.Random, cfg: Cfg) -> Cfg:
+    """``cfg`` (say, from ``random_cfg``) with about half its assignments
+    made NULL, some of those through a call, and about half its other inner
+    nodes made dereferences of one or two of its variables."""
+    variables = sorted({stmt.target for stmt in cfg.nodes if stmt.is_definition()}) or ["v0"]
+    nodes = list(cfg.nodes)
+    for v in range(1, len(nodes) - 1):
+        r = rng.random()
+        if nodes[v].is_definition() and r < 0.5:
+            callee = "lookup" if r < 0.1 else None
+            nodes[v] = replace(nodes[v], constants=("NULL",), callee=callee)
+        elif not nodes[v].is_definition() and r < 0.5:
+            uses = set(rng.sample(variables, min(len(variables), rng.randint(1, 2))))
+            nodes[v] = Statement(kind="deref-use", code="*p", uses=uses)
+    return Cfg(function=cfg.function, nodes=nodes, preds=[list(p) for p in cfg.preds],
+               entry=cfg.entry, exit=cfg.exit)
 
 
 def naive_solve(cfg: Cfg, gen, kill):

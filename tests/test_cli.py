@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from conftest import FIG1_SRC
+from conftest import FIG1_SRC, null_dereference_core
 from defreach import dataflow, harness
 from defreach.cli import main
 from defreach.embedding import Vocabulary
@@ -248,6 +248,12 @@ class TestErrors:
         code, _, err = run(capsys, "train", "--data", data_dir, "-o", tmp_path / "model.json")
         assert code == 2 and err == f"error: {doc_path}: $.nodes[1].kind: unknown kind 'bogus'\n"
 
+    def test_synth_with_a_mislabelling_template_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_CORE_SHAPES", (null_dereference_core,))
+        code, out, err = run(capsys, "synth", "--n", "3", "--vuln-frac", "0", "-o", tmp_path / "d")
+        assert code == 2 and out == "" and not (tmp_path / "d").exists()
+        assert err.splitlines()[0] == "error: template audio produced label vulnerable, wanted safe:"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "dfa", "/nonexistent.c")
         assert code == 2 and "error:" in err
@@ -483,6 +489,17 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: split file {split_path} lists an id more than once: {repeated!r}\n"
+
+    def test_eval_with_an_empty_test_part_names_the_split_file(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps({"train": ["ex00000"], "valid": ["ex00001"], "test": []}))
+        ckpt = tmp_path / "model.json"
+        self._write_checkpoint(ckpt)
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir, "--split", split_path)
+        assert code == 2 and out == ""
+        assert err == f"error: split file {split_path} has an empty test part\n"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
     def test_non_finite_param_exits_2(self, tmp_path, fig1_file, capsys, literal):

@@ -6,7 +6,7 @@ from defreach.dataflow import MAX_TRACE_ROUNDS, bit_string, compute_gen_kill, so
 from defreach.harness import synth_generate
 from defreach.parser import parse_function
 
-from conftest import FIG1_SRC, brute_gen_kill, naive_solve, random_cfg
+from conftest import FIG1_SRC, brute_gen_kill, gen_by_variable, naive_solve, random_cfg, with_nulls_and_derefs
 
 # Per-round OUT rows for statement nodes v1..v4 (graph ids 1..4).
 TABLE2 = [
@@ -55,6 +55,15 @@ class TestGenKill:
             definitions, state = compute_gen_kill(e.cfg, deref_defines=deref_defines)
             assert all(d.def_id == i for i, d in enumerate(definitions))
             assert all(g < 1 << len(definitions) for g in state.gen)
+
+    @pytest.mark.parametrize("deref_defines", [False, True])
+    def test_variable_masks_or_the_gen_of_their_definitions(self, deref_defines):
+        rng = random.Random(9)
+        cfgs = [e.cfg for e in synth_generate(100, seed=2)]
+        cfgs += [with_nulls_and_derefs(rng, random_cfg(rng)) for _ in range(100)]
+        for cfg in cfgs:
+            _, state = compute_gen_kill(cfg, deref_defines=deref_defines)
+            assert state.by_variable == gen_by_variable(cfg, state.gen, deref_defines)
 
     def test_matches_brute_force_grouping(self):
         rng = random.Random(5)

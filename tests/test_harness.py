@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from conftest import brute_gen_kill, naive_solve, null_dereference_core, pairwise_label, random_cfg, with_nulls_and_derefs
+from defreach import harness
 from defreach.cfg import dump_cfg
 from defreach.dataflow import analyze
 from defreach.harness import (
     TEMPLATES,
+    GenerationError,
     compute_metrics,
     f1_from_pr,
     load_dataset,
@@ -76,6 +79,12 @@ class TestGeneration:
         for e in synth_generate(50, seed=6):
             assert oracle_label(e.cfg) == e.label
 
+    def test_mislabelling_core_raises_generation_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CORE_SHAPES", (null_dereference_core,))
+        with pytest.raises(GenerationError) as caught:
+            synth_generate(3, seed=0, vulnerable_fraction=0.0)
+        assert str(caught.value).splitlines()[0] == "template audio produced label vulnerable, wanted safe:"
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             synth_generate(0, seed=0)
@@ -85,24 +94,24 @@ class TestGeneration:
 
 class TestOracle:
     def test_vulnerable_means_null_def_reaches_deref(self):
-        # independently recheck the oracle on generated graphs: the label is 1
-        # exactly when a NULL-constant definition of a variable is in IN of a
+        # the label from the per-variable masks equals the pair-by-pair
+        # reference: a NULL-constant definition of a variable in IN of a
         # deref-use node of that same variable
-        for e in synth_generate(40, seed=7):
-            table, state = analyze(e.cfg)
-            expected = 0
-            for node, stmt in enumerate(e.cfg.nodes):
-                if stmt.kind != "deref-use":
-                    continue
-                for dfn in table:
-                    if (
-                        dfn.variable in stmt.uses
-                        and state.inb[node] >> dfn.def_id & 1
-                        and "NULL" in e.cfg.nodes[dfn.node].constants
-                        and e.cfg.nodes[dfn.node].callee is None
-                    ):
-                        expected = 1
-            assert oracle_label(e.cfg) == e.label == expected
+        for seed in range(5):
+            for e in synth_generate(770, seed=seed):
+                _, state = analyze(e.cfg)
+                assert oracle_label(e.cfg) == e.label == pairwise_label(e.cfg, lambda d, v: state.inb[v] >> d & 1)
+
+    def test_label_equals_pairwise_reference_on_random_graphs(self):
+        rng = random.Random(11)
+        labels = []
+        for _ in range(300):
+            cfg = with_nulls_and_derefs(rng, random_cfg(rng))
+            _, gen, kill = brute_gen_kill(cfg)
+            inb, _ = naive_solve(cfg, gen, kill)
+            labels.append(oracle_label(cfg))
+            assert labels[-1] == pairwise_label(cfg, lambda d, v: d in inb[v])
+        assert 0 < sum(labels) < len(labels)
 
     def test_guarded_deref_is_safe(self):
         src = (

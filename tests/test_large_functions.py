@@ -12,10 +12,10 @@ import gc
 import hashlib
 import random
 
-from conftest import assert_adjacency_survives_interchange
+from conftest import assert_adjacency_survives_interchange, gen_by_variable, pairwise_label
 
 from defreach.cfg import dump_cfg, load_cfg
-from defreach.dataflow import compute_gen_kill, solve
+from defreach.dataflow import analyze, compute_gen_kill, solve
 from defreach.embedding import build_vocabulary, encode
 from defreach.harness import oracle_label
 from defreach.parser import parse_function
@@ -124,6 +124,15 @@ def test_parsed_node_leaves_four_objects_for_the_collector():
     added = len(gc.get_objects()) - before
     assert len(cfg.nodes) >= 600
     assert added <= 4 * len(cfg.nodes) + FIXED, (added, len(cfg.nodes))
+
+
+def test_large_function_labels_and_variable_masks_equal_their_references():
+    for cfg in pinned_cfgs():
+        _, state = analyze(cfg)
+        assert oracle_label(cfg) == pairwise_label(cfg, lambda d, v: state.inb[v] >> d & 1)
+        for deref_defines in (False, True):
+            _, state = compute_gen_kill(cfg, deref_defines=deref_defines)
+            assert state.by_variable == gen_by_variable(cfg, state.gen, deref_defines)
 
 
 def test_large_function_outputs_are_pinned():

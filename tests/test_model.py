@@ -215,27 +215,77 @@ class TestBatch:
     def test_feature_rows_must_match_nodes(self):
         cfg = synth_generate(1, seed=3)[0].cfg
         n = len(cfg.nodes)
-        with pytest.raises(ValueError, match=rf"^feature rows {n - 1} != nodes {n}$"):
+        with pytest.raises(ValueError, match=rf"^graph 0: feature rows {n - 1} != nodes {n}$"):
             M.batch_graphs([(np.zeros((n - 1, 4), dtype=np.int64), cfg)])
 
     @pytest.mark.parametrize(
-        "make,error,message",
+        "make,message",
         [
-            (lambda n: np.zeros((n, 5), dtype=np.int64), ValueError, "feature width: need 4 slot columns, got 5"),
-            (lambda n: np.zeros((n, 4)), T.SlotError, "slots must be a 2-D integer array, got float64 ({n}, 4)"),
-            (lambda n: np.zeros(n, dtype=np.int64), T.SlotError, "slots must be a 2-D integer array, got int64 ({n},)"),
-            (lambda n: np.zeros((n + 1, 4), dtype=np.int64), ValueError, "feature rows {m} != nodes {n}"),
+            (lambda n: np.zeros((n, 5), dtype=np.int64), "feature width: need 4 slot columns, got 5"),
+            (lambda n: np.zeros((n, 4)), "feature width: slots must be a 2-D integer array, got float64 ({n}, 4)"),
+            (lambda n: np.zeros(n, dtype=np.int64), "feature width: slots must be a 2-D integer array, got int64 ({n},)"),
+            (lambda n: np.zeros((n + 1, 4), dtype=np.int64), "feature rows {m} != nodes {n}"),
         ],
         ids=["five-columns", "float", "one-d", "rows-not-nodes"],
     )
-    def test_each_graph_checked_as_it_is_batched(self, make, error, message):
+    def test_each_graph_checked_as_it_is_batched(self, make, message):
         # the malformed graph comes after a valid one, so the check runs per graph
         good, bad = (e.cfg for e in synth_generate(2, seed=3))
         vocab = build_vocabulary([good], k=3)
         n = len(bad.nodes)
         with pytest.raises(Exception) as caught:
             M.batch_graphs([(encode(good, vocab), good), (make(n), bad)])
-        assert caught.type is error and str(caught.value) == message.format(n=n, m=n + 1)
+        assert caught.type is ValueError and str(caught.value) == "graph 1: " + message.format(n=n, m=n + 1)
+
+
+class TestGraphPosition:
+    """A malformed graph is named by its index in the caller's list, in
+    ``batch_graphs`` and across ``infer``'s batches."""
+
+    GRAPHS = 7
+
+    @pytest.fixture
+    def graphs(self):
+        data = synth_generate(self.GRAPHS, seed=5)
+        vocab = build_vocabulary([e.cfg for e in data], k=3)
+        return [(encode(e.cfg, vocab), e.cfg) for e in data]
+
+    @staticmethod
+    def spoil(graphs, at):
+        """``graphs`` with graph ``at`` given one feature row too many."""
+        x, cfg = graphs[at]
+        return graphs[:at] + [(np.vstack([x, x[:1]]), cfg)] + graphs[at + 1:], len(cfg.nodes)
+
+    @pytest.mark.parametrize("at", [0, 3, 6])  # first, middle, last
+    def test_batch_graphs_names_the_index(self, graphs, at):
+        spoiled, n = self.spoil(graphs, at)
+        with pytest.raises(ValueError) as caught:
+            M.batch_graphs(spoiled)
+        assert str(caught.value) == f"graph {at}: feature rows {n + 1} != nodes {n}"
+
+    @pytest.mark.parametrize("at", [0, 2, 3, 6])  # 3 opens the second batch of 3, 6 the third
+    def test_infer_counts_across_batches(self, graphs, at):
+        c = tiny_config(batch_size=3)
+        spoiled, n = self.spoil(graphs, at)
+        with pytest.raises(ValueError) as caught:
+            M.infer(M.init_params(c, seed=0), spoiled, c)
+        assert str(caught.value) == f"graph {at}: feature rows {n + 1} != nodes {n}"
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda x: np.hstack([x, x[:, :1]]), "graph 4: feature width: need 4 slot columns, got 5"),
+            (lambda x: x.astype(np.float64), "graph 4: feature width: slots must be a 2-D integer array, got float64 ({n}, 4)"),
+        ],
+        ids=["five-columns", "float"],
+    )
+    def test_infer_names_the_index_of_a_slot_error(self, graphs, make, message):
+        c = tiny_config(batch_size=3)
+        x, cfg = graphs[4]
+        graphs[4] = (make(x), cfg)
+        with pytest.raises(ValueError) as caught:
+            M.infer(M.init_params(c, seed=0), graphs, c)
+        assert str(caught.value) == message.format(n=len(cfg.nodes))
 
 
 class TestBatchScatter:
