@@ -390,6 +390,8 @@ def load_dataset(directory: str) -> list[Example]:
     records = manifest.get("examples") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"{manifest_path} must be a JSON object with an 'examples' list")
+    if not records:
+        raise ValueError(f"{manifest_path} lists no examples")
     examples = []
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in MANIFEST_FIELDS)):

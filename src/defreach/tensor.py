@@ -11,9 +11,8 @@ slots of the inputs that are on the tape.
 
 Three fused primitives each record one op, with one hand-derived rule, for
 a chain the other primitives would spell out in several records, with the
-chain's arithmetic in the chain's order, so their outputs are bit-identical
-to the chain's, and so are their gradients (but for one sum in
-``message_step``, see there):
+chain's arithmetic in the chain's order, so their outputs and gradients are
+bit-identical to the chain's at any number of rows:
 
 - ``project``, the input projection: a sum of weight rows named by slot
   indices, a bias and a relu (3 records);
@@ -34,7 +33,7 @@ gate: ``np.matmul`` over a stack axis calls BLAS once per (n, d) slab,
 with the operands, transposes and shapes a 2-D product of that slab passes
 it, so each slab holds that product's result; with one state column (d =
 1) ``_product`` takes row-wise dots instead, slab by slab, as it does for
-a 2-D one-column product. The rule adds the gates' terms in the per-gate
+a 2-D one-column product. The rule adds the gates' terms in the chain's
 order.
 
 Each checks its intermediate values where the chain could first turn
@@ -206,8 +205,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b, plus the 1-row ``bias`` added to every row when one is given.
 
     With a bias the op is one record for what ``add(matmul(a, b), bias)``
-    records as two, with the same arithmetic: the product is finite exactly
-    when the sum is, so one finiteness check stands for both.
+    records as two, with the same arithmetic and gradients. The sum is
+    non-finite wherever the product is, so one check of it stands for both.
     """
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
@@ -270,18 +269,17 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
     ``matmul`` with a bias, ``relu`` and the GRU update spelled out in
     ``matmul``, ``add``, ``sigmoid``, ``tanh``, ``hadamard`` and ``scale``
     (``1 - z`` is ``scale`` by -1, then ``add`` of an off-tape constant), in
-    the same order, so the output is bit-identical to the chain's; each sum
+    the same order, so the output and the gradients are bit-identical to the
+    chain's: the rule adds the gates' terms of a's and h's gradients c's
+    first, then r's, then z's, as ``gradients`` replays the chain. Each sum
     and squashing function runs in place, and a stacked temporary is written
-    over once a later value can use it. Its gradients are too, but for the
-    order of one sum: the rule adds a's gradient over the gates z, r, c,
-    where ``gradients`` adds the chain's c, r, z, so the gradients of h,
-    agg_w and agg_b agree with the chain's to rounding. Its failures are the
-    chain's: a non-finite value in the chain first appears in a sum or a
-    product, and it stays non-finite through every later ``+`` and product
-    up to the relu or a squashing function, so checking the aggregate before
-    the relu (which maps -inf to 0), the GRU pre-activations (the update
-    gate's, then the reset gate's, then the candidate's) and the output
-    raises exactly where the chain would.
+    over once a later value can use it. Its failures are the chain's: a
+    non-finite value in the chain first appears in a sum or a product, and
+    it stays non-finite through every later ``+`` and product up to the relu
+    or a squashing function, so checking the aggregate before the relu
+    (which maps -inf to 0), the GRU pre-activations (the update gate's, then
+    the reset gate's, then the candidate's) and the output raises exactly
+    where the chain would.
     """
     n, d = h.shape
     agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh = weights.tensors
@@ -346,9 +344,9 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
         s *= zr
         dzr *= s  # sigmoid' of both gates
         p = np.matmul(dzr, w_zr.transpose(0, 2, 1))
-        dpre = p[0]  # z's term, then r's, then c's
+        dpre = dpc @ whd.T  # c's term, then r's, then z's
         dpre += p[1]
-        dpre += np.matmul(dpc, whd.T, out=p[1])
+        dpre += p[0]
         dpre *= a > 0
         dh = np.subtract(1.0, z)
         dh *= g  # g * keep
@@ -389,10 +387,9 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
         raise SlotError(f"slot outside [-1, {w_rows})")
     if b.shape != (1, w.shape[1]):
         raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
-    n = slots.shape[0]
     rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
     hot = slots[rows, cols]
-    out = kernels.segment_sum(w.data[hot], rows, n)
+    out = kernels.segment_sum(w.data[hot], rows, slots.shape[0])
     if not _finite(out):
         raise TensorError("non-finite output of project row sum")
     out += b.data
@@ -402,9 +399,7 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         dpre = g * (out > 0)
-        # ``add`` sums a bias's gradient over rows only when it broadcasts the bias
-        db = dpre if n == 1 else dpre.sum(axis=0, keepdims=True)
-        return kernels.segment_sum(dpre[rows], hot, w_rows), db
+        return kernels.segment_sum(dpre[rows], hot, w_rows), dpre.sum(axis=0, keepdims=True)
 
     return _op(out, "project", (w, b), rule)
 
@@ -466,7 +461,9 @@ def readout(h: Tensor, gate_w: Tensor, gate_b: Tensor, feat_w: Tensor, feat_b: T
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    bias = b.shape == (1, a.shape[1]) and a.shape[0] != 1
+    """a + b of one shape, or a 1-row bias ``b`` added to every row of ``a``;
+    a bias's gradient is the row sum of the output's, also for one row."""
+    bias = b.shape == (1, a.shape[1])
     if not bias and a.shape != b.shape:
         raise TensorError(f"add shape mismatch: {a.shape} + {b.shape}")
     return _op(a.data + b.data, "add", (a, b),

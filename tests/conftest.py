@@ -105,9 +105,25 @@ def scale_rows(a: T.Tensor, s: T.Tensor) -> T.Tensor:
 
 def readout_chain(h, gate_w, gate_b, feat_w, feat_b, seg: np.ndarray, num_graphs: int) -> T.Tensor:
     """T.readout spelled out in primitive ops."""
-    gate = T.sigmoid(T.matmul(h, gate_w, bias=gate_b))
-    feat = T.tanh(T.matmul(h, feat_w, bias=feat_b))
+    gate = T.sigmoid(T.add(T.matmul(h, gate_w), gate_b))
+    feat = T.tanh(T.add(T.matmul(h, feat_w), feat_b))
     return T.segment_sum(scale_rows(feat, gate), seg, num_graphs)
+
+
+def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh) -> T.Tensor:
+    """The GRU update spelled out in primitive ops: the reference for the
+    GRU half of T.message_step."""
+    z = T.sigmoid(T.add(T.add(T.matmul(a, wz), T.matmul(h, uz)), bz))
+    r = T.sigmoid(T.add(T.add(T.matmul(a, wr), T.matmul(h, ur)), br))
+    cand = T.tanh(T.add(T.add(T.matmul(a, wh), T.matmul(T.hadamard(r, h), uh)), bh))
+    keep = T.add(T.scale(z, -1.0), T.Tensor(np.ones(z.shape)))
+    return T.add(T.hadamard(keep, h), T.hadamard(z, cand))
+
+
+def step_chain(h, src, dst, agg_w, agg_b, *gru_weights) -> T.Tensor:
+    """A message step spelled out in primitive ops: the reference for T.message_step."""
+    a = T.relu(T.add(T.matmul(T.edge_gather_sum(h, src, dst), agg_w), agg_b))
+    return gru_chain(a, h, *gru_weights)
 
 
 def _gate_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,9 +180,9 @@ def per_gate_step(h, edges, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh) ->
         drh = dpc @ uhd.T
         dpr = drh * hd * (r * (1.0 - r))
         dpz = dz * (z * (1.0 - z))
-        dpre = dpz @ wzd.T
+        dpre = dpc @ whd.T
         dpre += dpr @ wrd.T
-        dpre += dpc @ whd.T
+        dpre += dpz @ wzd.T
         dpre *= a > 0
         dh = (1.0 - z) * g
         dh += drh * r

@@ -550,6 +550,25 @@ class TestErrors:
         code, _, err = run(capsys, "split", "--data", data_dir)
         assert code == 2 and "error:" in err and problem in err
 
+    @pytest.mark.parametrize("command", ["split", "vocab", "eval", "train"])
+    def test_empty_dataset_names_its_manifest(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "d"
+        data_dir.mkdir()
+        manifest_path = data_dir / "manifest.json"
+        manifest_path.write_text(json.dumps({"examples": []}))
+        ckpt = tmp_path / "model.json"
+        if command == "eval":
+            self._write_checkpoint(ckpt)
+        argv = {
+            "split": ["split", "--data", data_dir],
+            "vocab": ["vocab", "build", "--corpus", data_dir, "--k", "2"],
+            "eval": ["eval", "--ckpt", ckpt, "--data", data_dir],
+            "train": ["train", "--data", data_dir, "-o", ckpt],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {manifest_path} lists no examples\n"
+
     @pytest.mark.parametrize(
         "vocab",
         [[1], {"k": "3"}, {"k": 3, "api": 5}, {"k": 3, "api": [["malloc"]]}],

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import per_gate_step, projection_chain, random_cfg, random_slots, readout_chain
+from conftest import per_gate_step, projection_chain, random_cfg, random_slots, readout_chain, step_chain
 from defreach import kernels
 from defreach import model as M
 from defreach import tensor as T
@@ -158,27 +158,37 @@ class TestTapeRecords:
 
 
 def chain_forward(pt, batch, config):
-    """forward_batch with its projection and readout spelled out in primitive ops."""
+    """forward_batch spelled out in primitive ops, with ``matmul`` then ``add``
+    for every bias."""
     h = projection_chain(batch.features, pt["proj_w"], pt["proj_b"])
-    edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
     for _ in range(config.steps):
-        h = T.message_step(h, edges, T.StepWeights(*[pt[name] for name in M.STEP_PARAMS]))
+        h = step_chain(h, batch.src, batch.dst, *[pt[name] for name in M.STEP_PARAMS])
     y = readout_chain(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
                       batch.seg, batch.num_graphs)
     for i in range(config.output_layers):
-        y = T.matmul(y, pt[f"cls{i}_w"], bias=pt[f"cls{i}_b"])
+        y = T.add(T.matmul(y, pt[f"cls{i}_w"]), pt[f"cls{i}_b"])
         if i < config.output_layers - 1:
             y = T.relu(y)
     return y
 
 
-class TestFusedLayers:
-    """forward_batch's fused projection and readout against chain_forward."""
+# (k, hidden, steps, output layers, graphs in the batch); a batch of 40 is
+# the default, left out of the test's id
+FUSED_LAYER_CASES = [(20, 32, 5, 3, 40), (1000, 32, 5, 3, 40), (5, 1, 2, 1, 40), (7, 8, 0, 2, 40),
+                     (3, 4, 3, 4, 40), (20, 32, 5, 3, 1), (20, 32, 5, 3, 2), (5, 1, 2, 1, 1),
+                     (7, 8, 0, 2, 3), (3, 4, 3, 4, 1)]
 
-    @pytest.mark.parametrize("k, hidden, steps, layers",
-                             [(20, 32, 5, 3), (1000, 32, 5, 3), (5, 1, 2, 1), (7, 8, 0, 2), (3, 4, 3, 4)])
-    def test_logits_and_gradients_bit_identical_to_chain(self, k, hidden, steps, layers):
-        data = synth_generate(40, seed=k)
+
+class TestFusedLayers:
+    """forward_batch's fused records against chain_forward, at batches of
+    40 graphs and of one, two and three."""
+
+    @pytest.mark.parametrize("k, hidden, steps, layers, graphs", [
+        pytest.param(*case, id="-".join(map(str, case[:4] if case[4] == 40 else case)))
+        for case in FUSED_LAYER_CASES
+    ])
+    def test_logits_and_gradients_bit_identical_to_chain(self, k, hidden, steps, layers, graphs):
+        data = synth_generate(40, seed=k)[:graphs]
         vocab = build_vocabulary([e.cfg for e in data], k=k)
         c = M.ModelConfig(k=k, hidden=hidden, steps=steps, output_layers=layers)
         rng = np.random.default_rng(k)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import per_gate_step, projection_chain, readout_chain
+from conftest import gru_chain, per_gate_step, projection_chain, readout_chain, step_chain
 from defreach import kernels
 from defreach import tensor as T
 
@@ -248,16 +248,6 @@ def gru_inputs(rng, n, m, hdim):
     return arrays
 
 
-def gru_chain(a, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
-    """The GRU update spelled out in primitive ops: the reference for the
-    GRU half of T.message_step."""
-    z = T.sigmoid(T.add(T.add(T.matmul(a, wz), T.matmul(h, uz)), bz))
-    r = T.sigmoid(T.add(T.add(T.matmul(a, wr), T.matmul(h, ur)), br))
-    cand = T.tanh(T.add(T.add(T.matmul(a, wh), T.matmul(T.hadamard(r, h), uh)), bh))
-    keep = T.add(T.scale(z, -1.0), T.Tensor(np.ones(z.shape)))
-    return T.add(T.hadamard(keep, h), T.hadamard(z, cand))
-
-
 def step_inputs(rng, n, m, hdim):
     """State h, agg_w, agg_b and the nine GRU weights, in T.message_step's
     argument order; m is the aggregate's width, the GRU's input width."""
@@ -273,12 +263,6 @@ def edges(rng, n):
 def fused_step(h, src, dst, *weights):
     """T.message_step over the edges (src, dst), in step_chain's arguments."""
     return T.message_step(h, kernels.Edges(src, dst, h.shape[1]), T.StepWeights(*weights))
-
-
-def step_chain(h, src, dst, agg_w, agg_b, *gru_weights):
-    """A message step spelled out in primitive ops: the reference for T.message_step."""
-    a = T.relu(T.matmul(T.edge_gather_sum(h, src, dst), agg_w, bias=agg_b))
-    return gru_chain(a, h, *gru_weights)
 
 
 # (rows, aggregate width, state width); a one-column state takes matmul's row-wise path
@@ -312,7 +296,7 @@ class TestFusedOps:
             return T.gradients(T.sum_all(T.tanh(out)), tensors)
 
         for i, (fused, chain) in enumerate(zip(grads(fused_step), grads(step_chain))):
-            assert T.relative_error(fused, chain) <= 1e-12, f"input {i}"
+            assert fused.tobytes() == chain.tobytes(), f"input {i}"
 
     @pytest.mark.parametrize("n, m, hdim", GRU_SHAPES)
     def test_gru_finite_differences(self, n, m, hdim):
@@ -321,12 +305,15 @@ class TestFusedOps:
         src, dst = edges(rng, n)
         check_scalar_fn(lambda t: T.sum_all(T.tanh(fused_step(t[0], src, dst, *t[1:]))), inputs)
 
-    @pytest.mark.parametrize("n, cols", [(5, 3), (5, 1), (1, 2)])
+    @pytest.mark.parametrize("n, cols", [(n, cols) for n in (1, 2, 5, 40) for cols in (3, 2, 1)])
     def test_matmul_bias(self, n, cols):
         rng = np.random.default_rng(43)
         x, w, b = rng.standard_normal((n, 4)), rng.standard_normal((4, cols)), rng.standard_normal((1, cols))
-        fused = T.matmul(T.Tensor(x), T.Tensor(w), bias=T.Tensor(b)).data
-        assert np.array_equal(fused, T.add(T.matmul(T.Tensor(x), T.Tensor(w)), T.Tensor(b)).data)
+        b[0, 0] = -9.0  # a column where the relu is off, so the gradient upstream of it is -0.0
+        fused = outcome(lambda x, w, b: T.scale(T.relu(T.matmul(x, w, bias=b)), -1.0), [x, w, b])
+        chain = outcome(lambda x, w, b: T.scale(T.relu(T.add(T.matmul(x, w), b)), -1.0), [x, w, b])
+        for i, (got, want) in enumerate(zip(fused, chain)):
+            assert same_bits(got, want), "output" if i == 0 else f"input {i - 1}"
         check_scalar_fn(lambda t: T.sum_all(T.tanh(T.matmul(t[0], t[1], bias=t[2]))), [x, w, b])
 
     @pytest.mark.parametrize("weight", [2, 3, 5, 6, 8, 9])  # wz uz wr ur wh uh, by gru_chain's arguments
@@ -764,14 +751,29 @@ class TestProjectAndReadout:
             assert same_bits(a, b), "output" if i == 0 else f"input {i - 1}"
 
     def test_project_on_one_node_bit_identical_to_chain(self):
-        # With one row ``add`` does not broadcast the bias, so it passes its
-        # gradient on unsummed: -0.0 where the relu is off and the gradient
-        # negative, which a sum over the one row would turn into 0.0.
+        # The bias turns the relu off in two columns, where the gradient
+        # scaled by -1 is -0.0; the bias's gradient is the sum over the one
+        # row, 0.0 there, in ``project`` as in the chain's ``add``.
         rng = np.random.default_rng(71)
         arrays = [rng.standard_normal((6, 3)), np.array([[-9.0, 9.0, -9.0]])]
         slots = np.array([[0, 3, -1, 5]])
         got = outcome(lambda w, b: T.scale(T.project(slots, w, b), -1.0), arrays)
         want = outcome(lambda w, b: T.scale(projection_chain(slots, w, b), -1.0), arrays)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert same_bits(a, b), i
+
+    def test_readout_on_one_row_bit_identical_to_chain(self):
+        # feat_b turns the pooled row negative in one column, so the relu is
+        # off and the gradient scaled by -1 is -0.0 there; each bias's
+        # gradient is the sum over the one row, in ``readout`` as in the
+        # chain's ``add``.
+        rng = np.random.default_rng(76)
+        arrays = fused_inputs(rng, 3)[1]["readout"]
+        arrays[0] = arrays[0][:1]
+        arrays[4][0, 0] = -9.0
+        seg = np.zeros(1, dtype=np.int64)
+        got = outcome(lambda *t: T.scale(T.relu(T.readout(*t, seg, 1)), -1.0), arrays)
+        want = outcome(lambda *t: T.scale(T.relu(readout_chain(*t, seg, 1)), -1.0), arrays)
         for i, (a, b) in enumerate(zip(got, want)):
             assert same_bits(a, b), i
 
@@ -822,7 +824,7 @@ class TestProjectAndReadout:
             chain = outcome(lambda *t: readout_chain(*t, SEG, NUM_GRAPHS), arrays)
             fused = outcome(lambda *t: T.readout(*t, SEG, NUM_GRAPHS), arrays)
             if stage == "feature":  # the chain's gate layer, before it, passes
-                T.matmul(T.Tensor(arrays[0]), T.Tensor(arrays[1]), bias=T.Tensor(arrays[2]))
+                T.add(T.matmul(T.Tensor(arrays[0]), T.Tensor(arrays[1])), T.Tensor(arrays[2]))
         if stage is None:
             assert not isinstance(chain, str), chain
             assert not isinstance(fused, str), fused
