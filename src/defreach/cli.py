@@ -107,10 +107,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = harness.load_dataset(args.data)
-    fractions = tuple(float(x) for x in args.fractions.split(","))
+    try:
+        fractions = tuple(float(x) for x in args.fractions.split(","))
+    except ValueError:
+        fractions = ()
     if len(fractions) != 3:
-        raise ValueError("--fractions needs three comma-separated values")
+        raise ValueError(f"--fractions needs three comma-separated numbers, got {args.fractions!r}")
+    dataset = harness.load_dataset(args.data)
     train, valid, test = harness.split(dataset, args.regime, fractions, args.seed)
     doc = {
         "train": [e.id for e in train],

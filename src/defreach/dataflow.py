@@ -16,19 +16,23 @@ run:
     about n + 1 rounds for n nodes and repeats that snapshot from then on;
     it runs at most ``MAX_TRACE_ROUNDS`` rounds.
 
-``compute_gen_kill`` keeps each variable's definitions as one mask beside
-GEN and KILL (``DataflowState.by_variable``), so IN[v] & by_variable[x] is
-the set of x's definitions that reach v. With ``deref_defines=True`` it
-treats dereference statements as anonymous definitions; ``analyze`` never does.
+``compute_gen_kill`` keeps each variable's tracked definitions as one mask
+beside GEN and KILL (``DataflowState.by_variable``), so IN[v] &
+by_variable[x] is the set of x's tracked definitions that reach v. By
+default every definition is tracked; given a ``Statement`` predicate
+``tracked``, only the definitions it holds for get a bit. Each bit is solved
+on its own, so the tracked IN and OUT sets equal the full ones restricted to
+the tracked bits. With ``deref_defines=True`` it treats dereference
+statements as anonymous definitions; ``analyze`` never does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cfg import DEFINITION_KINDS, Cfg
+from .cfg import DEFINITION_KINDS, Cfg, Statement
 
 
 # Enough for a synchronous trace to reach its fixpoint (about n + 1 rounds)
@@ -51,7 +55,7 @@ class DataflowState:
 
     gen: list[int]
     kill: list[int]
-    by_variable: dict[str, int]  # variable -> mask of all its definitions
+    by_variable: dict[str, int]  # variable -> mask of its tracked definitions
     inb: list[int] = field(default_factory=list)
     out: list[int] = field(default_factory=list)
 
@@ -61,20 +65,25 @@ def bit_string(mask: int, width: int) -> str:
     return format(mask, f"0{width}b")[::-1] if width else ""
 
 
-def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[list[Definition], DataflowState]:
-    """The definitions in node order, the i-th with ``def_id`` i, and the masks.
+def compute_gen_kill(
+    cfg: Cfg, deref_defines: bool = False, tracked: Callable[[Statement], bool] | None = None
+) -> tuple[list[Definition], DataflowState]:
+    """The tracked definitions in node order, the i-th with ``def_id`` i, and the masks.
 
-    GEN[v] is the definition made at v (if any); KILL[v] is every *other*
-    definition of the same variable (self-kill excluded -- equivalent under
-    OUT = GEN u (IN - KILL) since GEN is unioned back in).
+    A definition is tracked when ``tracked`` is None or holds for its
+    statement. GEN[v] is the tracked definition made at v (if any); KILL[v]
+    is every *other* tracked definition of the variable defined at v, whether
+    v's own definition is tracked or not (self-kill excluded -- equivalent
+    under OUT = GEN u (IN - KILL) since GEN is unioned back in).
 
     Anonymous definitions from deref statements define a per-node fresh
     variable, so they kill nothing.
     """
     entries: list[Definition] = []
+    defined: list[tuple[int, str]] = []  # (node, variable) of every definition
     gen = [0] * len(cfg.nodes)
     kill = [0] * len(cfg.nodes)
-    by_variable: dict[str, int] = {}  # variable -> mask of all its definitions
+    by_variable: dict[str, int] = {}  # variable -> mask of its tracked definitions
     for node, stmt in enumerate(cfg.nodes):
         if stmt.kind in DEFINITION_KINDS:
             variable = stmt.target
@@ -82,12 +91,15 @@ def compute_gen_kill(cfg: Cfg, deref_defines: bool = False) -> tuple[list[Defini
             variable = f"<deref@{node}>"
         else:
             continue
+        defined.append((node, variable))
+        if tracked is not None and not tracked(stmt):
+            continue
         bit = 1 << len(entries)
         gen[node] = bit
         by_variable[variable] = by_variable.get(variable, 0) | bit
         entries.append(Definition(len(entries), node, variable))
-    for _, node, variable in entries:
-        kill[node] = by_variable[variable] ^ gen[node]  # the variable's other definitions
+    for node, variable in defined:
+        kill[node] = by_variable.get(variable, 0) ^ gen[node]  # the variable's other tracked definitions
     return entries, DataflowState(gen=gen, kill=kill, by_variable=by_variable)
 
 
@@ -159,7 +171,10 @@ def trace_rounds(cfg: Cfg, state: DataflowState, rounds: int) -> Iterator[list[i
     return snapshots()
 
 
-def analyze(cfg: Cfg) -> tuple[list[Definition], DataflowState]:
-    """GEN/KILL plus the round-robin fixpoint in one call."""
-    definitions, state = compute_gen_kill(cfg)
+def analyze(
+    cfg: Cfg, tracked: Callable[[Statement], bool] | None = None
+) -> tuple[list[Definition], DataflowState]:
+    """GEN/KILL over the tracked definitions (all of them by default) plus
+    the round-robin fixpoint in one call."""
+    definitions, state = compute_gen_kill(cfg, tracked=tracked)
     return definitions, solve(cfg, state)

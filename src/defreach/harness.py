@@ -2,7 +2,8 @@
 
 Every generated program is labeled by the exact analysis: vulnerable iff
 some NULL-valued definition of a pointer reaches a dereference of that
-pointer, one AND of masks per (dereference, used variable). Labels are
+pointer. Reaching definitions is solved with only those NULL definitions
+tracked, then one AND of masks per (dereference, used variable). Labels are
 validated at generation time and again on load; a mislabeled template is a
 hard error, never an emitted example.
 """
@@ -14,7 +15,7 @@ import os
 import random
 from dataclasses import asdict, dataclass
 
-from .cfg import Cfg, CfgError, dump_cfg, load_cfg, parse_json
+from .cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg, parse_json
 from .dataflow import analyze
 from .parser import ParseError, parse_function
 
@@ -85,22 +86,21 @@ def f1_from_pr(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
+def _null_definition(stmt: Statement) -> bool:
+    """Whether a definition sets its variable to the NULL constant and calls nothing."""
+    return "NULL" in stmt.constants and stmt.callee is None
+
+
 def oracle_label(cfg: Cfg) -> int:
     """1 iff a NULL-constant definition that calls nothing reaches a
-    dereference of its variable: iff IN[v] & nulls & by_variable[x] != 0 for
-    a ``deref-use`` node v and a variable x it uses, nulls being those
-    definitions' GEN bits."""
-    definitions, state = analyze(cfg)
-    nodes, masks = cfg.nodes, state.by_variable
-    nulls = 0
-    for d in definitions:
-        if "NULL" in nodes[d.node].constants and nodes[d.node].callee is None:
-            nulls |= state.gen[d.node]
-    for stmt, inb in zip(nodes, state.inb):
-        if stmt.kind == "deref-use":
-            reaching = inb & nulls
-            if reaching and any(reaching & masks.get(x, 0) for x in stmt.uses):
-                return 1
+    dereference of its variable: iff IN[v] & by_variable[x] != 0 for a
+    ``deref-use`` node v and a variable x it uses, with only those NULL
+    definitions tracked."""
+    _, state = analyze(cfg, _null_definition)
+    masks = state.by_variable
+    for stmt, inb in zip(cfg.nodes, state.inb):
+        if inb and stmt.kind == "deref-use" and any(inb & masks.get(x, 0) for x in stmt.uses):
+            return 1
     return 0
 
 
@@ -393,9 +393,13 @@ def load_dataset(directory: str) -> list[Example]:
     if not records:
         raise ValueError(f"{manifest_path} lists no examples")
     examples = []
+    ids = set()
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in MANIFEST_FIELDS)):
             raise ValueError(f"{manifest_path}: examples[{i}] needs string fields {', '.join(MANIFEST_FIELDS)}")
+        if rec["id"] in ids:  # split would list it twice, eval score it twice, vocab count it twice
+            raise ValueError(f"{manifest_path}: examples[{i}] repeats id {rec['id']!r}")
+        ids.add(rec["id"])
         if rec["label"] not in LABELS:
             raise ValueError(
                 f"{manifest_path}: examples[{i}] has label {rec['label']!r}, not one of {', '.join(LABELS)}"

@@ -278,6 +278,9 @@ class TestErrors:
         for fractions in ("0.5,0.1", "2,-1,0", "0.9,0.2,-0.1", "nan,0.5,0.5"):
             code, _, err = run(capsys, "split", "--data", data_dir, "--fractions", fractions)
             assert code == 2 and "error:" in err, fractions
+        code, out, err = run(capsys, "split", "--data", data_dir, "--fractions", "a,b,c")
+        assert code == 2 and out == ""
+        assert err == "error: --fractions needs three comma-separated numbers, got 'a,b,c'\n"
 
     def test_vocab_build_on_a_directory_without_graphs_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "empty"
@@ -550,12 +553,8 @@ class TestErrors:
         code, _, err = run(capsys, "split", "--data", data_dir)
         assert code == 2 and "error:" in err and problem in err
 
-    @pytest.mark.parametrize("command", ["split", "vocab", "eval", "train"])
-    def test_empty_dataset_names_its_manifest(self, tmp_path, capsys, command):
-        data_dir = tmp_path / "d"
-        data_dir.mkdir()
-        manifest_path = data_dir / "manifest.json"
-        manifest_path.write_text(json.dumps({"examples": []}))
+    def _run_on_dataset(self, capsys, tmp_path, command, data_dir):
+        """``command`` run on the dataset in ``data_dir``: (exit code, stdout, stderr)."""
         ckpt = tmp_path / "model.json"
         if command == "eval":
             self._write_checkpoint(ckpt)
@@ -565,9 +564,29 @@ class TestErrors:
             "eval": ["eval", "--ckpt", ckpt, "--data", data_dir],
             "train": ["train", "--data", data_dir, "-o", ckpt],
         }[command]
-        code, out, err = run(capsys, *argv)
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("command", ["split", "vocab", "eval", "train"])
+    def test_empty_dataset_names_its_manifest(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "d"
+        data_dir.mkdir()
+        manifest_path = data_dir / "manifest.json"
+        manifest_path.write_text(json.dumps({"examples": []}))
+        code, out, err = self._run_on_dataset(capsys, tmp_path, command, data_dir)
         assert code == 2 and out == ""
         assert err == f"error: {manifest_path} lists no examples\n"
+
+    @pytest.mark.parametrize("command", ["split", "vocab", "eval", "train"])
+    def test_repeated_manifest_id_exits_2(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "20", "--seed", "2", "-o", data_dir)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["examples"].append(manifest["examples"][0])
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = self._run_on_dataset(capsys, tmp_path, command, data_dir)
+        assert code == 2 and out == ""
+        assert err == f"error: {manifest_path}: examples[20] repeats id 'ex00000'\n"
 
     @pytest.mark.parametrize(
         "vocab",

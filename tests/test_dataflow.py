@@ -2,11 +2,20 @@ import random
 
 import pytest
 
-from defreach.dataflow import MAX_TRACE_ROUNDS, bit_string, compute_gen_kill, solve, trace
-from defreach.harness import synth_generate
+from defreach.dataflow import MAX_TRACE_ROUNDS, analyze, bit_string, compute_gen_kill, solve, trace
+from defreach.harness import _null_definition, oracle_label, synth_generate
 from defreach.parser import parse_function
 
-from conftest import FIG1_SRC, brute_gen_kill, gen_by_variable, naive_solve, random_cfg, with_nulls_and_derefs
+from conftest import (
+    FIG1_SRC,
+    brute_gen_kill,
+    gen_by_variable,
+    naive_solve,
+    pairwise_label,
+    random_cfg,
+    with_nulls_and_derefs,
+)
+from test_large_functions import pinned_cfgs
 
 # Per-round OUT rows for statement nodes v1..v4 (graph ids 1..4).
 TABLE2 = [
@@ -123,6 +132,37 @@ class TestSolve:
             for v in range(len(cfg.nodes)):
                 assert set_of(state.out[v]) == out[v]
                 assert set_of(state.inb[v]) == inb[v]
+
+    def test_tracked_solve_is_the_full_solve_on_the_tracked_bits(self):
+        # Each definition's bit is solved on its own and every definition,
+        # tracked or not, kills the tracked ones of its variable, so tracking
+        # a subset renumbers the full IN and OUT sets over that subset.
+        rng = random.Random(11)
+        corpus = [e.cfg for e in synth_generate(100, seed=2)]
+        cfgs = [with_nulls_and_derefs(rng, random_cfg(rng, max_nodes=60)) for _ in range(100)]
+        cfgs += corpus + pinned_cfgs()
+        predicates = [_null_definition, lambda stmt: rng.random() < 0.5, lambda stmt: False]
+        for cfg in cfgs:
+            full_defs, full = compute_gen_kill(cfg)
+            solve(cfg, full)
+            for tracked in predicates:
+                defs, state = compute_gen_kill(cfg, tracked=tracked)
+                solve(cfg, state)
+                nodes = {d.node for d in defs}
+                kept = [d.def_id for d in full_defs if d.node in nodes]
+                assert [(d.node, d.variable) for d in defs] == [full_defs[i][1:] for i in kept]
+
+                def project(mask: int) -> int:
+                    return sum(1 << j for j, i in enumerate(kept) if mask >> i & 1)
+
+                assert state.inb == [project(m) for m in full.inb]
+                assert state.out == [project(m) for m in full.out]
+                width = 1 << len(defs)
+                masks = [*state.gen, *state.kill, *state.by_variable.values(), *state.inb, *state.out]
+                assert all(0 <= m < width for m in masks)
+        for cfg in corpus:
+            _, full = analyze(cfg)
+            assert oracle_label(cfg) == pairwise_label(cfg, lambda d, v: full.inb[v] >> d & 1)
 
 
 class TestTrace:
