@@ -17,6 +17,7 @@ and the exit is reachable from every node.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -201,6 +202,32 @@ def parse_json(document: str, source: str):
         raise ValueError(f"{source}: not valid JSON: {e}") from e
     except RecursionError as e:
         raise ValueError(f"{source}: not valid JSON: arrays or objects nested too deeply") from e
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``, counting characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def read_text(path: str) -> str:
+    """The text of the file ``path`` as UTF-8, whatever the locale, with
+    CRLF and CR line endings read as LF. A byte that is not valid UTF-8
+    raises a ValueError naming the file and the byte's position as the
+    parser counts it: ``bad.c:1:12: not valid UTF-8: byte 0xff``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        text = f.read()
+    # surrogateescape reads an undecodable byte b as U+DC00 + b, a code point valid UTF-8 never gives
+    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
+    if bad:
+        line, col = line_col(text, bad.start())
+        raise ValueError(f"{path}:{line}:{col}: not valid UTF-8: byte {ord(bad.group()) - 0xDC00:#04x}")
+    return text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8, whatever the locale."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def load_cfg(document: str) -> Cfg:

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import dataflow, embedding, harness, model, tensor
-from .cfg import Cfg, CfgError, dump_cfg, parse_json
+from .cfg import Cfg, CfgError, dump_cfg, parse_json, read_text, write_text
 from .parser import ParseError
 
 
@@ -29,7 +29,7 @@ from .parser import ParseError
 def _opened(out: str | None):
     """The file ``out`` opened for writing, or standard output without one."""
     if out:
-        with open(out, "w") as f:
+        with open(out, "w", encoding="utf-8") as f:
             yield f
     else:
         yield sys.stdout
@@ -89,8 +89,7 @@ def cmd_vocab_build(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with open(args.vocab) as f:
-        vocab = embedding.Vocabulary.from_json(f.read(), args.vocab)
+    vocab = embedding.Vocabulary.from_json(read_text(args.vocab), args.vocab)
     mask = embedding.parse_mask(args.mask)
     rows = embedding.one_hot(embedding.encode(harness.read_cfg(args.file), vocab, mask), vocab.row_width)
     text = "\n".join(" ".join(str(int(x)) for x in row) for row in rows) + "\n"
@@ -126,8 +125,7 @@ def cmd_split(args) -> int:
 
 def _apply_split(dataset, split_path: str | None, seed: int):
     if split_path:
-        with open(split_path) as f:
-            doc = parse_json(f.read(), f"split file {split_path}")
+        doc = parse_json(read_text(split_path), f"split file {split_path}")
         parts = [doc.get(p) if isinstance(doc, dict) else None for p in ("train", "valid", "test")]
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in parts):
             raise ValueError(f"split file {split_path} must map train, valid and test to lists of ids")
@@ -172,8 +170,7 @@ def cmd_train(args) -> int:
         patience=args.patience,
     )
     vocab_path = args.output + ".vocab.json"
-    with open(vocab_path, "w") as f:
-        f.write(vocab.to_json())
+    write_text(vocab_path, vocab.to_json())
     # the basename, which load_checkpoint resolves against the checkpoint's
     # directory, so the run directory can be moved as a whole
     model.save_checkpoint(args.output, params, config, os.path.basename(vocab_path), best_epoch)

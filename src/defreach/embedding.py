@@ -62,21 +62,13 @@ class Vocabulary:
                 raise ValueError(f"{prop} rank list longer than k={self.k}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{prop} rank list has duplicates")
+        block = self.k + RESERVED_SLOTS  # property j's block starts at column j * block
         self.columns = [
-            {None: self.offset(j) + SLOT_NONE,
-             **{v: self.offset(j) + RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
+            {None: j * block + SLOT_NONE,
+             **{v: j * block + RESERVED_SLOTS + i for i, v in enumerate(self.ranks[prop])}}
             for j, prop in enumerate(PROPERTIES)
         ]
-        self.unknown = tuple(self.offset(j) + SLOT_UNKNOWN for j in range(len(PROPERTIES)))
-
-    def offset(self, j: int) -> int:
-        """The first column of property j's block."""
-        return j * (self.k + RESERVED_SLOTS)
-
-    def slot(self, prop: str, value: str | None) -> int:
-        """Block-local hot slot for a property value."""
-        j = PROPERTIES.index(prop)
-        return self.columns[j].get(value, self.unknown[j]) - self.offset(j)
+        self.unknown = tuple(j * block + SLOT_UNKNOWN for j in range(len(PROPERTIES)))
 
     @property
     def row_width(self) -> int:

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import asdict, dataclass
 
-from .cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg, parse_json
+from .cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg, parse_json, read_text, write_text
 from .dataflow import analyze
 from .parser import ParseError, parse_function
 
@@ -345,18 +345,12 @@ def undersample(train: list[Example], seed: int) -> list[Example]:
 
 def read_cfg(path: str) -> Cfg:
     """The graph in ``path``: a CFG document if the name ends in .json, else
-    one mini-C function."""
-    return _read_graph(path, load_cfg if path.endswith(".json") else parse_function)
-
-
-def _read_graph(path: str, read) -> Cfg:
-    """``read`` applied to the text of ``path``. A syntax or schema error is
-    re-raised as a ValueError that names the file and keeps its position:
-    ``f.c:1:20: …`` or ``g.json: $.nodes[1].kind: …``."""
-    with open(path) as f:
-        text = f.read()
+    one mini-C function; a dataset manifest may name either. A syntax or
+    schema error is re-raised as a ValueError that names the file and keeps
+    its position: ``f.c:1:20: …`` or ``g.json: $.nodes[1].kind: …``."""
+    text = read_text(path)
     try:
-        return read(text)
+        return load_cfg(text) if path.endswith(".json") else parse_function(text)
     except ParseError as e:
         raise ValueError(f"{path}:{e}") from e
     except CfgError as e:
@@ -371,22 +365,17 @@ def save_dataset(examples: list[Example], directory: str) -> None:
     manifest = {"examples": []}
     for e in examples:
         path = f"{e.id}.json"
-        with open(os.path.join(directory, path), "w") as f:
-            f.write(dump_cfg(e.cfg))
-        with open(os.path.join(directory, f"{e.id}.c"), "w") as f:
-            f.write(e.source)
+        write_text(os.path.join(directory, path), dump_cfg(e.cfg))
+        write_text(os.path.join(directory, f"{e.id}.c"), e.source)
         manifest["examples"].append(
             {"id": e.id, "project": e.project, "label": LABELS[e.label], "path": path}
         )
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    write_text(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def load_dataset(directory: str) -> list[Example]:
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path) as f:
-        manifest = parse_json(f.read(), manifest_path)
+    manifest = parse_json(read_text(manifest_path), manifest_path)
     records = manifest.get("examples") if isinstance(manifest, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"{manifest_path} must be a JSON object with an 'examples' list")
@@ -404,16 +393,13 @@ def load_dataset(directory: str) -> list[Example]:
             raise ValueError(
                 f"{manifest_path}: examples[{i}] has label {rec['label']!r}, not one of {', '.join(LABELS)}"
             )
-        cfg = _read_graph(os.path.join(directory, rec["path"]), load_cfg)
+        cfg = read_cfg(os.path.join(directory, rec["path"]))
         label = LABELS.index(rec["label"])
         if oracle_label(cfg) != label:
             raise ValueError(f"{manifest_path}: examples[{i}] ({rec['id']}): "
                              f"stored label {rec['label']} fails re-validation")
         source_path = os.path.join(directory, rec["id"] + ".c")
-        source = ""
-        if os.path.exists(source_path):
-            with open(source_path) as f:
-                source = f.read()
+        source = read_text(source_path) if os.path.exists(source_path) else ""
         examples.append(
             Example(id=rec["id"], project=rec["project"], source=source, cfg=cfg, label=label)
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
-from .cfg import Cfg, parse_json
+from .cfg import Cfg, parse_json, read_text, write_text
 from .embedding import PROPERTIES, RESERVED_SLOTS, Vocabulary, encode
 from .harness import classify, compute_metrics  # noqa: F401  (model.classify is part of this module's API)
 
@@ -390,9 +390,7 @@ def save_checkpoint(
         "best_epoch": best_epoch,
     }
     # json.dumps encodes in one C call; json.dump streams through the pure-Python encoder
-    with open(path, "w") as f:
-        f.write(json.dumps(doc))
-        f.write("\n")
+    write_text(path, json.dumps(doc) + "\n")
 
 
 @dataclass
@@ -425,8 +423,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint and its vocabulary, checking that the params have
     exactly the names and shapes ``param_shapes(config)`` gives and finite
     values, and that the vocabulary's ``k`` is the config's."""
-    with open(path) as f:
-        doc = parse_json(f.read(), f"checkpoint {path}")
+    doc = parse_json(read_text(path), f"checkpoint {path}")
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path} must hold a JSON object")
     if doc.get("version") != 1:
@@ -471,8 +468,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"checkpoint {path}: best_epoch must be an int >= 0, got {best_epoch!r}")
     if not os.path.isabs(vocab_path):
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)
-    with open(vocab_path) as f:
-        vocab = Vocabulary.from_json(f.read(), vocab_path)
+    vocab = Vocabulary.from_json(read_text(vocab_path), vocab_path)
     if vocab.k != config.k:
         raise ValueError(
             f"vocabulary {vocab_path} (k={vocab.k}) does not match checkpoint {path} (k={config.k})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .cfg import Cfg, Statement
+from .cfg import Cfg, Statement, line_col
 
 
 # Blocks and nested expressions share one depth counter, kept well below the
@@ -93,8 +93,7 @@ def _lex(source: str) -> tuple[list[str], list[str]]:
 def _position(source: str, i: int) -> tuple[int, int]:
     """1-based line and column of token ``i`` of ``_lex(source)``; the eof token is at the end."""
     starts = (m.start(1) for m in _TOKEN_RE.finditer(source) if m.lastindex)
-    start = next(islice(starts, i, None), len(source))
-    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+    return line_col(source, next(islice(starts, i, None), len(source)))
 
 
 class _ExprInfo:

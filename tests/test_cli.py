@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import pytest
 
+import defreach
 from conftest import FIG1_SRC, null_dereference_core
 from defreach import dataflow, harness
 from defreach.cli import main
-from defreach.embedding import Vocabulary
+from defreach.embedding import Vocabulary, build_vocabulary
 from defreach.model import ModelConfig, init_params, save_checkpoint
 
 
@@ -203,6 +207,21 @@ class TestPipeline:
         assert len(rows) == 6
         assert all(len(r) == 4 * 7 for r in rows)
         assert set("".join("".join(r) for r in rows)) <= {"0", "1"}
+
+
+    def test_vocab_build_on_a_directory_of_sources_and_graph_documents(self, tmp_path, capsys):
+        # without a manifest, vocab build reads every .c and .json file in the directory
+        data_dir = tmp_path / "data"
+        run(capsys, "synth", "--n", "10", "--seed", "1", "-o", data_dir)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in range(10):  # odd examples as sources, even ones as graph documents
+            name = f"ex{i:05d}." + ("c" if i % 2 else "json")
+            (corpus / name).write_bytes((data_dir / name).read_bytes())
+        code, out, err = run(capsys, "vocab", "build", "--corpus", corpus, "--k", "1000")
+        assert (code, err) == (0, "")
+        paths = sorted(str(p) for p in corpus.iterdir())
+        assert out == build_vocabulary([harness.read_cfg(p) for p in paths], 1000).to_json()
 
 
 class TestErrors:
@@ -626,3 +645,97 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == (f"error: {manifest_path}: examples[1] ({rec['id']}): "
                        f"stored label {rec['label']} fails re-validation\n")
+
+
+class TestFileEncoding:
+    """Every file is read and written as UTF-8 whatever the locale; a byte
+    that is not UTF-8 exits 2 naming its file, line and column."""
+
+    @staticmethod
+    def _spoil(path, after):
+        """Put a 0xff byte into ``path`` just after the first ``after``;
+        returns the byte's "line:col", lines and columns counted in
+        characters as the parser counts them."""
+        data = path.read_bytes()
+        i = data.index(after.encode()) + len(after.encode())
+        path.write_bytes(data[:i] + b"\xff" + data[i:])
+        lines_before = data[:i].decode("utf-8").replace("\r\n", "\n").split("\n")
+        return f"{len(lines_before)}:{len(lines_before[-1]) + 1}"
+
+    @pytest.mark.parametrize(
+        "case",
+        ["graph-document", "vocabulary", "checkpoint", "side-vocabulary", "split-file",
+         "manifest", "example-graph-document", "example-source"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_file_and_position(self, tmp_path, fig1_file, capsys, case):
+        data_dir, ckpt = tmp_path / "d", tmp_path / "model.json"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        split_path = tmp_path / "split.json"
+        run(capsys, "split", "--data", data_dir, "-o", split_path)
+        TestErrors._write_checkpoint(ckpt)
+        if case == "graph-document":
+            bad, after = tmp_path / "g.json", '"uses": ['
+            run(capsys, "parse", fig1_file, "-o", bad)
+            argv = ["parse", bad]
+        elif case == "vocabulary":
+            bad, after = tmp_path / "v5.json", '"mall'
+            bad.write_text(Vocabulary(k=5, ranks={"api": ["malloc"]}).to_json())
+            argv = ["encode", fig1_file, "--vocab", bad]
+        elif case == "checkpoint":
+            bad, after = ckpt, '"vocab_path": "'
+            argv = ["predict", fig1_file, "--ckpt", ckpt]
+        elif case == "side-vocabulary":
+            bad, after = tmp_path / "v.json", '"k": '
+            argv = ["predict", fig1_file, "--ckpt", ckpt]
+        elif case == "split-file":
+            bad, after = split_path, '"train": [\n    "'
+            argv = ["train", "--data", data_dir, "--split", split_path, "-o", tmp_path / "m.json"]
+        else:
+            bad, after = {
+                "manifest": (data_dir / "manifest.json", '"project": "'),
+                "example-graph-document": (data_dir / "ex00003.json", '"code": "'),
+                "example-source": (data_dir / "ex00002.c", "(int n"),
+            }[case]
+            argv = ["split", "--data", data_dir]
+        position = self._spoil(bad, after)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:{position}: not valid UTF-8: byte 0xff\n"
+
+    def test_a_bad_byte_in_a_source_is_where_the_parser_puts_a_bad_character(self, tmp_path, capsys):
+        # columns count characters (é is two bytes) and a CRLF ends one line
+        source = "void f(int n) {\r\n  int café = n;\r\n  n = café + X;\r\n}\r\n"
+        at, bad = tmp_path / "at.c", tmp_path / "bad.c"
+        at.write_bytes(source.replace("X", "@").encode())
+        bad.write_bytes(source.encode().replace(b"X", b"\xff"))
+        assert run(capsys, "parse", at) == (2, "", f"error: {at}:3:14: unexpected character '@'\n")
+        assert run(capsys, "parse", bad) == (2, "", f"error: {bad}:3:14: not valid UTF-8: byte 0xff\n")
+
+    def test_crlf_source_gives_the_graph_and_positions_of_its_lf_copy(self, tmp_path, capsys):
+        dead = "void f(int n) {\n  if (n) { return; } else { return; }\n  n = 1;\n}\n"
+        results = []
+        for newline in ("\n", "\r\n"):
+            good, bad = tmp_path / "good.c", tmp_path / "dead.c"
+            good.write_bytes(FIG1_SRC.replace("\n", newline).encode())
+            bad.write_bytes(dead.replace("\n", newline).encode())
+            results.append((run(capsys, "parse", good), run(capsys, "parse", bad)))
+        assert results[0] == results[1]
+        (code, out, _), dead_result = results[0]
+        assert code == 0 and json.loads(out)["function"] == "f"
+        assert dead_result == (2, "", f"error: {bad}:3:3: unreachable statement after return\n")
+
+    def test_parse_under_the_c_locale_reads_utf8(self, tmp_path):
+        path = tmp_path / "f.c"
+        path.write_bytes("void f(int n) {\n  int café = n;\n  n = café;\n}\n".encode())
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "LC_CTYPE")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(defreach.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def parse(**locale):
+            argv = [sys.executable, "-m", "defreach.cli", "parse", str(path)]
+            return subprocess.run(argv, env={**env, **locale}, cwd=tmp_path, capture_output=True, timeout=60)
+
+        c_locale = parse(LC_ALL="C", LANG="C", PYTHONUTF8="0")
+        utf8_mode = parse(PYTHONUTF8="1")
+        assert (c_locale.returncode, c_locale.stderr) == (0, b"")
+        assert c_locale.stdout == utf8_mode.stdout and b'"target": "caf\\u00e9"' in c_locale.stdout

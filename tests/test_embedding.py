@@ -85,8 +85,9 @@ class TestVocabulary:
     def test_empty_corpus(self):
         vocab = build_vocabulary([], k=3)
         assert all(vocab.ranks[p] == [] for p in PROPERTIES)
-        assert vocab.slot("api", None) == 0
-        assert vocab.slot("api", "anything") == 1
+        assert vocab.columns[0] == {None: SLOT_NONE} and vocab.unknown[0] == SLOT_UNKNOWN
+        slots = encode(fn("int x = 1; char *p = anything();"), vocab)
+        assert (slots[1, 0], slots[2, 0]) == (SLOT_NONE, SLOT_UNKNOWN)  # api of x, api of p
 
     def test_k_larger_than_distinct_count(self):
         vocab = build_vocabulary([fn("char *p = malloc(1);")], k=100)
@@ -118,7 +119,8 @@ class TestVocabulary:
         vocab = Vocabulary(k=2, ranks=ranks)
         assert ranks == {"api": ["malloc"]}
         ranks["api"].append("free")
-        assert vocab.ranks["api"] == ["malloc"] and vocab.slot("api", "free") == 1
+        assert vocab.ranks["api"] == ["malloc"] and vocab.columns[0].get("free") is None
+        assert encode(fn("char *p = free();"), vocab)[1, 0] == vocab.unknown[0] == SLOT_UNKNOWN
         assert Vocabulary.from_json(vocab.to_json()) == vocab
 
 

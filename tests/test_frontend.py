@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defreach.cfg import Cfg, CfgError, Statement, dump_cfg, load_cfg, predecessor_lists
+from defreach.cfg import (
+    Cfg, CfgError, Statement, dump_cfg, load_cfg, predecessor_lists, read_text, write_text,
+)
 from defreach.harness import synth_generate
 from defreach.parser import MAX_NESTING, ParseError, UnsupportedError, parse_function
 
@@ -328,3 +330,32 @@ def test_trailing_comment_without_newline():
     with pytest.raises(ParseError, match="end of input") as exc:
         parse_function("void f(int n) { n = n + 1; // }")
     assert (exc.value.line, exc.value.col) == (1, 32)
+
+
+class TestTextFiles:
+    def test_write_text_writes_utf8(self, tmp_path):
+        path = tmp_path / "f.c"
+        write_text(str(path), "int café = 1;\n")
+        assert path.read_bytes() == b"int caf\xc3\xa9 = 1;\n"
+
+    def test_read_text_reads_crlf_and_cr_as_lf(self, tmp_path):
+        path = tmp_path / "f.c"
+        path.write_bytes(b"a\r\nb\rc\n\xc3\xa9")
+        assert read_text(str(path)) == "a\nb\nc\n\u00e9"
+
+    @pytest.mark.parametrize(
+        "data,position,byte",
+        [
+            (b"\xff", "1:1", "0xff"),
+            (b"ab\r\n\xc3\xa9\xc3\xa9\x80", "2:3", "0x80"),  # columns count characters
+            (b"a\rb\rc\xc3", "3:2", "0xc3"),  # a truncated sequence at the end
+            (b"\xed\xa0\x80", "1:1", "0xed"),  # an encoded surrogate is not UTF-8
+        ],
+        ids=["first", "after-crlf-and-multibyte", "truncated-after-cr", "surrogate"],
+    )
+    def test_read_text_names_the_first_bad_byte(self, tmp_path, data, position, byte):
+        path = tmp_path / "f.c"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            read_text(str(path))
+        assert str(exc.value) == f"{path}:{position}: not valid UTF-8: byte {byte}"

@@ -224,6 +224,12 @@ class TestMetrics:
         m = compute_metrics([0.5], [1])
         assert m.tp == 1
 
+    def test_report_lists_the_fields_in_order_without_degenerate(self):
+        report = compute_metrics([0.9, 0.1, 0.8, 0.2], [1, 0, 0, 1]).to_dict()
+        assert list(report.items()) == [
+            ("precision", 0.5), ("recall", 0.5), ("f1", 0.5), ("tp", 1), ("fp", 1), ("tn", 1), ("fn", 1)
+        ]
+
 
 class TestDatasetFormat:
     def test_save_load_roundtrip(self, tmp_path):
@@ -235,6 +241,18 @@ class TestDatasetFormat:
         ]
         for a, b in zip(loaded, data):
             assert a.cfg.structurally_equal(b.cfg)
+
+    def test_manifest_naming_sources_loads_the_graphs_of_their_documents(self, tmp_path):
+        save_dataset(synth_generate(6, seed=19), str(tmp_path))
+        from_documents = load_dataset(str(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for rec in manifest["examples"]:
+            assert rec["path"] == rec["id"] + ".json"
+            rec["path"] = rec["id"] + ".c"
+        manifest_path.write_text(json.dumps(manifest))
+        from_sources = load_dataset(str(tmp_path))
+        assert [dump_cfg(e.cfg) for e in from_sources] == [dump_cfg(e.cfg) for e in from_documents]
 
     def test_tampered_label_fails_revalidation(self, tmp_path):
         data = synth_generate(6, seed=18)
