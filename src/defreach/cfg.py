@@ -210,12 +210,12 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
 
 
 def read_text(path: str) -> str:
-    """The text of the file ``path`` as UTF-8, whatever the locale, with
-    CRLF and CR line endings read as LF. A byte that is not valid UTF-8
-    raises a ValueError naming the file and the byte's position as the
-    parser counts it: ``bad.c:1:12: not valid UTF-8: byte 0xff``."""
+    """The text of the file ``path`` as UTF-8, whatever the locale, without
+    a leading byte-order mark and with CRLF and CR line endings read as LF.
+    A byte that is not valid UTF-8 raises a ValueError naming the file and
+    its position as the parser counts it: ``bad.c:1:12: not valid UTF-8: byte 0xff``."""
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        text = f.read()
+        text = f.read().removeprefix("\ufeff")  # utf-8-sig would drop a file's lone b"\xef\xbb" unread
     # surrogateescape reads an undecodable byte b as U+DC00 + b, a code point valid UTF-8 never gives
     bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
     if bad:

@@ -24,6 +24,8 @@ from . import dataflow, embedding, harness, model, tensor
 from .cfg import Cfg, CfgError, dump_cfg, parse_json, read_text, write_text
 from .parser import ParseError
 
+FRACTIONS = (0.8, 0.1, 0.1)  # split's default, and train's and eval's without --split
+
 
 @contextlib.contextmanager
 def _opened(out: str | None):
@@ -140,7 +142,7 @@ def _apply_split(dataset, split_path: str | None, seed: int):
                 raise ValueError(f"split file {split_path} lists an id more than once: {i!r}")
             seen.add(i)
         return tuple([by_id[i] for i in ids] for ids in parts)
-    return harness.split(dataset, "mixed", (0.8, 0.1, 0.1), seed)
+    return harness.split(dataset, "mixed", FRACTIONS, seed)
 
 
 def cmd_train(args) -> int:
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="produce train/valid/test id lists")
     p.add_argument("--data", required=True)
     p.add_argument("--regime", choices=("mixed", "cross"), default="mixed")
-    p.add_argument("--fractions", default="0.8,0.1,0.1")
+    p.add_argument("--fractions", default=",".join(map(str, FRACTIONS)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_split)
@@ -257,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=model.ModelConfig.batch_size)
     p.add_argument("--mask", default=",".join(embedding.PROPERTIES))
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--l2", type=float, default=1e-2)
+    p.add_argument("--k", type=int, default=model.ModelConfig.k)
+    p.add_argument("--steps", type=int, default=model.ModelConfig.steps)
+    p.add_argument("--hidden", type=int, default=model.ModelConfig.hidden)
+    p.add_argument("--lr", type=float, default=model.ModelConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=model.ModelConfig.l2_weight)
     p.add_argument("--patience", type=int, default=10)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_train)

@@ -294,6 +294,12 @@ class Adam:
         p -= u
 
 
+def _check_k(vocab: Vocabulary, config: ModelConfig) -> None:
+    """A vocabulary of another k would shift every column of ``proj_w``."""
+    if vocab.k != config.k:
+        raise ValueError(f"vocabulary k={vocab.k} does not match config k={config.k}")
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -317,8 +323,7 @@ def train_model(
         raise ValueError(f"patience must be >= 1, got {patience}")
     if not train_set:
         raise ValueError("empty training split")
-    if vocab.k != config.k:
-        raise ValueError(f"vocabulary k={vocab.k} does not match config k={config.k}")
+    _check_k(vocab, config)
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
     train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
@@ -326,9 +331,6 @@ def train_model(
     valid_labels = [lbl for _, lbl in valid_set]
 
     params = FlatParams.of(init_params(config, seed))
-    # validation's view of params: Adam updates the arrays in place, so these
-    # tensors see every step without being wrapped again
-    wrapped = _as_tensors(params, None)
     grads = params.like()
     into = list(grads.values())  # where gradients writes each param's gradient
     opt = Adam(params, config.learning_rate, config.l2_weight)
@@ -355,7 +357,7 @@ def train_model(
                 T.gradients(obj, list(pt.values()), into)
                 opt.step(params, grads)
                 epoch_loss += obj.item()
-            probs = _infer(wrapped, valid_graphs, config)
+            probs = infer(params, valid_graphs, config)
         except T.TensorError as e:  # a non-finite value in this step or in validation after it
             raise T.TensorError(f"training diverged at epoch {epoch}, step {step}: {e}") from e
         f1 = compute_metrics(probs.tolist(), valid_labels).f1 if valid_labels else 0.0
@@ -396,7 +398,8 @@ def save_checkpoint(
 @dataclass
 class Checkpoint:
     """A trained model for predicting: its params, which must not change once
-    it is constructed, its config and its vocabulary.
+    it is constructed, its config and its vocabulary, whose k must be the
+    config's (a ValueError at construction otherwise).
 
     What every predict needs from them is derived once, here: the params
     wrapped as off-tape tensors, the message steps' weights prepared with
@@ -414,6 +417,7 @@ class Checkpoint:
     mask: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_k(self.vocab, self.config)
         self.tensors = _as_tensors(self.params, None)
         self.weights = _step_weights(self.tensors)
         self.mask = self.config.mask_dict()
@@ -469,11 +473,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not os.path.isabs(vocab_path):
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(path)), vocab_path)
     vocab = Vocabulary.from_json(read_text(vocab_path), vocab_path)
-    if vocab.k != config.k:
-        raise ValueError(
-            f"vocabulary {vocab_path} (k={vocab.k}) does not match checkpoint {path} (k={config.k})"
-        )
-    return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=best_epoch)
+    try:
+        return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=best_epoch)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {vocab_path}: {e}") from e
 
 
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import defreach
 from conftest import FIG1_SRC, null_dereference_core
-from defreach import dataflow, harness
+from defreach import cli, dataflow, harness, model
 from defreach.cli import main
 from defreach.embedding import Vocabulary, build_vocabulary
 from defreach.model import ModelConfig, init_params, save_checkpoint
@@ -174,6 +175,32 @@ class TestPipeline:
         assert [v["probability"] for v in verdicts] == pytest.approx(
             [v["probability"] for v in singles], abs=1e-12
         )
+
+    def test_train_and_split_defaults_have_one_home(self, tmp_path, capsys, monkeypatch):
+        # train without model options builds ModelConfig(), and split's default
+        # fractions are those train and eval split by without --split
+        data_dir = tmp_path / "d"
+        run(capsys, "synth", "--n", "10", "--seed", "2", "-o", data_dir)
+        configs, fractions = [], []
+
+        def train_model(config, *args, **kwargs):
+            configs.append(config)
+            raise ValueError("stop before training")
+
+        monkeypatch.setattr(model, "train_model", train_model)
+        assert run(capsys, "train", "--data", data_dir, "-o", tmp_path / "m.json")[0] == 2
+        assert [(f.name, getattr(configs[0], f.name)) for f in dataclasses.fields(ModelConfig)] == [
+            (f.name, getattr(ModelConfig(), f.name)) for f in dataclasses.fields(ModelConfig)
+        ]
+
+        def split(dataset, regime, parts, seed):
+            fractions.append(parts)
+            return [], [], []
+
+        monkeypatch.setattr(harness, "split", split)
+        assert run(capsys, "split", "--data", data_dir)[0] == 0
+        cli._apply_split(harness.load_dataset(data_dir), None, 0)
+        assert fractions[0] == fractions[1] and len(fractions) == 2
 
     def test_predict_after_moving_run_directory(self, tmp_path, fig1_file, capsys):
         run_dir = tmp_path / "a"
@@ -710,6 +737,37 @@ class TestFileEncoding:
         bad.write_bytes(source.encode().replace(b"X", b"\xff"))
         assert run(capsys, "parse", at) == (2, "", f"error: {at}:3:14: unexpected character '@'\n")
         assert run(capsys, "parse", bad) == (2, "", f"error: {bad}:3:14: not valid UTF-8: byte 0xff\n")
+
+    @pytest.mark.parametrize("case", ["source", "graph-document", "vocabulary", "manifest"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, fig1_file, capsys, case):
+        data_dir, vocab = tmp_path / "d", tmp_path / "v.json"
+        run(capsys, "synth", "--n", "6", "--seed", "2", "-o", data_dir)
+        run(capsys, "vocab", "build", "--corpus", data_dir, "--k", "5", "-o", vocab)
+        graph = tmp_path / "g.json"
+        run(capsys, "parse", fig1_file, "-o", graph)
+        marked, argv = {
+            "source": (fig1_file, ["parse", fig1_file]),
+            "graph-document": (graph, ["dfa", graph]),
+            "vocabulary": (vocab, ["encode", fig1_file, "--vocab", vocab]),
+            "manifest": (data_dir / "manifest.json", ["split", "--data", data_dir]),
+        }[case]
+        unmarked = run(capsys, *argv)
+        assert unmarked[0] == 0
+        marked.write_bytes("\ufeff".encode() + marked.read_bytes())
+        assert run(capsys, *argv) == unmarked
+
+    def test_a_mark_past_the_first_character_stands_where_it_is(self, tmp_path, capsys):
+        # one mark is dropped, so positions count from after it; a second one,
+        # or one inside the text, is a character the lexer does not accept
+        bom, path = "\ufeff".encode(), tmp_path / "f.c"
+        for data, error in [
+            (bom + bom + b"void f() { }\n", "1:1: unexpected character '\\ufeff'"),
+            (b"void f() {\n  " + bom + b"}\n", "2:3: unexpected character '\\ufeff'"),
+            (bom + b"void f() { \xff }\n", "1:12: not valid UTF-8: byte 0xff"),
+            (bom[:2], "1:1: not valid UTF-8: byte 0xef"),  # a mark cut short is two bad bytes
+        ]:
+            path.write_bytes(data)
+            assert run(capsys, "parse", path) == (2, "", f"error: {path}:{error}\n"), data
 
     def test_crlf_source_gives_the_graph_and_positions_of_its_lf_copy(self, tmp_path, capsys):
         dead = "void f(int n) {\n  if (n) { return; } else { return; }\n  n = 1;\n}\n"

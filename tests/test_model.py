@@ -667,6 +667,16 @@ class TestTraining:
         assert not wrapped
         assert probs == M.predict_many(ckpt, [e.cfg for e in data]).tolist()
 
+    @pytest.mark.parametrize("vocab_k", [3, 9])
+    def test_a_built_checkpoint_rejects_a_vocabulary_of_another_k(self, vocab_k):
+        # a smaller k shifts every hot column of proj_w, a larger one runs
+        # past it: either is refused when the checkpoint is built, not at predict
+        data = synth_generate(6, seed=5)
+        c = tiny_config(k=5)
+        vocab = build_vocabulary([e.cfg for e in data], k=vocab_k)
+        with pytest.raises(ValueError, match=rf"^vocabulary k={vocab_k} does not match config k=5$"):
+            M.Checkpoint(M.init_params(c, seed=0), c, vocab, best_epoch=0)
+
     def test_bad_checkpoint_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text('{"version": 99}')
