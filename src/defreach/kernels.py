@@ -5,6 +5,15 @@ Both scatter with one ``np.bincount`` over the flattened positions
 input order, so every output entry sums its rows in index order and the
 results are deterministic (and equal to an ``np.add.at`` scatter).
 
+A sum into one segment, a single graph's readout, takes no index: it is
+``np.add.reduce`` down the rows, which adds a C-contiguous array's rows
+one after another, in the order bincount adds them. bincount starts each
+sum from +0.0; a reduction that starts from the first row instead differs
+only in a sum of -0.0 entries alone, which bincount makes +0.0, and
+adding +0.0 to the reduction's result does the same. With one column, or
+columns that are not C-contiguous, the reduction would add pairwise, so
+those keep the bincount.
+
 Those positions depend only on the index and the row width. ``Edges``
 builds them once for a batch's edges, in both directions, and every
 message-passing step of that batch, forward and backward, hands them to
@@ -59,7 +68,11 @@ def edge_sum(h: np.ndarray, src: np.ndarray, into: np.ndarray) -> np.ndarray:
 
 
 def segment_sum(x: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
-    """out[g] = sum of x rows with segment id g."""
+    """out[g] = sum of x rows with segment id g, for ids in [0, num_segments)."""
+    if num_segments == 1 and x.shape[1] > 1 and x.flags.c_contiguous:
+        out = np.add.reduce(x, axis=0, keepdims=True)
+        out += 0.0  # bincount's sum from +0.0: -0.0 becomes +0.0, every other value stays
+        return out
     return _scatter_rows(x, _scatter_index(seg, x.shape[1]), num_segments)
 
 

@@ -11,6 +11,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,23 +188,35 @@ STEP_PARAMS = (
 )
 
 
-def _step_weights(pt: dict[str, T.Tensor]) -> T.StepWeights:
-    return T.StepWeights(*[pt[name] for name in STEP_PARAMS])
+class Prepared(NamedTuple):
+    """The params' layouts a forward reads, built once per forward for all
+    its steps, or once for all the predicts of a checkpoint: proj_w with a
+    zero row appended (``tensor.project_table``) and the message steps'
+    weights (``tensor.StepWeights``). Both are copies of the params they are
+    built from."""
+
+    table: np.ndarray
+    steps: T.StepWeights
+
+
+def _prepare(pt: dict[str, T.Tensor]) -> Prepared:
+    return Prepared(T.project_table(pt["proj_w"]), T.StepWeights(*[pt[name] for name in STEP_PARAMS]))
 
 
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig,
-                  weights: T.StepWeights | None = None) -> T.Tensor:
-    """Graph-level logits, shape (num_graphs, 1). ``weights`` are the message
-    steps' weights of ``pt`` prepared once; without them they are prepared
-    here, for this forward."""
-    h = T.project(batch.features, pt["proj_w"], pt["proj_b"])
-    if weights is None:
-        weights = _step_weights(pt)
+                  prepared: Prepared | None = None) -> T.Tensor:
+    """Graph-level logits, shape (num_graphs, 1). ``prepared`` is
+    ``_prepare(pt)``; without it it is built here, for this forward."""
+    if prepared is None:
+        prepared = _prepare(pt)
+    h = T.project(batch.features, pt["proj_w"], pt["proj_b"], prepared.table)
     # the batch's scatter positions, built once for every step's forward and
-    # backward; the rules on a tape keep them until the tape goes
+    # backward; the rules on a tape keep them until the tape goes. The step
+    # biases, tiled to the batch's rows, go with this forward.
     edges = kernels.Edges(batch.src, batch.dst, h.shape[1])
+    biases = prepared.steps.biases(h.shape[0])
     for _ in range(config.steps):
-        h = T.message_step(h, edges, weights)
+        h = T.message_step(h, edges, prepared.steps, biases)
     y = T.readout(h, pt["att_gate_w"], pt["att_gate_b"], pt["att_feat_w"], pt["att_feat_b"],
                   batch.seg, batch.num_graphs)
     for i in range(config.output_layers):
@@ -214,8 +227,8 @@ def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfi
 
 
 def forward_probs(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig,
-                  weights: T.StepWeights | None = None) -> T.Tensor:
-    return T.sigmoid(forward_batch(pt, batch, config, weights))
+                  prepared: Prepared | None = None) -> T.Tensor:
+    return T.sigmoid(forward_batch(pt, batch, config, prepared))
 
 
 def infer(
@@ -228,12 +241,12 @@ def infer(
 
 
 def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig,
-           weights: T.StepWeights | None = None) -> np.ndarray:
+           prepared: Prepared | None = None) -> np.ndarray:
     """``infer`` with the params already wrapped as off-tape tensors, and
-    their step weights prepared when ``weights`` is given."""
+    their layouts prepared when ``prepared`` is given."""
     try:
         probs = [
-            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size], lo), config, weights).data[:, 0]
+            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size], lo), config, prepared).data[:, 0]
             for lo in range(0, len(graphs), config.batch_size)
         ]
     except T.SlotError as e:
@@ -397,15 +410,17 @@ def save_checkpoint(
 
 @dataclass
 class Checkpoint:
-    """A trained model for predicting: its params, which must not change once
-    it is constructed, its config and its vocabulary, whose k must be the
-    config's (a ValueError at construction otherwise).
+    """A trained model for predicting: its params, its config and its
+    vocabulary, whose k must be the config's (a ValueError at construction
+    otherwise).
 
-    What every predict needs from them is derived once, here: the params
-    wrapped as off-tape tensors, the message steps' weights prepared with
-    the update and reset gates stacked (``tensor.StepWeights``, a copy, so
-    a change to ``params`` would not reach it) and the config's feature
-    mask.
+    ``params`` holds read-only views of the arrays it is given, so a write
+    through it raises instead of leaving the layouts derived from them
+    behind; the caller's arrays themselves are neither copied nor frozen.
+    What every predict needs is derived once, here: the params wrapped as
+    off-tape tensors, their prepared layouts (``Prepared``: the projection
+    table, and the step weights with the update and reset gates stacked)
+    and the config's feature mask.
     """
 
     params: dict[str, np.ndarray]
@@ -413,13 +428,16 @@ class Checkpoint:
     vocab: Vocabulary
     best_epoch: int
     tensors: dict[str, T.Tensor] = field(init=False, repr=False, compare=False)
-    weights: T.StepWeights = field(init=False, repr=False, compare=False)
+    prepared: Prepared = field(init=False, repr=False, compare=False)
     mask: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_k(self.vocab, self.config)
+        self.params = {name: value.view() for name, value in self.params.items()}
+        for view in self.params.values():
+            view.flags.writeable = False
         self.tensors = _as_tensors(self.params, None)
-        self.weights = _step_weights(self.tensors)
+        self.prepared = _prepare(self.tensors)
         self.mask = self.config.mask_dict()
 
 
@@ -481,10 +499,10 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:
     """Probability per CFG: each encoded with the checkpoint's vocabulary and
-    feature mask, then inferred with its params wrapped and its step weights
+    feature mask, then inferred with its params wrapped and their layouts
     prepared once."""
     graphs = [(encode(cfg, ckpt.vocab, ckpt.mask), cfg) for cfg in cfgs]
-    return _infer(ckpt.tensors, graphs, ckpt.config, ckpt.weights)
+    return _infer(ckpt.tensors, graphs, ckpt.config, ckpt.prepared)
 
 
 def predict(ckpt: Checkpoint, cfg: Cfg) -> float:

@@ -36,6 +36,25 @@ it, so each slab holds that product's result; with one state column (d =
 a 2-D one-column product. The rule adds the gates' terms in the chain's
 order.
 
+Each weight is read in the layout its products and sums want, prepared
+once for every step of a forward that reads it, or once for all the
+predicts of a checkpoint (``model`` does both):
+
+- a backward product g @ W.T multiplies by ``_transposed(W)``, a
+  C-contiguous copy of W.T, not by the transposed view, which OpenBLAS
+  multiplies more slowly at a few hundred rows: (350, 32) @ (32, 32) took
+  20.2 µs by the view against 12.3 µs by the copy (OpenBLAS 0.3.31, one
+  thread, an x86-64 vCPU). Below about 38 rows the two round differently,
+  so every such product here, in ``matmul``'s rule as in the fused ones,
+  takes the copy, and a fused op still equals its chain at any row count;
+- ``StepWeights`` holds the transposes of ``message_step``'s weights, and
+  tiles its three biases to a forward's rows (``biases``, which the caller
+  holds for that forward only), since at a few hundred rows adding a
+  same-shape array costs less than half of broadcasting a (1, d) row;
+- ``project`` gathers from ``project_table(w)``, w with one zero row
+  appended, so a masked slot, -1, reads zeros and the row sum is one
+  gather and add per slot column.
+
 Each checks its intermediate values where the chain could first turn
 non-finite, which raises on exactly the inputs where the chain would, and
 names the stage. ``edge_gather_sum`` stays a primitive of its own: it is
@@ -191,6 +210,12 @@ def check_slots(slots: np.ndarray) -> None:
         raise SlotError(f"slots must be a 2-D integer array, got {slots.dtype} {slots.shape}")
 
 
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """w.T, slab by slab for a stack, as a C-contiguous copy: the right
+    operand of every backward product g @ w.T (see the module docstring)."""
+    return np.ascontiguousarray(w.swapaxes(-1, -2))
+
+
 def _product(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a @ b, or one a @ b[i] per slab of a stack b of shape (k, m, d)."""
     if b.shape[-1] == 1:
@@ -213,28 +238,30 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     ad, bd = a.data, b.data
     data = _product(ad, bd)
     if bias is None:
-        return _op(data, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
+        return _op(data, "matmul", (a, b), lambda g: (g @ _transposed(bd), ad.T @ g))
     if bias.shape != (1, b.shape[1]):
         raise TensorError(f"matmul bias shape {bias.shape} for product {data.shape}")
     data += bias.data  # the product is a fresh array
     return _op(data, "matmul", (a, b, bias),
-               lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0, keepdims=True)))
+               lambda g: (g @ _transposed(bd), ad.T @ g, g.sum(axis=0, keepdims=True)))
 
 
 class StepWeights:
     """The 11 weights of ``message_step``, prepared once for every step that
-    uses them: their shapes compared with each other, and the update and
-    reset gates' weights stacked.
+    uses them: their shapes compared with each other, the update and reset
+    gates' weights stacked, and the right operands of the rule's products
+    transposed.
 
     ``fits`` is whether the shapes are those of an aggregate layer from
     state width ``width`` (the rows of ``agg_w``) and a GRU over its output.
     When they fit, ``w_zr`` (2, m, d), ``u_zr`` (2, d, d) and ``b_zr``
-    (2, 1, d) hold the z gate's weights, then the r gate's. They are copies:
-    build new StepWeights when the weights change, as ``model.forward_batch``
-    does once per forward.
+    (2, 1, d) hold the z gate's weights, then the r gate's, and
+    ``transposed`` holds ``_transposed`` of agg_w, w_zr, u_zr, wh and uh.
+    They are copies: build new StepWeights when the weights change, as
+    ``model.forward_batch`` does once per forward.
     """
 
-    __slots__ = ("tensors", "width", "fits", "w_zr", "u_zr", "b_zr")
+    __slots__ = ("tensors", "width", "fits", "w_zr", "u_zr", "b_zr", "transposed")
 
     def __init__(self, agg_w: Tensor, agg_b: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
                  wr: Tensor, ur: Tensor, br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor):
@@ -247,14 +274,26 @@ class StepWeights:
             self.w_zr = np.array((wz.data, wr.data))
             self.u_zr = np.array((uz.data, ur.data))
             self.b_zr = np.array((bz.data, br.data))
+            self.transposed = tuple(map(_transposed, (agg_w.data, self.w_zr, self.u_zr, wh.data, uh.data)))
         else:  # message_step names the misfit against the state it is given
-            self.w_zr = self.u_zr = self.b_zr = None
+            self.w_zr = self.u_zr = self.b_zr = self.transposed = None
+
+    def biases(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """agg_b, b_zr and bh repeated to ``n`` rows, (n, m), (2, n, d) and
+        (n, d), for the steps of one forward over n rows; None when the
+        shapes do not fit."""
+        if not self.fits:
+            return None
+        agg_b, bh = self.tensors[1].data, self.tensors[10].data
+        return np.repeat(agg_b, n, axis=0), np.repeat(self.b_zr, n, axis=1), np.repeat(bh, n, axis=0)
 
 
-def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tensor:
+def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights,
+                 biases: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Tensor:
     """One message-passing step of state ``h`` over the edges (src, dst),
     recorded as one op; ``weights`` holds agg_w, agg_b, then wz, uz, bz,
-    wr, ur, br, wh, uh and bh:
+    wr, ur, br, wh, uh and bh, and ``biases`` is ``weights.biases`` of h's
+    rows, tiled here when it is not given:
 
         a = relu(s @ agg_w + agg_b), s[v] = sum over edges (u, v) of h[u]
         z = sigmoid(a @ wz + h @ uz + bz)
@@ -294,18 +333,23 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
                                   f"aggregate width {m} and state {h.shape}")
     if edges.width != d:
         raise TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
+    agg_bn, b_zrn, bhn = weights.biases(n) if biases is None else biases
+    if agg_bn.shape[0] != n:
+        raise TensorError(f"message_step biases tiled to {agg_bn.shape[0]} rows, state {h.shape}")
+    # arrays only: a rule that held ``weights`` would hold its tensors, and their tape
     hd, aggd, whd, uhd = h.data, agg_w.data, wh.data, uh.data
     w_zr, u_zr = weights.w_zr, weights.u_zr
+    agg_wt, w_zrt, u_zrt, wht, uht = weights.transposed
     summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
     a = _product(summed, aggd)
-    a += agg_b.data
+    a += agg_bn
     if not _finite(a):
         raise TensorError("non-finite output of message_step aggregate")
     np.maximum(a, 0.0, out=a)  # relu in place: its gradient needs only a > 0, true where pre > 0
     zr = _product(a, w_zr)  # z's pre-activation in zr[0], r's in zr[1]
     buf = _product(hd, u_zr)
     zr += buf
-    zr += weights.b_zr
+    zr += b_zrn
     if not _finite(zr):
         gate = "reset" if _finite(zr[0]) else "update"
         raise TensorError(f"non-finite {gate} gate pre-activation of message_step")
@@ -315,7 +359,7 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
     c, out = buf[0], buf[1]  # h @ U_zr's buffer, once added, holds c and the output
     _product(a, whd, out=c)
     c += _product(rh, uhd)
-    c += bh.data
+    c += bhn
     if not _finite(c):
         raise TensorError("non-finite candidate pre-activation of message_step")
     np.tanh(c, out=c)
@@ -338,13 +382,13 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
         np.multiply(c, c, out=t)
         np.subtract(1.0, t, out=t)
         dpc *= t
-        drh = dpc @ uhd.T
+        drh = dpc @ uht
         np.multiply(drh, hd, out=dpr)
         s = np.subtract(1.0, zr)
         s *= zr
         dzr *= s  # sigmoid' of both gates
-        p = np.matmul(dzr, w_zr.transpose(0, 2, 1))
-        dpre = dpc @ whd.T  # c's term, then r's, then z's
+        p = np.matmul(dzr, w_zrt)
+        dpre = dpc @ wht  # c's term, then r's, then z's
         dpre += p[1]
         dpre += p[0]
         dpre *= a > 0
@@ -352,10 +396,10 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
         dh *= g  # g * keep
         drh *= r
         dh += drh
-        q = np.matmul(dzr, u_zr.transpose(0, 2, 1), out=s)
+        q = np.matmul(dzr, u_zrt, out=s)
         dh += q[1]  # r's term, then z's
         dh += q[0]
-        dh += kernels.edge_sum(np.matmul(dpre, aggd.T, out=drh), edges.dst, edges.into_src)
+        dh += kernels.edge_sum(np.matmul(dpre, agg_wt, out=drh), edges.dst, edges.into_src)
         rh = np.multiply(r, hd, out=t)
         dw, du, db = np.matmul(a.T, dzr), np.matmul(hd.T, dzr), dzr.sum(axis=1, keepdims=True)
         return (
@@ -367,15 +411,26 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights) -> Tenso
     return _op(out, "message_step", (h, *weights.tensors), rule)
 
 
-def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+def project_table(w: Tensor) -> np.ndarray:
+    """The rows of ``w`` and one zero row after them: the table ``project``
+    gathers from, where slot -1 reads the zero row. A copy: build a new one
+    when ``w`` changes, as ``model.forward_batch`` does once per forward."""
+    return np.concatenate((w.data, np.zeros((1, w.shape[1]))))
+
+
+def project(slots: np.ndarray, w: Tensor, b: Tensor, table: np.ndarray | None = None) -> Tensor:
     """relu(x @ w + b) for the one-hot rows x whose hot columns are ``slots``,
-    recorded as one op.
+    recorded as one op; ``table`` is ``project_table(w)``, built here when it
+    is not given.
 
     The product is taken without the rows: row i is the sum of w[slots[i, j]]
     over the columns j with slots[i, j] >= 0 (-1 marks none), added in order
-    j = 0, 1, ..., the order of the hot columns in a one-hot row. The slots
-    are constant input, so only ``w`` and ``b`` get gradients. The
-    arithmetic, the gradients and the failures are those of the row sum,
+    j = 0, 1, ..., the order of the hot columns in a one-hot row. It starts
+    from zeros and adds one gathered row of the table per column; a -1
+    gathers the zero row, and adding +0.0 leaves every partial sum as it is,
+    since one that starts from +0.0 is never -0.0. The slots are constant
+    input, so only ``w`` and ``b`` get gradients. The arithmetic, the
+    gradients and the failures are those of the row sum as a scatter,
     ``add`` and ``relu`` as three ops: the row sum is checked, then the sum
     with the bias, before the relu (which maps -inf to 0).
     """
@@ -387,9 +442,11 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
         raise SlotError(f"slot outside [-1, {w_rows})")
     if b.shape != (1, w.shape[1]):
         raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
-    rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
-    hot = slots[rows, cols]
-    out = kernels.segment_sum(w.data[hot], rows, slots.shape[0])
+    if table is None:
+        table = project_table(w)
+    out = np.zeros((slots.shape[0], w.shape[1]))
+    for column in slots.T:
+        out += table[column]
     if not _finite(out):
         raise TensorError("non-finite output of project row sum")
     out += b.data
@@ -399,7 +456,8 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         dpre = g * (out > 0)
-        return kernels.segment_sum(dpre[rows], hot, w_rows), dpre.sum(axis=0, keepdims=True)
+        rows, cols = np.nonzero(slots >= 0)  # row-major, so each row's columns in order
+        return kernels.segment_sum(dpre[rows], slots[rows, cols], w_rows), dpre.sum(axis=0, keepdims=True)
 
     return _op(out, "project", (w, b), rule)
 
@@ -452,8 +510,8 @@ def readout(h: Tensor, gate_w: Tensor, gate_b: Tensor, feat_w: Tensor, feat_b: T
         s = np.subtract(1.0, gate)
         s *= gate
         dgate *= s  # sigmoid'
-        dh = dfeat @ fwd.T
-        dh += dgate @ gwd.T
+        dh = dfeat @ _transposed(fwd)
+        dh += dgate @ _transposed(gwd)
         return (dh, hd.T @ dgate, dgate.sum(axis=0, keepdims=True),
                 hd.T @ dfeat, dfeat.sum(axis=0, keepdims=True))
 

@@ -175,20 +175,21 @@ def per_gate_step(h, edges, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh) ->
     out += z * c
 
     def rule(g):
+        # every x @ W.T multiplies by T._transposed(W), as T.matmul's rule does
         dz = g * c - g * hd
         dpc = g * z * (1.0 - c * c)
-        drh = dpc @ uhd.T
+        drh = dpc @ T._transposed(uhd)
         dpr = drh * hd * (r * (1.0 - r))
         dpz = dz * (z * (1.0 - z))
-        dpre = dpc @ whd.T
-        dpre += dpr @ wrd.T
-        dpre += dpz @ wzd.T
+        dpre = dpc @ T._transposed(whd)
+        dpre += dpr @ T._transposed(wrd)
+        dpre += dpz @ T._transposed(wzd)
         dpre *= a > 0
         dh = (1.0 - z) * g
         dh += drh * r
-        dh += dpr @ urd.T
-        dh += dpz @ uzd.T
-        dh += kernels.edge_sum(dpre @ aggd.T, edges.dst, edges.into_src)
+        dh += dpr @ T._transposed(urd)
+        dh += dpz @ T._transposed(uzd)
+        dh += kernels.edge_sum(dpre @ T._transposed(aggd), edges.dst, edges.into_src)
         return (
             dh, summed.T @ dpre, dpre.sum(axis=0, keepdims=True),
             a.T @ dpz, hd.T @ dpz, dpz.sum(axis=0, keepdims=True),

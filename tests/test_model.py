@@ -660,12 +660,37 @@ class TestTraining:
         c = tiny_config()
         params = M.init_params(c, seed=0)
         ckpt = M.Checkpoint(params, c, build_vocabulary([e.cfg for e in data], k=c.k), best_epoch=0)
-        assert all(ckpt.tensors[n].data is params[n] for n in params)
+        # wrapped without a copy: each tensor holds the checkpoint's
+        # read-only view of the array it was given
+        assert all(ckpt.tensors[n].data is ckpt.params[n] and ckpt.params[n].base is params[n] for n in params)
         wrapped = []
         monkeypatch.setattr(M, "_as_tensors", lambda *a: wrapped.append(a))
         probs = [M.predict(ckpt, e.cfg) for e in data]
         assert not wrapped
         assert probs == M.predict_many(ckpt, [e.cfg for e in data]).tolist()
+
+    def test_checkpoint_params_are_read_only_views(self):
+        c = tiny_config()
+        params = M.init_params(c, seed=0)
+        ckpt = M.Checkpoint(params, c, build_vocabulary([e.cfg for e in synth_generate(6, seed=5)], k=c.k), 0)
+        for name in params:
+            with pytest.raises(ValueError, match="read-only"):
+                ckpt.params[name][0, 0] = 1.0
+        # the caller's arrays are neither copied nor frozen
+        assert all(np.shares_memory(ckpt.params[n], params[n]) and params[n].flags.writeable for n in params)
+
+    def test_one_checkpoint_predicts_graphs_of_alternating_sizes_as_fresh_ones(self):
+        # the layouts a checkpoint prepares once serve every size of graph,
+        # and what a forward tiles to its rows goes with that forward
+        rng = random.Random(12)
+        cfgs = [random_cfg(rng, max_nodes=n, min_nodes=n) for n in (11, 400, 11, 1200, 11)]
+        c = M.ModelConfig(k=20)
+        vocab = build_vocabulary(cfgs, k=20)
+        params = M.init_params(c, seed=6)
+        ckpt = M.Checkpoint(params, c, vocab, best_epoch=0)
+        for cfg in cfgs:
+            fresh = M.Checkpoint(params, c, vocab, best_epoch=0)
+            assert M.predict_many(ckpt, [cfg]).tobytes() == M.predict_many(fresh, [cfg]).tobytes()
 
     @pytest.mark.parametrize("vocab_k", [3, 9])
     def test_a_built_checkpoint_rejects_a_vocabulary_of_another_k(self, vocab_k):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import gru_chain, per_gate_step, projection_chain, readout_chain, step_chain
+from conftest import gru_chain, per_gate_step, projection_chain, random_slots, readout_chain, step_chain
 from defreach import kernels
 from defreach import tensor as T
 
@@ -877,6 +877,105 @@ class TestFusedInPlace:
         for i, (a, b) in enumerate(zip(arrays, before[0])):
             assert np.array_equal(a, b), f"input {i}"
         assert np.array_equal(slots, before[1]) and np.array_equal(SEG, before[2])
+
+
+def bincount_sum(x, index, n):
+    """out[i] = sum of x[r] over the rows r with index[r] == i, as one
+    np.bincount over the flat positions: the row sum ``project`` and a
+    one-segment ``kernels.segment_sum`` must give byte for byte."""
+    m = x.shape[1]
+    flat = (index[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=n * m).astype(np.float64, copy=False).reshape(n, m)
+
+
+class TestPreparedLayouts:
+    """The layouts prepared for the hot products and sums keep the
+    arithmetic they replace: ``project``'s gathers from its padded table,
+    the one-segment ``segment_sum`` and the contiguous transposes of the
+    backward products."""
+
+    @pytest.mark.parametrize("k", [3, 20, 1000])
+    @pytest.mark.parametrize("rows", [1, 11, 400, 2790])
+    def test_project_is_the_bincount_row_sum(self, rows, k):
+        rng = np.random.default_rng(90)
+        slots = random_slots(rng, rows, k)
+        slots[:, 2] = -1  # a masked property
+        slots[0] = 1, -1, -1, 1  # a slot repeated within a row, and nothing else
+        slots[rows // 2] = -1  # a node without definitions
+        w = rng.standard_normal((4 * (k + 2), 6))
+        w[rng.random(w.shape) < 0.2] = -0.0
+        w[1] = -0.0  # row 0 sums -0.0 with -0.0 in every column
+        b = rng.standard_normal((1, 6))
+        b[0, :3] = -0.0, 0.0, -0.0
+        hot_rows, cols = np.nonzero(slots >= 0)
+        for sign in (1.0, -1.0):  # the relu keeps one sign; the other pins the rest
+            summed = bincount_sum(sign * w[slots[hot_rows, cols]], hot_rows, rows)
+            summed += sign * b
+            got = T.project(slots, T.Tensor(sign * w), T.Tensor(sign * b)).data
+            assert same_bits(got, np.maximum(summed, 0.0)), sign
+
+    def test_a_slot_naming_the_zero_row_raises(self):
+        w = T.Tensor(np.ones((6, 3)))
+        table = T.project_table(w)
+        assert table.shape == (7, 3) and not table[6].any()
+        with pytest.raises(T.SlotError, match=r"slot outside \[-1, 6\)"):
+            T.project(np.array([[0, 6, -1]]), w, T.Tensor(np.zeros((1, 3))), table)
+
+    @pytest.mark.parametrize("cols", [1, 2, 32])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 11, 400, 2790])
+    def test_one_segment_sum_is_the_bincount_sum(self, rows, cols):
+        rng = np.random.default_rng(91)
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, cols))
+        x[:, 0] = -0.0  # a column of -0.0 alone
+        x[::3, -1] = -0.0  # and one where they mix with other values
+        seg = np.zeros(rows, dtype=np.int64)
+        want = bincount_sum(x, seg, 1)
+        for layout in (x, np.asfortranarray(x)):
+            assert same_bits(kernels.segment_sum(layout, seg, 1), want)
+
+    # below about 38 rows OpenBLAS rounds a product by a transposed view
+    # otherwise than one by a contiguous copy
+    ROWS = [1, 2, 3, 37, 38, 39, 64]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_matmul_with_bias_equals_its_chain(self, rows):
+        rng = np.random.default_rng(92)
+        arrays = [rng.standard_normal((rows, 32)), rng.standard_normal((32, 32)), rng.standard_normal((1, 32))]
+        fused = outcome(lambda x, w, b: T.matmul(x, w, bias=b), arrays)
+        chain = outcome(lambda x, w, b: T.add(T.matmul(x, w), b), arrays)
+        for i, (a, b) in enumerate(zip(fused, chain)):
+            assert same_bits(a, b), i
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_readout_equals_its_chain(self, rows):
+        rng = np.random.default_rng(93)
+        arrays = [rng.standard_normal((rows, 32)), rng.standard_normal((32, 1)), rng.standard_normal((1, 1)),
+                  rng.standard_normal((32, 32)), rng.standard_normal((1, 32))]
+        seg = np.sort(rng.integers(0, 3, rows))
+        for graphs, ids in ((3, seg), (1, np.zeros(rows, dtype=np.int64))):
+            fused = outcome(lambda *t: T.readout(*t, ids, graphs), arrays)
+            chain = outcome(lambda *t: readout_chain(*t, ids, graphs), arrays)
+            for i, (a, b) in enumerate(zip(fused, chain)):
+                assert same_bits(a, b), (graphs, i)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_message_step_equals_its_chains(self, rows):
+        rng = np.random.default_rng(94)
+        arrays = step_inputs(rng, rows, 32, 32)
+        src, dst = edges(rng, rows)
+        fused = outcome(lambda h, *w: fused_step(fused_step(h, src, dst, *w), src, dst, *w), arrays)
+        chain = outcome(lambda h, *w: step_chain(step_chain(h, src, dst, *w), src, dst, *w), arrays)
+        e = kernels.Edges(src, dst, 32)
+        per_gate = outcome(lambda h, *w: per_gate_step(per_gate_step(h, e, *w), e, *w), arrays)
+        for i, (a, b, c) in enumerate(zip(fused, chain, per_gate)):
+            assert same_bits(a, b) and same_bits(a, c), i
+
+    def test_biases_tiled_for_other_rows_rejected(self):
+        rng = np.random.default_rng(95)
+        h, *weights = [T.Tensor(a) for a in step_inputs(rng, 6, 3, 4)]
+        prepared = T.StepWeights(*weights)
+        with pytest.raises(T.TensorError, match=r"message_step biases tiled to 5 rows, state \(6, 4\)"):
+            T.message_step(h, kernels.Edges(*edges(rng, 6), 4), prepared, prepared.biases(5))
 
 
 class TestSigmoid:
