@@ -190,17 +190,17 @@ STEP_PARAMS = (
 
 class Prepared(NamedTuple):
     """The params' layouts a forward reads, built once per forward for all
-    its steps, or once for all the predicts of a checkpoint: proj_w with a
-    zero row appended (``tensor.project_table``) and the message steps'
-    weights (``tensor.StepWeights``). Both are copies of the params they are
-    built from."""
+    its steps, per ``infer`` call or per checkpoint for all their forwards:
+    proj_w with a zero row appended (``tensor.project_table``) and the
+    message steps' weights (``tensor.StepWeights``, which checks their
+    shapes). Both are copies of the params they are built from."""
 
     table: np.ndarray
     steps: T.StepWeights
 
 
 def _prepare(pt: dict[str, T.Tensor]) -> Prepared:
-    return Prepared(T.project_table(pt["proj_w"]), T.StepWeights(*[pt[name] for name in STEP_PARAMS]))
+    return Prepared(T.project_table(pt["proj_w"].data), T.StepWeights(*[pt[name] for name in STEP_PARAMS]))
 
 
 def forward_batch(pt: dict[str, T.Tensor], batch: GraphBatch, config: ModelConfig,
@@ -237,13 +237,13 @@ def infer(
     config: ModelConfig,
 ) -> np.ndarray:
     """Inference probability per (slots, cfg) graph, config.batch_size graphs per forward."""
-    return _infer(_as_tensors(params, None), graphs, config)
+    pt = _as_tensors(params, None)
+    return _infer(pt, graphs, config, _prepare(pt))
 
 
 def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config: ModelConfig,
-           prepared: Prepared | None = None) -> np.ndarray:
-    """``infer`` with the params already wrapped as off-tape tensors, and
-    their layouts prepared when ``prepared`` is given."""
+           prepared: Prepared) -> np.ndarray:
+    """``infer`` with the params wrapped as off-tape tensors and their layouts prepared."""
     try:
         probs = [
             forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size], lo), config, prepared).data[:, 0]
@@ -307,10 +307,14 @@ class Adam:
         p -= u
 
 
+class VocabularyMismatch(ValueError):
+    """A vocabulary whose k is not the config's."""
+
+
 def _check_k(vocab: Vocabulary, config: ModelConfig) -> None:
     """A vocabulary of another k would shift every column of ``proj_w``."""
     if vocab.k != config.k:
-        raise ValueError(f"vocabulary k={vocab.k} does not match config k={config.k}")
+        raise VocabularyMismatch(f"vocabulary k={vocab.k} does not match config k={config.k}")
 
 
 @dataclass
@@ -410,17 +414,16 @@ def save_checkpoint(
 
 @dataclass
 class Checkpoint:
-    """A trained model for predicting: its params, its config and its
-    vocabulary, whose k must be the config's (a ValueError at construction
-    otherwise).
+    """A trained model for predicting: its params, with exactly the names
+    and shapes of ``param_shapes(config)``, its config and its vocabulary,
+    whose k must be the config's (a ValueError at construction otherwise).
 
     ``params`` holds read-only views of the arrays it is given, so a write
     through it raises instead of leaving the layouts derived from them
     behind; the caller's arrays themselves are neither copied nor frozen.
     What every predict needs is derived once, here: the params wrapped as
-    off-tape tensors, their prepared layouts (``Prepared``: the projection
-    table, and the step weights with the update and reset gates stacked)
-    and the config's feature mask.
+    off-tape tensors, their prepared layouts (``Prepared``) and the
+    config's feature mask.
     """
 
     params: dict[str, np.ndarray]
@@ -432,6 +435,16 @@ class Checkpoint:
     mask: dict[str, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # refused before param_shapes lists two params per output layer
+        if 2 * self.config.output_layers > len(self.params):
+            raise ValueError("params must be an object with one record per param")
+        shapes = param_shapes(self.config)
+        if self.params.keys() != shapes.keys():
+            missing, extra = sorted(shapes.keys() - self.params.keys()), sorted(self.params.keys() - shapes.keys())
+            raise ValueError(f"params do not fit the config: missing {missing}, extra {extra}")
+        for name, shape in shapes.items():
+            if self.params[name].shape != shape:
+                raise ValueError(f"param {name} must have shape {list(shape)}")
         _check_k(self.vocab, self.config)
         self.params = {name: value.view() for name, value in self.params.items()}
         for view in self.params.values():
@@ -442,9 +455,8 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint and its vocabulary, checking that the params have
-    exactly the names and shapes ``param_shapes(config)`` gives and finite
-    values, and that the vocabulary's ``k`` is the config's."""
+    """Read a checkpoint and its vocabulary, each param sized by its record's
+    shape and values; ``Checkpoint`` checks the names, the shapes and ``k``."""
     doc = parse_json(read_text(path), f"checkpoint {path}")
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path} must hold a JSON object")
@@ -461,19 +473,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: config: {e}") from e
     stored = doc["params"]
-    # param_shapes lists two params per output layer: a config with more
-    # layers than the stored params could hold is refused before it is listed
-    if not isinstance(stored, dict) or 2 * config.output_layers > len(stored):
+    if not isinstance(stored, dict):
         raise ValueError(f"checkpoint {path}: params must be an object with one record per param")
-    shapes = param_shapes(config)
-    if stored.keys() != shapes.keys():
-        missing, extra = sorted(shapes.keys() - stored.keys()), sorted(stored.keys() - shapes.keys())
-        raise ValueError(f"checkpoint {path}: params do not fit the config: missing {missing}, extra {extra}")
     params = {}
-    for name, shape in shapes.items():
-        rec = stored[name]
-        if not (isinstance(rec, dict) and rec.get("shape") == list(shape)):
-            raise ValueError(f"checkpoint {path}: param {name} must have shape {list(shape)}")
+    for name, rec in stored.items():
+        shape = rec.get("shape") if isinstance(rec, dict) else None
+        if not (isinstance(shape, list) and len(shape) == 2 and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"checkpoint {path}: param {name} must have a shape of two ints >= 0")
         try:
             data = np.array(rec.get("data"), dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as e:
@@ -493,8 +499,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     vocab = Vocabulary.from_json(read_text(vocab_path), vocab_path)
     try:
         return Checkpoint(params=params, config=config, vocab=vocab, best_epoch=best_epoch)
-    except ValueError as e:
-        raise ValueError(f"checkpoint {path}: {vocab_path}: {e}") from e
+    except ValueError as e:  # a k that does not match is the vocabulary file's
+        source = f"{vocab_path}: " if isinstance(e, VocabularyMismatch) else ""
+        raise ValueError(f"checkpoint {path}: {source}{e}") from e
 
 
 def predict_many(ckpt: Checkpoint, cfgs: list[Cfg]) -> np.ndarray:

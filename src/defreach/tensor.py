@@ -24,21 +24,21 @@ bit-identical to the chain's at any number of rows:
 ``message_step`` computes the GRU's update gate z and reset gate r
 together: both read the same two inputs, a and h, so their pre-activations
 go into the two halves of one (2, n, d) buffer, from the weights that
-``StepWeights`` stacks once for every step that uses them (``model``
-prepares them once per forward, and a checkpoint once for all its
-predicts). One product for a @ W_zr, one for h @ U_zr, one bias add, one
-finiteness check and one sigmoid cover both gates, and the rule takes one
-batched product per gradient term. That is bit-identical to a product per
-gate: ``np.matmul`` over a stack axis calls BLAS once per (n, d) slab,
-with the operands, transposes and shapes a 2-D product of that slab passes
-it, so each slab holds that product's result; with one state column (d =
-1) ``_product`` takes row-wise dots instead, slab by slab, as it does for
-a 2-D one-column product. The rule adds the gates' terms in the chain's
-order.
+``StepWeights`` checks and stacks once for every step that uses them
+(``model`` prepares them once per forward or ``infer`` call, and a
+checkpoint once for all its predicts). One product for a @ W_zr, one for
+h @ U_zr, one bias add, one finiteness check and one sigmoid cover both
+gates, and the rule takes one batched product per gradient term. That is
+bit-identical to a product per gate: ``np.matmul`` over a stack axis calls
+BLAS once per (n, d) slab, with the operands, transposes and shapes a 2-D
+product of that slab passes it, so each slab holds that product's result;
+with one state column (d = 1) ``_product`` takes row-wise dots instead,
+slab by slab, as it does for a 2-D one-column product. The rule adds the
+gates' terms in the chain's order.
 
 Each weight is read in the layout its products and sums want, prepared
 once for every step of a forward that reads it, or once for all the
-predicts of a checkpoint (``model`` does both):
+forwards of an ``infer`` call or a checkpoint (``model`` does both):
 
 - a backward product g @ W.T multiplies by ``_transposed(W)``, a
   C-contiguous copy of W.T, not by the transposed view, which OpenBLAS
@@ -51,7 +51,7 @@ predicts of a checkpoint (``model`` does both):
   tiles its three biases to a forward's rows (``biases``, which the caller
   holds for that forward only), since at a few hundred rows adding a
   same-shape array costs less than half of broadcasting a (1, d) row;
-- ``project`` gathers from ``project_table(w)``, w with one zero row
+- ``project`` gathers from ``project_table(w.data)``, w with one zero row
   appended, so a masked slot, -1, reads zeros and the row sum is one
   gather and add per slot column.
 
@@ -247,43 +247,42 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 class StepWeights:
-    """The 11 weights of ``message_step``, prepared once for every step that
-    uses them: their shapes compared with each other, the update and reset
-    gates' weights stacked, and the right operands of the rule's products
-    transposed.
+    """The 11 weights of ``message_step``, checked and prepared once for
+    every step that uses them: the update and reset gates' weights stacked,
+    and the right operands of the rule's products transposed.
 
-    ``fits`` is whether the shapes are those of an aggregate layer from
-    state width ``width`` (the rows of ``agg_w``) and a GRU over its output.
-    When they fit, ``w_zr`` (2, m, d), ``u_zr`` (2, d, d) and ``b_zr``
+    It is the one place that checks their shapes: those of an aggregate
+    layer from state width ``width`` (the rows of ``agg_w``) to aggregate
+    width m (its columns), and a GRU over its output. A TensorError names
+    the first misfit, so one raises when a forward prepares its layouts or
+    a checkpoint is built. ``w_zr`` (2, m, d), ``u_zr`` (2, d, d) and ``b_zr``
     (2, 1, d) hold the z gate's weights, then the r gate's, and
     ``transposed`` holds ``_transposed`` of agg_w, w_zr, u_zr, wh and uh.
     They are copies: build new StepWeights when the weights change, as
     ``model.forward_batch`` does once per forward.
     """
 
-    __slots__ = ("tensors", "width", "fits", "w_zr", "u_zr", "b_zr", "transposed")
+    __slots__ = ("tensors", "width", "w_zr", "u_zr", "b_zr", "transposed")
 
     def __init__(self, agg_w: Tensor, agg_b: Tensor, wz: Tensor, uz: Tensor, bz: Tensor,
                  wr: Tensor, ur: Tensor, br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor):
-        self.tensors = (agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh)
         d, m = agg_w.shape
-        gru = (m, d), (d, d), (1, d)
+        if agg_b.shape != (1, m):
+            raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape}")
+        for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
+            if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
+                raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} "
+                                  f"for aggregate weights {agg_w.shape}")
+        self.tensors = (agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh)
         self.width = d
-        self.fits = tuple(t.shape for t in self.tensors) == ((d, m), (1, m), *gru, *gru, *gru)
-        if self.fits:
-            self.w_zr = np.array((wz.data, wr.data))
-            self.u_zr = np.array((uz.data, ur.data))
-            self.b_zr = np.array((bz.data, br.data))
-            self.transposed = tuple(map(_transposed, (agg_w.data, self.w_zr, self.u_zr, wh.data, uh.data)))
-        else:  # message_step names the misfit against the state it is given
-            self.w_zr = self.u_zr = self.b_zr = self.transposed = None
+        self.w_zr = np.array((wz.data, wr.data))
+        self.u_zr = np.array((uz.data, ur.data))
+        self.b_zr = np.array((bz.data, br.data))
+        self.transposed = tuple(map(_transposed, (agg_w.data, self.w_zr, self.u_zr, wh.data, uh.data)))
 
-    def biases(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def biases(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """agg_b, b_zr and bh repeated to ``n`` rows, (n, m), (2, n, d) and
-        (n, d), for the steps of one forward over n rows; None when the
-        shapes do not fit."""
-        if not self.fits:
-            return None
+        (n, d), for the steps of one forward over n rows."""
         agg_b, bh = self.tensors[1].data, self.tensors[10].data
         return np.repeat(agg_b, n, axis=0), np.repeat(self.b_zr, n, axis=1), np.repeat(bh, n, axis=0)
 
@@ -292,8 +291,8 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights,
                  biases: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Tensor:
     """One message-passing step of state ``h`` over the edges (src, dst),
     recorded as one op; ``weights`` holds agg_w, agg_b, then wz, uz, bz,
-    wr, ur, br, wh, uh and bh, and ``biases`` is ``weights.biases`` of h's
-    rows, tiled here when it is not given:
+    wr, ur, br, wh, uh and bh, whose shapes it checked, and ``biases`` is
+    ``weights.biases`` of h's rows, tiled here when it is not given:
 
         a = relu(s @ agg_w + agg_b), s[v] = sum over edges (u, v) of h[u]
         z = sigmoid(a @ wz + h @ uz + bz)
@@ -321,23 +320,15 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights,
     where the chain would.
     """
     n, d = h.shape
-    agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh = weights.tensors
-    if not weights.fits or weights.width != d:  # the checks below name the misfit
-        m = agg_w.shape[1]
-        if agg_w.shape != (d, m) or agg_b.shape != (1, m):
-            raise TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} "
-                              f"for state {h.shape}")
-        for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
-            if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
-                raise TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
-                                  f"aggregate width {m} and state {h.shape}")
+    if weights.width != d:
+        raise TensorError(f"message_step weights for state width {weights.width}, state {h.shape}")
     if edges.width != d:
         raise TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
     agg_bn, b_zrn, bhn = weights.biases(n) if biases is None else biases
     if agg_bn.shape[0] != n:
         raise TensorError(f"message_step biases tiled to {agg_bn.shape[0]} rows, state {h.shape}")
     # arrays only: a rule that held ``weights`` would hold its tensors, and their tape
-    hd, aggd, whd, uhd = h.data, agg_w.data, wh.data, uh.data
+    hd, aggd, whd, uhd = h.data, *(weights.tensors[i].data for i in (0, 8, 9))  # agg_w, wh and uh
     w_zr, u_zr = weights.w_zr, weights.u_zr
     agg_wt, w_zrt, u_zrt, wht, uht = weights.transposed
     summed = kernels.edge_sum(hd, edges.src, edges.into_dst)
@@ -411,17 +402,18 @@ def message_step(h: Tensor, edges: kernels.Edges, weights: StepWeights,
     return _op(out, "message_step", (h, *weights.tensors), rule)
 
 
-def project_table(w: Tensor) -> np.ndarray:
-    """The rows of ``w`` and one zero row after them: the table ``project``
-    gathers from, where slot -1 reads the zero row. A copy: build a new one
-    when ``w`` changes, as ``model.forward_batch`` does once per forward."""
-    return np.concatenate((w.data, np.zeros((1, w.shape[1]))))
+def project_table(w: np.ndarray) -> np.ndarray:
+    """The rows of the array ``w`` (no tensor: this records no op) and a
+    zero row after them: the table ``project`` gathers from, where slot -1
+    reads the zero row. A copy: build a new one when ``w`` changes, as
+    ``model.forward_batch`` does once per forward."""
+    return np.concatenate((w, np.zeros((1, w.shape[1]))))
 
 
 def project(slots: np.ndarray, w: Tensor, b: Tensor, table: np.ndarray | None = None) -> Tensor:
     """relu(x @ w + b) for the one-hot rows x whose hot columns are ``slots``,
-    recorded as one op; ``table`` is ``project_table(w)``, built here when it
-    is not given.
+    recorded as one op; ``table`` is ``project_table(w.data)``, built here
+    when it is not given.
 
     The product is taken without the rows: row i is the sum of w[slots[i, j]]
     over the columns j with slots[i, j] >= 0 (-1 marks none), added in order
@@ -443,7 +435,7 @@ def project(slots: np.ndarray, w: Tensor, b: Tensor, table: np.ndarray | None = 
     if b.shape != (1, w.shape[1]):
         raise TensorError(f"project bias shape {b.shape} for weights {w.shape}")
     if table is None:
-        table = project_table(w)
+        table = project_table(w.data)
     out = np.zeros((slots.shape[0], w.shape[1]))
     for column in slots.T:
         out += table[column]

@@ -147,17 +147,8 @@ def per_gate_step(h, edges, agg_w, agg_b, wz, uz, bz, wr, ur, br, wh, uh, bh) ->
     products, a bias, a check and a squashing function per gate, and a rule
     that takes each gate's products apart. The reference for the stacked
     update and reset gates of T.message_step, whose outputs, gradients and
-    errors must be bit for bit these."""
-    n, d = h.shape
-    m = agg_w.shape[1]
-    if agg_w.shape != (d, m) or agg_b.shape != (1, m):
-        raise T.TensorError(f"message_step aggregate weights {agg_w.shape}, {agg_b.shape} for state {h.shape}")
-    for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
-        if w.shape != (m, d) or u.shape != (d, d) or b.shape != (1, d):
-            raise T.TensorError(f"message_step gru weights {w.shape}, {u.shape}, {b.shape} for "
-                                f"aggregate width {m} and state {h.shape}")
-    if edges.width != d:
-        raise T.TensorError(f"message_step edges built for width {edges.width}, state {h.shape}")
+    non-finite errors must be bit for bit these. It checks no shapes:
+    T.StepWeights does that for the stacked op."""
     hd, aggd = h.data, agg_w.data
     wzd, uzd, wrd, urd, whd, uhd = wz.data, uz.data, wr.data, ur.data, wh.data, uh.data
     summed = kernels.edge_sum(hd, edges.src, edges.into_dst)

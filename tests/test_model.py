@@ -3,6 +3,8 @@ import gc
 import io
 import json
 import random
+import re
+import types
 import weakref
 
 import numpy as np
@@ -155,6 +157,32 @@ class TestTapeRecords:
         pt = {k: tape.tensor(v) for k, v in params.items()}
         M.bce_logits(M.forward_batch(pt, M.batch_graphs(graphs), c), np.array([1.0, 0.0, 1.0]))
         assert len(tape._ops) == 1 + steps + 1 + (2 * layers - 1) + 6
+
+    def test_every_taped_public_call_records_one_op(self, monkeypatch):
+        # perfbench's tracer reads taped ops as the calls of the public
+        # functions of defreach.tensor but ``gradients`` that get an operand
+        # on the tape; counted the same way, a training forward and its loss
+        # must give the tape's number of records
+        c = tiny_config(steps=5, output_layers=3)
+        params = M.init_params(c, seed=0)
+        graphs = random_graphs(c, seed=9, n_graphs=3)
+        taped = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if any(isinstance(a, T.Tensor) and a.tape is not None for a in args):
+                    taped.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in list(vars(T).items()):
+            if (isinstance(fn, types.FunctionType) and fn.__module__ == T.__name__
+                    and not name.startswith("_") and name != "gradients"):
+                monkeypatch.setattr(T, name, counting(name, fn))
+        tape = T.Tape()
+        pt = {k: tape.tensor(v) for k, v in params.items()}
+        M.bce_logits(M.forward_batch(pt, M.batch_graphs(graphs), c), np.array([1.0, 0.0, 1.0]))
+        assert len(taped) == len(tape._ops) == 18, taped
 
 
 def chain_forward(pt, batch, config):
@@ -581,8 +609,9 @@ class TestTraining:
             assert np.array_equal(params[name], expected[name])
 
     def test_validation_sees_every_adam_step(self, monkeypatch):
-        # validation wraps params once per run; Adam's in-place updates must
-        # reach it, so every validation forward reads the current params
+        # validation wraps params and prepares their layouts once per epoch;
+        # Adam's in-place updates must reach both, so every validation
+        # forward reads the current params
         train, valid, vocab = small_training_setup()
         c = tiny_config(k=5, batch_size=8)
         current, checked = {}, []
@@ -591,9 +620,10 @@ class TestTraining:
             current.update(params)
             original(self, params, grads)
 
-        def validate(pt, graphs, config, original=M._infer):
-            checked.append(all(np.array_equal(pt[n].data, current[n]) for n in current))
-            return original(pt, graphs, config)
+        def validate(pt, graphs, config, prepared, original=M._infer):
+            checked.append(all(np.array_equal(pt[n].data, current[n]) for n in current)
+                           and np.array_equal(prepared.table[:-1], current["proj_w"]))
+            return original(pt, graphs, config, prepared)
 
         monkeypatch.setattr(M.Adam, "step", step)
         monkeypatch.setattr(M, "_infer", validate)
@@ -701,6 +731,24 @@ class TestTraining:
         vocab = build_vocabulary([e.cfg for e in data], k=vocab_k)
         with pytest.raises(ValueError, match=rf"^vocabulary k={vocab_k} does not match config k=5$"):
             M.Checkpoint(M.init_params(c, seed=0), c, vocab, best_epoch=0)
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("cls1_b", None, "params do not fit the config: missing ['cls1_b'], extra []"),
+        ("cls1_b", (1, 2), "param cls1_b must have shape [1, 1]"),
+        ("gru_uh_w", (8, 9), "param gru_uh_w must have shape [8, 8]"),
+    ], ids=["missing", "misshaped-bias", "misshaped-weight"])
+    def test_a_built_checkpoint_checks_its_params_names_and_shapes(self, name, shape, message):
+        # refused when the checkpoint is built, not as a KeyError or a
+        # TensorError at its first predict
+        c = tiny_config()
+        params = M.init_params(c, seed=0)
+        if shape is None:
+            del params[name]
+        else:
+            params[name] = np.zeros(shape)
+        vocab = build_vocabulary([e.cfg for e in synth_generate(6, seed=5)], k=c.k)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            M.Checkpoint(params, c, vocab, best_epoch=0)
 
     def test_bad_checkpoint_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -64,16 +64,6 @@ class TestForward:
             T.hadamard(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))))
         with pytest.raises(T.TensorError, match=r"bias shape \(1, 3\) for product \(2, 2\)"):
             T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2))), bias=T.Tensor(np.ones((1, 3))))
-        h, *weights = [T.Tensor(x) for x in step_inputs(np.random.default_rng(0), n=2, m=3, hdim=4)]
-        src, dst = edges(np.random.default_rng(0), 2)
-        bad = weights.copy()
-        bad[5] = T.Tensor(np.ones((4, 4)))  # wr needs the aggregate width 3 in rows
-        with pytest.raises(T.TensorError, match=r"message_step gru weights \(4, 4\)"):
-            fused_step(h, src, dst, *bad)
-        bad = weights.copy()
-        bad[0] = T.Tensor(np.ones((3, 3)))  # agg_w needs the state width 4 in rows
-        with pytest.raises(T.TensorError, match=r"message_step aggregate weights \(3, 3\), \(1, 3\)"):
-            fused_step(h, src, dst, *bad)
 
     def test_non_finite_output_rejected(self):
         with pytest.raises(T.TensorError, match="non-finite output of scale"):
@@ -416,8 +406,9 @@ def stacked(h, e, *weights):
 
 class TestStackedGates:
     """T.message_step computes the update and reset gates in one stacked
-    buffer. Its output, its 12 gradients and its errors must be bit for bit
-    those of per_gate_step, which takes each gate apart."""
+    buffer. Its output, its 12 gradients and its non-finite errors must be
+    bit for bit those of per_gate_step, which takes each gate apart; its
+    shape errors are StepWeights'."""
 
     @pytest.mark.parametrize("name", sorted(STACKED_CASES))
     def test_output_and_gradients_bit_identical(self, name):
@@ -455,18 +446,27 @@ class TestStackedGates:
 
     @pytest.mark.parametrize("index", range(12))
     def test_shape_errors_as_the_reference(self, index):
+        # the reference is StepWeights, which checks the 11 weights against
+        # each other when it is built; message_step checks the state
+        # (index 0) against them
         arrays, src, dst = stacked_case("aggregate-3-state-5", np.random.default_rng(83))
         rows, cols = arrays[index].shape
         # one row too many; for the state, one column: any number of rows fits
         arrays[index] = np.ones((rows, cols + 1) if index == 0 else (rows + 1, cols))
-        raised = step_outcome(stacked, arrays, src, dst)
-        assert raised is not None and raised == step_outcome(per_gate_step, arrays, src, dst)
+        shape = re.escape(str(arrays[index].shape))
+        h, *weights = [T.Tensor(a) for a in arrays]
+        if index == 0:
+            with pytest.raises(T.TensorError, match=rf"^message_step weights for state width 5, state {shape}$"):
+                stacked(h, kernels.Edges(src, dst, h.shape[1]), *weights)
+        else:
+            with pytest.raises(T.TensorError, match=rf"^message_step (aggregate|gru) weights .*{shape}"):
+                T.StepWeights(*weights)
 
     def test_weights_prepared_once_serve_every_step(self):
         arrays, src, dst = stacked_case("hidden-8", np.random.default_rng(84))
         tensors = [T.Tensor(a) for a in arrays]
         weights = T.StepWeights(*tensors[1:])
-        assert weights.fits and weights.w_zr.shape == (2, 8, 8) and weights.b_zr.shape == (2, 1, 8)
+        assert weights.w_zr.shape == (2, 8, 8) and weights.b_zr.shape == (2, 1, 8)
         e = kernels.Edges(src, dst, 8)
         h = tensors[0]
         for _ in range(3):
@@ -916,7 +916,7 @@ class TestPreparedLayouts:
 
     def test_a_slot_naming_the_zero_row_raises(self):
         w = T.Tensor(np.ones((6, 3)))
-        table = T.project_table(w)
+        table = T.project_table(w.data)
         assert table.shape == (7, 3) and not table[6].any()
         with pytest.raises(T.SlotError, match=r"slot outside \[-1, 6\)"):
             T.project(np.array([[0, 6, -1]]), w, T.Tensor(np.zeros((1, 3))), table)
