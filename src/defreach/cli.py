@@ -259,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=model.ModelConfig.batch_size)
+    p.add_argument("--batch-size", type=int, default=model.ModelConfig.batch_size,
+                   help=f"graphs per Adam step (default %(default)s); each forward covers whole "
+                        f"graphs of at most {model.CHUNK_ENTRIES} / hidden rows, or one larger graph")
     p.add_argument("--mask", default=",".join(embedding.PROPERTIES))
     p.add_argument("--k", type=int, default=model.ModelConfig.k)
     p.add_argument("--steps", type=int, default=model.ModelConfig.steps)

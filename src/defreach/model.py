@@ -1,7 +1,8 @@
 """Graph network over CFGs: input projection, message-passing rounds
 (aggregate MLP over predecessor states + GRU update), attention-pooled
-readout, dense classifier. Training is Adam with decoupled weight decay,
-mini-batches built as disjoint-union graphs.
+readout, dense classifier. Training is Adam with decoupled weight decay
+over mini-batches of graphs; every forward, in training and in inference,
+runs over a disjoint-union chunk of whole graphs (``chunks``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ from .harness import classify, compute_metrics  # noqa: F401  (model.classify is
 # running for hours. The paper and the defaults use 5.
 MAX_STEPS = 64
 
+# The most state entries (rows x hidden) one forward covers, in training and
+# in inference: 512 rows at hidden 32. A (512, 32) float64 state is 128 KiB,
+# so a message step's live arrays stay in a core's L2 cache, where a forward
+# over a 256-graph batch (about 2,800 rows) does not. A graph above the bound
+# is a chunk of its own.
+CHUNK_ENTRIES = 512 * 32
+
 
 @dataclass
 class ModelConfig:
@@ -34,7 +42,7 @@ class ModelConfig:
     output_layers: int = 3
     learning_rate: float = 1e-3
     l2_weight: float = 1e-2
-    batch_size: int = 256
+    batch_size: int = 256  # graphs per Adam step; a forward covers a chunk of them (chunks)
     k: int = 1000
     mask: list[str] = field(default_factory=lambda: list(PROPERTIES))
 
@@ -177,6 +185,23 @@ def batch_graphs(graphs: list[tuple[np.ndarray, Cfg]], first: int = 0) -> GraphB
     )
 
 
+def chunks(sizes, hidden: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of consecutive runs of graphs with ``sizes`` rows,
+    in order, each as many whole graphs as fit ``CHUNK_ENTRIES`` state
+    entries at width ``hidden``; a graph that does not fit alone is a chunk
+    of its own."""
+    limit = CHUNK_ENTRIES // hidden
+    bounds, lo, rows = [], 0, 0
+    for i, n in enumerate(sizes):
+        if rows and rows + n > limit:
+            bounds.append((lo, i))
+            lo, rows = i, 0
+        rows += n
+    if lo < len(sizes):
+        bounds.append((lo, len(sizes)))
+    return bounds
+
+
 # tensor.message_step's weights, in T.StepWeights' argument order: the
 # aggregate layer's weight and bias, then per GRU gate z, r, h the input
 # weights, the state weights and the bias.
@@ -236,7 +261,8 @@ def infer(
     graphs: list[tuple[np.ndarray, Cfg]],
     config: ModelConfig,
 ) -> np.ndarray:
-    """Inference probability per (slots, cfg) graph, config.batch_size graphs per forward."""
+    """Inference probability per (slots, cfg) graph, one forward per chunk
+    of whole graphs (``chunks``); ``config.batch_size`` plays no part."""
     pt = _as_tensors(params, None)
     return _infer(pt, graphs, config, _prepare(pt))
 
@@ -246,20 +272,22 @@ def _infer(pt: dict[str, T.Tensor], graphs: list[tuple[np.ndarray, Cfg]], config
     """``infer`` with the params wrapped as off-tape tensors and their layouts prepared."""
     try:
         probs = [
-            forward_probs(pt, batch_graphs(graphs[lo : lo + config.batch_size], lo), config, prepared).data[:, 0]
-            for lo in range(0, len(graphs), config.batch_size)
+            forward_probs(pt, batch_graphs(graphs[lo:hi], lo), config, prepared).data[:, 0]
+            for lo, hi in chunks([len(cfg.nodes) for _, cfg in graphs], config.hidden)
         ]
     except T.SlotError as e:
         raise ValueError(f"feature width: {e}") from e
     return np.concatenate(probs) if probs else np.zeros(0)
 
 
-def bce_logits(logits: T.Tensor, labels: np.ndarray) -> T.Tensor:
-    """Saturation-safe mean cross-entropy from logits:
-    softplus(-x) + (1 - y) * x, averaged over the batch."""
+def bce_logits(logits: T.Tensor, labels: np.ndarray, count: int | None = None) -> T.Tensor:
+    """Saturation-safe cross-entropy from logits, softplus(-x) + (1 - y) * x,
+    summed over the rows and divided by ``count``, by default the rows: a
+    chunk of a training step divides by the step's graph count, so that its
+    chunks' losses add up to the step's mean."""
     one_minus_y = T.Tensor(1.0 - labels.reshape(logits.shape))  # off the tape: labels get no gradient
     per = T.add(T.softplus(T.scale(logits, -1.0)), T.hadamard(one_minus_y, logits))
-    return T.scale(T.sum_all(per), 1.0 / logits.shape[0])
+    return T.scale(T.sum_all(per), 1.0 / (logits.shape[0] if count is None else count))
 
 
 class Adam:
@@ -333,7 +361,15 @@ def train_model(
     epochs: int,
     patience: int = 10,
 ) -> tuple[dict[str, np.ndarray], int, list[EpochStats]]:
-    """Returns (best params, best epoch, per-epoch history)."""
+    """Returns (best params, best epoch, per-epoch history).
+
+    An Adam step averages the loss over ``config.batch_size`` shuffled
+    graphs. Its forwards run over chunks of them (``chunks``), each on a
+    tape of its own, and each chunk's gradient is added into the step's in
+    chunk order before the one Adam step. A chunk's loss is its summed
+    cross-entropy divided by the step's graph count; an epoch's loss is the
+    mean of its steps' losses.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if patience < 1:
@@ -343,6 +379,7 @@ def train_model(
     _check_k(vocab, config)
     mask = config.mask_dict()
     train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
+    train_rows = np.array([len(cfg.nodes) for cfg, _ in train_set])
     train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
     valid_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in valid_set]
     valid_labels = [lbl for _, lbl in valid_set]
@@ -363,17 +400,19 @@ def train_model(
         try:
             for step, lo in enumerate(range(0, len(order), config.batch_size), 1):
                 idx = order[lo : lo + config.batch_size]
-                batch = batch_graphs([train_graphs[i] for i in idx])
-                labels = train_labels[idx].reshape(-1, 1)
-                pt = _as_tensors(params, T.Tape())
-                logits = forward_batch(pt, batch, config)
-                # Rebinding obj frees the previous step's tape before this step's
-                # backward, so its blocks are reused; freeing a tape right after
-                # its own backward cost about 12% at k=20 (glibc trims the heap top).
-                obj = bce_logits(logits, labels)
-                T.gradients(obj, list(pt.values()), into)
+                for nth, (a, b) in enumerate(chunks(train_rows[idx].tolist(), config.hidden)):
+                    part = idx[a:b]
+                    batch = batch_graphs([train_graphs[i] for i in part])
+                    pt = _as_tensors(params, T.Tape())
+                    logits = forward_batch(pt, batch, config)
+                    # Rebinding obj frees the previous chunk's tape before this
+                    # chunk's backward, so its blocks are reused; freeing a tape
+                    # right after its own backward cost about 12% at k=20 (glibc
+                    # trims the heap top).
+                    obj = bce_logits(logits, train_labels[part].reshape(-1, 1), len(idx))
+                    T.gradients(obj, list(pt.values()), into, add=nth > 0)
+                    epoch_loss += obj.item()
                 opt.step(params, grads)
-                epoch_loss += obj.item()
             probs = infer(params, valid_graphs, config)
         except T.TensorError as e:  # a non-finite value in this step or in validation after it
             raise T.TensorError(f"training diverged at epoch {epoch}, step {step}: {e}") from e

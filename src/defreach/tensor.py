@@ -130,14 +130,17 @@ class Tape:
         return Tensor(data, tape=self)
 
 
-def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None = None,
+              add: bool = False) -> list[np.ndarray]:
     """d loss / d param per param; zeros where the loss does not depend on it.
 
     A slot's first gradient is the array its rule hands over (see the
     module docstring), and later ones are added into it. Each param's
     gradient is then copied into its array of ``out``, one array of the
     param's shape per param, which is returned; without ``out`` the arrays
-    are new.
+    are new. With ``add`` each gradient is added into its array of ``out``
+    instead (``out`` must then be given), so that the gradients of several
+    losses sum there in the order of the calls.
     """
     tape = loss.tape
     if tape is None:
@@ -161,7 +164,10 @@ def gradients(loss: Tensor, params: list[Tensor], out: list[np.ndarray] | None =
                 grads[i] += gi
     for p, o in zip(params, out):
         g = grads[p.index] if p.tape is tape else None
-        np.copyto(o, 0.0 if g is None else g)
+        if not add:
+            np.copyto(o, 0.0 if g is None else g)
+        elif g is not None:
+            o += g
     return out
 
 

@@ -2,8 +2,12 @@ import dataclasses
 import gc
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import types
 import weakref
 
@@ -278,13 +282,16 @@ class TestBatch:
 
 class TestGraphPosition:
     """A malformed graph is named by its index in the caller's list, in
-    ``batch_graphs`` and across ``infer``'s batches."""
+    ``batch_graphs`` and across ``infer``'s chunks."""
 
     GRAPHS = 7
 
     @pytest.fixture
-    def graphs(self):
+    def graphs(self, monkeypatch):
         data = synth_generate(self.GRAPHS, seed=5)
+        # 31 rows a chunk at hidden 8: graphs of 11, 9, 11 | 11, 19 | 18, 7 rows
+        monkeypatch.setattr(M, "CHUNK_ENTRIES", 31 * tiny_config().hidden)
+        assert M.chunks([len(e.cfg.nodes) for e in data], tiny_config().hidden) == [(0, 3), (3, 5), (5, 7)]
         vocab = build_vocabulary([e.cfg for e in data], k=3)
         return [(encode(e.cfg, vocab), e.cfg) for e in data]
 
@@ -301,9 +308,9 @@ class TestGraphPosition:
             M.batch_graphs(spoiled)
         assert str(caught.value) == f"graph {at}: feature rows {n + 1} != nodes {n}"
 
-    @pytest.mark.parametrize("at", [0, 2, 3, 6])  # 3 opens the second batch of 3, 6 the third
+    @pytest.mark.parametrize("at", [0, 2, 3, 6])  # 3 opens the second chunk, 6 ends the third
     def test_infer_counts_across_batches(self, graphs, at):
-        c = tiny_config(batch_size=3)
+        c = tiny_config()
         spoiled, n = self.spoil(graphs, at)
         with pytest.raises(ValueError) as caught:
             M.infer(M.init_params(c, seed=0), spoiled, c)
@@ -318,7 +325,7 @@ class TestGraphPosition:
         ids=["five-columns", "float"],
     )
     def test_infer_names_the_index_of_a_slot_error(self, graphs, make, message):
-        c = tiny_config(batch_size=3)
+        c = tiny_config()
         x, cfg = graphs[4]
         graphs[4] = (make(x), cfg)
         with pytest.raises(ValueError) as caught:
@@ -474,12 +481,27 @@ def per_gate_forward(pt, batch, config):
     return y
 
 
+def reference_chunks(graphs, hidden):
+    """The graphs in runs, in order: a run takes the next graph while its
+    rows stay within M.CHUNK_ENTRIES // hidden, or while it is empty."""
+    limit = M.CHUNK_ENTRIES // hidden
+    runs, rows = [], 0
+    for graph in graphs:
+        n = len(graph[1].nodes)
+        if not runs or rows + n > limit:
+            runs.append([])
+            rows = 0
+        runs[-1].append(graph)
+        rows += n
+    return runs
+
+
 def reference_training(config, train_set, valid_set, vocab, seed, epochs, patience):
     """train_model spelled out with a separate array per param, per-gate
-    message steps and one Adam step per param, each as plain expressions."""
+    message steps, the gradients of a step's chunks summed as fresh arrays
+    and one Adam step per param, each as plain expressions."""
     mask = config.mask_dict()
-    train_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in train_set]
-    train_labels = np.array([lbl for _, lbl in train_set], dtype=np.float64)
+    train_graphs = [(encode(cfg, vocab, mask), cfg, lbl) for cfg, lbl in train_set]
     valid_graphs = [(encode(cfg, vocab, mask), cfg) for cfg, _ in valid_set]
     params = M.init_params(config, seed)
     m = {n: np.zeros_like(p) for n, p in params.items()}
@@ -494,26 +516,29 @@ def reference_training(config, train_set, valid_set, vocab, seed, epochs, patien
         total, steps = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            tape = T.Tape()
-            pt = {n: tape.tensor(p) for n, p in params.items()}
-            obj = M.bce_logits(per_gate_forward(pt, M.batch_graphs([train_graphs[i] for i in idx]), config),
-                               train_labels[idx].reshape(-1, 1))
+            grads = None
+            for run in reference_chunks([train_graphs[i] for i in idx], config.hidden):
+                tape = T.Tape()
+                pt = {n: tape.tensor(p) for n, p in params.items()}
+                obj = M.bce_logits(per_gate_forward(pt, M.batch_graphs([(x, cfg) for x, cfg, _ in run]), config),
+                                   np.array([[lbl] for _, _, lbl in run], dtype=np.float64), len(idx))
+                part = dict(zip(pt, T.gradients(obj, list(pt.values()))))
+                grads = part if grads is None else {n: grads[n] + part[n] for n in grads}
+                total += obj.item()
             t += 1
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for n, g in zip(pt, T.gradients(obj, list(pt.values()))):
+            for n, g in grads.items():
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
                 update = (m[n] / bc1) / (np.sqrt(v[n] / bc2) + eps)
                 if n.endswith("_w"):
                     update = update + wd * params[n]
                 params[n] = params[n] - lr * update
-            total += obj.item()
             steps += 1
         wrapped = {n: T.Tensor(p) for n, p in params.items()}
         probs = np.concatenate([
-            T.sigmoid(per_gate_forward(wrapped, M.batch_graphs(valid_graphs[lo : lo + config.batch_size]),
-                                       config)).data[:, 0]
-            for lo in range(0, len(valid_graphs), config.batch_size)
+            T.sigmoid(per_gate_forward(wrapped, M.batch_graphs(run), config)).data[:, 0]
+            for run in reference_chunks(valid_graphs, config.hidden)
         ])
         f1 = compute_metrics(probs.tolist(), [lbl for _, lbl in valid_set]).f1
         losses.append((total / steps, f1))
@@ -528,17 +553,27 @@ def reference_training(config, train_set, valid_set, vocab, seed, epochs, patien
 
 
 class TestTrainingBitIdentical:
-    """train_model, with its flat parameter store, whole-buffer Adam steps
-    and stacked update and reset gates, against reference_training."""
+    """train_model, with its flat parameter store, whole-buffer Adam steps,
+    stacked update and reset gates and gradients summed over a step's
+    chunks, against reference_training."""
 
-    @pytest.mark.parametrize("config, epochs, patience", [
-        (dict(k=5, hidden=8, steps=2, output_layers=2, batch_size=8), 4, 10),
-        (dict(k=7, hidden=1, steps=3, output_layers=1, batch_size=16, learning_rate=0.05, l2_weight=0.1), 6, 2),
+    @pytest.mark.parametrize("config, epochs, patience, chunk_rows", [
+        pytest.param(dict(k=5, hidden=8, steps=2, output_layers=2, batch_size=8), 4, 10, None, id="config0-4-10"),
+        pytest.param(dict(k=7, hidden=1, steps=3, output_layers=1, batch_size=16, learning_rate=0.05, l2_weight=0.1),
+                     6, 2, None, id="config1-6-2"),
+        # chunks of at most 12 rows: a batch of 16 graphs takes several, and
+        # the graphs of 13 to 19 rows each take one of their own
+        pytest.param(dict(k=5, hidden=8, steps=2, output_layers=2, batch_size=16), 4, 10, 12, id="multi-chunk"),
     ])
-    def test_params_best_epoch_and_losses(self, config, epochs, patience):
+    def test_params_best_epoch_and_losses(self, config, epochs, patience, chunk_rows, monkeypatch):
         train, valid, vocab = small_training_setup()
         vocab = build_vocabulary([cfg for cfg, _ in train], k=config["k"])
         c = M.ModelConfig(**config)
+        if chunk_rows is None:  # one chunk per step
+            assert sum(sorted(len(cfg.nodes) for cfg, _ in train)[-c.batch_size:]) <= M.CHUNK_ENTRIES // c.hidden
+        else:
+            monkeypatch.setattr(M, "CHUNK_ENTRIES", chunk_rows * c.hidden)
+            assert max(len(cfg.nodes) for cfg, _ in train) > chunk_rows
         params, best_epoch, history = M.train_model(c, train, valid, vocab, seed=3, epochs=epochs, patience=patience)
         ref_params, ref_epoch, ref_losses = reference_training(c, train, valid, vocab, 3, epochs, patience)
         assert best_epoch == ref_epoch
@@ -546,6 +581,115 @@ class TestTrainingBitIdentical:
         assert list(params) == list(ref_params)
         for n in params:
             assert params[n].tobytes() == ref_params[n].tobytes(), n
+
+
+def forward_rows(monkeypatch):
+    """The rows of every forward_batch call from now on, one list per call,
+    one entry per graph."""
+    seen = []
+
+    def recording(pt, batch, config, prepared=None, original=M.forward_batch):
+        seen.append(np.bincount(batch.seg, minlength=batch.num_graphs).tolist())
+        return original(pt, batch, config, prepared)
+
+    monkeypatch.setattr(M, "forward_batch", recording)
+    return seen
+
+
+class TestChunks:
+    """Every forward, in training and in inference, covers a run of whole
+    graphs of at most M.CHUNK_ENTRIES // hidden rows, or one larger graph."""
+
+    @pytest.mark.parametrize("sizes, hidden, bounds", [
+        ([], 32, []),
+        ([256, 256, 1], 32, [(0, 2), (2, 3)]),  # 512 rows fit at hidden 32
+        ([256, 1], 64, [(0, 1), (1, 2)]),  # 256 rows at hidden 64
+        ([3, 600, 2, 2, 510, 1], 32, [(0, 1), (1, 2), (2, 4), (4, 6)]),
+        ([600, 700], 32, [(0, 1), (1, 2)]),
+        ([5, 5], 20000, [(0, 1), (1, 2)]),  # not even one row fits
+    ])
+    def test_bounds(self, sizes, hidden, bounds):
+        assert M.CHUNK_ENTRIES == 512 * 32
+        assert M.chunks(sizes, hidden) == bounds
+
+    def test_a_graph_above_the_bound_is_a_forward_of_its_own(self, monkeypatch):
+        rng = random.Random(3)
+        cfgs = [random_cfg(rng, max_nodes=n, min_nodes=n) for n in (40, 600, 30, 500, 12, 700)]
+        sizes = [len(cfg.nodes) for cfg in cfgs]
+        assert sizes == [40, 600, 30, 500, 12, 700]
+        c = M.ModelConfig(k=20, batch_size=2)  # infer reads no batch size
+        vocab = build_vocabulary(cfgs, k=20)
+        graphs = [(encode(cfg, vocab), cfg) for cfg in cfgs]
+        seen = forward_rows(monkeypatch)
+        M.infer(M.init_params(c, seed=0), graphs, c)
+        assert seen == [[40], [600], [30], [500, 12], [700]]
+        seen.clear()
+        data = [(cfg, i % 2) for i, cfg in enumerate(cfgs)]
+        M.train_model(dataclasses.replace(c, batch_size=6), data, data[:2], vocab, seed=0, epochs=1)
+        order = np.arange(6)
+        np.random.default_rng(0).shuffle(order)
+        step = [sizes[i] for i in order]
+        train = [step[lo:hi] for lo, hi in M.chunks(step, c.hidden)]
+        assert seen == train + [[40], [600]] and [700] in train and [600] in train
+
+    def test_step_gradient_is_the_whole_batch_gradient(self, monkeypatch):
+        # one step over 120 graphs, about 1300 rows: its chunks' gradients,
+        # summed, against one forward over the whole batch
+        data = synth_generate(120, seed=4)
+        vocab = build_vocabulary([e.cfg for e in data], k=20)
+        train = [(e.cfg, e.label) for e in data]
+        c = M.ModelConfig(k=20, batch_size=len(train))
+        seen, stepped = forward_rows(monkeypatch), []
+        monkeypatch.setattr(M.Adam, "step", lambda self, params, grads: stepped.append(dict(grads)))
+        M.train_model(c, train, train[:4], vocab, seed=2, epochs=1)
+        (grads,) = stepped
+        assert len(seen) - 1 >= 3 and sum(map(sum, seen[:-1])) == sum(len(cfg.nodes) for cfg, _ in train)
+        monkeypatch.undo()
+        tape = T.Tape()
+        pt = {n: tape.tensor(v) for n, v in M.init_params(c, seed=2).items()}
+        batch = M.batch_graphs([(encode(cfg, vocab), cfg) for cfg, _ in train])
+        whole = T.gradients(M.bce_logits(M.forward_batch(pt, batch, c), np.array([lbl for _, lbl in train])),
+                            list(pt.values()))
+        for name, g in zip(pt, whole):
+            assert T.relative_error(grads[name], g) < 1e-12, name
+
+    def test_infer_over_several_chunks_equals_per_graph_infer(self):
+        data = synth_generate(150, seed=6)
+        c = M.ModelConfig(k=20, batch_size=1)
+        vocab = build_vocabulary([e.cfg for e in data], k=20)
+        graphs = [(encode(e.cfg, vocab), e.cfg) for e in data]
+        assert len(M.chunks([len(cfg.nodes) for _, cfg in graphs], c.hidden)) >= 3
+        params = M.init_params(c, seed=5)
+        probs = M.infer(params, graphs, c)
+        single = np.concatenate([M.infer(params, [g], c) for g in graphs])
+        np.testing.assert_allclose(probs, single, rtol=0, atol=1e-12)
+        # the batch size counts the graphs of an Adam step, not of a forward
+        assert M.infer(params, graphs, dataclasses.replace(c, batch_size=256)).tobytes() == probs.tobytes()
+
+    def test_trained_params_do_not_depend_on_the_blas_thread_count(self):
+        # k=1000 and batch 256: one forward over a step's 256 graphs (about
+        # 2,700 rows) let OpenBLAS split a weight gradient's sum between
+        # threads; chunks of at most 512 rows do not
+        program = textwrap.dedent("""
+            import hashlib
+            from defreach import harness as H, model as M
+            from defreach.embedding import build_vocabulary
+            train, valid, _ = H.split(H.synth_generate(400, 7), "mixed", (0.8, 0.1, 0.1), seed=1)
+            vocab = build_vocabulary([e.cfg for e in train], k=1000)
+            params, _, _ = M.train_model(M.ModelConfig(k=1000, batch_size=256),
+                                         [(e.cfg, e.label) for e in H.undersample(train, seed=1)],
+                                         [(e.cfg, e.label) for e in valid], vocab, seed=1, epochs=8)
+            print(hashlib.sha256(b"".join(v.tobytes() for v in params.values())).hexdigest())
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run([sys.executable, "-c", program], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, text=True, timeout=300, check=True).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 class TestFlatParams:
@@ -578,35 +722,48 @@ class TestTraining:
 
     def test_at_most_two_step_tapes_hold_records(self, monkeypatch):
         # With the collector off, a tape that still holds records stays live
-        # until train_model clears it; count those at every backward.
+        # until train_model clears it; count those at every backward, with
+        # one chunk per step and with chunks of at most 12 rows, where a
+        # step's 8 graphs take several tapes.
         train, valid, vocab = small_training_setup()
         c = tiny_config(k=5, batch_size=8)
-        expected, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
-        tapes, live_counts = [], []
+        tapes, live_counts, steps = [], [], []
 
         def holding():
             return sum(1 for ref in tapes if ref() is not None and ref()._ops)
 
-        def counting_gradients(loss, params, out=None, original=T.gradients):
+        def counting_gradients(loss, params, out=None, add=False, original=T.gradients):
             tapes.append(weakref.ref(loss.tape))
             live_counts.append(holding())
-            grads = original(loss, params, out)
+            grads = original(loss, params, out, add)
             live_counts.append(holding())
             return grads
 
-        monkeypatch.setattr(T, "gradients", counting_gradients)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            params, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
-            assert len(tapes) > 2
-            assert max(live_counts) <= 2
-            assert holding() == 0
-        finally:
-            if enabled:
-                gc.enable()
-        for name in expected:
-            assert np.array_equal(params[name], expected[name])
+        def counting_step(self, params, grads, original=M.Adam.step):
+            steps.append(len(tapes))
+            original(self, params, grads)
+
+        for chunk_rows in (None, 12):
+            if chunk_rows is not None:
+                monkeypatch.setattr(M, "CHUNK_ENTRIES", chunk_rows * c.hidden)
+            with monkeypatch.context() as counted:
+                expected, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
+                counted.setattr(T, "gradients", counting_gradients)
+                counted.setattr(M.Adam, "step", counting_step)
+                tapes.clear(), live_counts.clear(), steps.clear()
+                enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    params, _, _ = M.train_model(c, train, valid, vocab, seed=1, epochs=2)
+                    assert len(tapes) > 2
+                    assert max(live_counts) <= 2
+                    assert holding() == 0
+                finally:
+                    if enabled:
+                        gc.enable()
+            assert (len(tapes) > len(steps)) == (chunk_rows is not None)
+            for name in expected:
+                assert np.array_equal(params[name], expected[name])
 
     def test_validation_sees_every_adam_step(self, monkeypatch):
         # validation wraps params and prepares their layouts once per epoch;

@@ -112,9 +112,18 @@ class TestGradients:
         out = [np.full(t.shape, np.nan) for t in (x, w, unused)]
         returned = T.gradients(loss, [x, w, unused], out)
         assert all(r is o for r, o in zip(returned, out))
-        for a, b in zip(out, T.gradients(loss, [x, w, unused])):
+        fresh = T.gradients(loss, [x, w, unused])
+        for a, b in zip(out, fresh):
             assert a.tobytes() == b.tobytes()
         assert not out[2].any()
+        # with add, a second loss's gradients are added into out
+        unused_sum = T.sum_all(unused)
+        assert T.gradients(unused_sum, [x, w, unused], out, add=True) is out
+        assert out[0].tobytes() == fresh[0].tobytes() and out[1].tobytes() == fresh[1].tobytes()
+        assert (out[2] == 1.0).all()
+        T.gradients(loss, [x, w, unused], out, add=True)
+        for a, b in zip(out[:2], fresh[:2]):
+            assert a.tobytes() == (b + b).tobytes()
 
     def test_operands_on_different_tapes_rejected(self):
         a, b = T.Tape().tensor([[1.0]]), T.Tape().tensor([[2.0]])
